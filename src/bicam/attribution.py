@@ -140,7 +140,7 @@ def attention_rollout(model: VisionTransformer, image: np.ndarray,
     attention over heads, add identity, row-normalize, and multiply through
     all layers; the CLS row gives unsigned patch scores."""
     cfg = model.config
-    res = model.forward(image, capture=True, layer_window=cfg.num_layers)
+    res = model.forward(image, capture=True, layer_window=cfg.num_layers, tape=False)
     n = cfg.num_tokens
     b = res.captures[0].attn_logits.shape[0]
     mats = []

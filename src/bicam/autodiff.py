@@ -14,6 +14,8 @@ numpy and freely shareable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kernels
@@ -25,8 +27,10 @@ def _as_f64(data):
     return np.asarray(data, dtype=np.float64, order="C")
 
 
-def _check_finite(out, op):
-    if not np.isfinite(out).all():
+def check_finite(out, op):
+    # one reduction: a sum is finite only if every term is; a finite sum
+    # that overflowed is told apart by the elementwise test
+    if not math.isfinite(np.add.reduce(out, axis=None)) and not np.isfinite(out).all():
         raise NumericError(f"non-finite values produced by {op}")
     return out
 
@@ -59,7 +63,7 @@ class Graph:
         self.gradients: dict[int, np.ndarray] = {}
 
     def _record(self, op, parents, out_data, backward_fn) -> "Tensor":
-        _check_finite(out_data, op)
+        check_finite(out_data, op)
         nid = len(self.nodes)
         self.nodes.append(Node(op, parents, out_data.shape, backward_fn))
         return Tensor(out_data, self, nid)

@@ -9,6 +9,10 @@ attention logits (already scaled by 1/sqrt(head_dim), i.e. exactly what the
 softmax consumes), the per-head value projections, and the concatenated
 per-head CLS attention output *before* the block's output projection,
 together with its gradient after a class-score backward pass.
+
+The forward body is written once, against a small ops interface with two
+backends: _TapeOps records an autodiff tape (for gradients), _ArrayOps
+runs the same ops on plain ndarrays (for predictions, which need none).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import counters, kernels
-from .autodiff import Graph, Tensor, concat
+from .autodiff import Graph, Tensor, check_finite, concat
 from .errors import (DimensionError, NumericError, ParameterError, StateError)
 
 LAYERNORM_EPS = 1e-6
@@ -131,7 +135,7 @@ def expected_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
 
 
 class ViTWeights:
-    """Named weight tensors whose shapes are pinned by a ViTConfig."""
+    """Named, finite weight tensors whose shapes are pinned by a ViTConfig."""
 
     def __init__(self, config: ViTConfig, tensors: dict[str, np.ndarray]):
         spec = expected_shapes(config)
@@ -146,6 +150,8 @@ class ViTWeights:
             if arr.shape != shape:
                 raise DimensionError(
                     f"weight {name!r} has shape {arr.shape}, expected {shape}")
+            if not np.isfinite(arr).all():
+                raise ParameterError(f"weight {name!r} has non-finite values")
             store[name] = arr
         self.config = config
         self.tensors = store
@@ -221,6 +227,130 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return logits.log_softmax().mul(onehot).sum().scale(-1.0 / b)
 
 
+class _TapeOps:
+    """Forward ops that record a tape: the Tensor primitives themselves."""
+
+    def __init__(self, weights: ViTWeights):
+        self.graph = Graph()
+        self.weight_nodes: dict[str, int] = {}
+        self._weights = weights
+
+    def input(self, img: np.ndarray) -> Tensor:
+        return self.graph.leaf(img)
+
+    def weight(self, name: str) -> Tensor:
+        t = self.graph.leaf(self._weights[name])
+        self.weight_nodes[name] = t.node_id
+        return t
+
+    @staticmethod
+    def array(t: Tensor) -> np.ndarray:
+        return t.data
+
+    @staticmethod
+    def node(t: Tensor) -> int:
+        return t.node_id
+
+    @staticmethod
+    def tensor(t: Tensor) -> Tensor:
+        return t
+
+    matmul = staticmethod(Tensor.matmul)
+    add = staticmethod(Tensor.add)
+    scale = staticmethod(Tensor.scale)
+    reshape = staticmethod(Tensor.reshape)
+    transpose = staticmethod(Tensor.transpose)
+    broadcast_to = staticmethod(Tensor.broadcast_to)
+    narrow = staticmethod(Tensor.narrow)
+    softmax = staticmethod(Tensor.softmax)
+    gelu = staticmethod(Tensor.gelu)
+    layernorm = staticmethod(Tensor.layernorm)
+    concat = staticmethod(concat)
+
+
+class _ArrayOps:
+    """Forward ops on plain ndarrays: no tape, no closures, no weight leaves.
+
+    Each op computes what the Tensor primitive of the same name computes
+    forward, with the same kernels and the same (C-contiguous) memory
+    layout, so results are bit-equal to the taped forward. Each output is
+    checked for NaN/Inf as the tape does; weights were checked when the
+    ViTWeights were built.
+    """
+
+    def __init__(self, weights: ViTWeights):
+        self.graph = Graph()  # stays empty
+        self.weight_nodes: dict[str, int] = {}
+        self.weight = weights.__getitem__
+
+    @staticmethod
+    def input(img: np.ndarray) -> np.ndarray:
+        return check_finite(np.ascontiguousarray(img), "leaf")
+
+    @staticmethod
+    def array(a: np.ndarray) -> np.ndarray:
+        return a
+
+    @staticmethod
+    def node(a: np.ndarray) -> int:
+        return -1
+
+    @staticmethod
+    def tensor(a: np.ndarray) -> Tensor:
+        return Tensor(a)
+
+    @staticmethod
+    def matmul(a, b):
+        return check_finite(np.matmul(a, b), "matmul")
+
+    @staticmethod
+    def add(a, b):
+        return check_finite(a + b, "add")
+
+    @staticmethod
+    def scale(a, k: float):
+        return check_finite(a * float(k), "scale")
+
+    @staticmethod
+    def reshape(a, shape):
+        return check_finite(a.reshape(shape), "reshape")
+
+    @staticmethod
+    def transpose(a, axes):
+        return check_finite(np.ascontiguousarray(a.transpose(axes)), "transpose")
+
+    @staticmethod
+    def broadcast_to(a, shape):
+        return check_finite(np.ascontiguousarray(np.broadcast_to(a, shape)),
+                            "broadcast_to")
+
+    @staticmethod
+    def narrow(a, axis: int, start: int, length: int):
+        idx = [slice(None)] * a.ndim
+        idx[axis] = slice(start, start + length)
+        return check_finite(np.ascontiguousarray(a[tuple(idx)]), "narrow")
+
+    @staticmethod
+    def softmax(a, temperature: float):
+        n = a.shape[-1]
+        out = kernels.softmax_rows(a.reshape(-1, n), float(temperature))
+        return check_finite(out.reshape(a.shape), "softmax")
+
+    @staticmethod
+    def gelu(a):
+        return check_finite(kernels.gelu(a), "gelu")
+
+    @staticmethod
+    def layernorm(a, gain, bias, eps: float):
+        xhat, _ = kernels.layernorm_rows(np.ascontiguousarray(a.reshape(-1, a.shape[-1])),
+                                         float(eps))
+        return check_finite((xhat * gain + bias).reshape(a.shape), "layernorm")
+
+    @staticmethod
+    def concat(arrays, axis: int):
+        return check_finite(np.concatenate(arrays, axis=axis), "concat")
+
+
 class VisionTransformer:
     """Config + weights bundle; immutable after construction.
 
@@ -238,7 +368,8 @@ class VisionTransformer:
 
     def forward(self, image: np.ndarray, capture: bool = False,
                 layer_window: int | None = None,
-                cls_out_offsets: dict[int, np.ndarray] | None = None) -> ForwardResult:
+                cls_out_offsets: dict[int, np.ndarray] | None = None,
+                tape: bool = True) -> ForwardResult:
         """Run the network; optionally record LayerCaptures.
 
         With capture on, layers L-window+1 .. L are recorded. The forward
@@ -246,6 +377,11 @@ class VisionTransformer:
         only enters when maps are built from the captures. cls_out_offsets
         maps a 1-based layer index to a [B, d] perturbation added to that
         layer's CLS attention output (a probe point for sensitivity checks).
+
+        With tape off the same body runs on plain ndarrays: the logits and
+        captures are bit-equal to the taped run's, the logits are a detached
+        Tensor, the graph is empty, image_node and every merged_node are -1,
+        and backward_class refuses the result.
         """
         cfg = self.config
         img = np.asarray(image, dtype=np.float64)
@@ -262,31 +398,34 @@ class VisionTransformer:
         first_captured = cfg.num_layers - window + 1
 
         counters.bump("forward")
-        g = Graph()
-        wnodes: dict[str, int] = {}
-
-        def W(name: str) -> Tensor:
-            t = g.leaf(self.weights[name])
-            wnodes[name] = t.node_id
-            return t
+        o = _TapeOps(self.weights) if tape else _ArrayOps(self.weights)
+        W = o.weight
 
         b = img.shape[0]
         p, d = cfg.patch_size, cfg.embed_dim
         gh, gw = cfg.grid_height, cfg.grid_width
         nh, dh, n = cfg.num_heads, cfg.head_dim, cfg.num_tokens
 
-        x_img = g.leaf(img)
-        image_node = x_img.node_id
+        def linear(t, name: str):
+            return o.add(o.matmul(t, W(f"{name}.weight")), W(f"{name}.bias"))
+
+        def split_heads(t):  # [B, N, d] -> [B, H, N, d_h]
+            return o.transpose(o.reshape(t, (b, n, nh, dh)), (0, 2, 1, 3))
+
+        def special(name: str):  # one learned token, repeated over the batch
+            return o.broadcast_to(o.reshape(W(name), (1, 1, d)), (b, 1, d))
+
+        x_img = o.input(img)
         try:
-            patches = (x_img.reshape(b, 3, gh, p, gw, p)
-                       .transpose((0, 2, 4, 1, 3, 5))
-                       .reshape(b, gh * gw, 3 * p * p))
-            tok = patches @ W("patch_embed.weight") + W("patch_embed.bias")
-            specials = [W("cls_token").reshape(1, 1, d).broadcast_to((b, 1, d))]
+            patches = o.reshape(o.transpose(o.reshape(x_img, (b, 3, gh, p, gw, p)),
+                                            (0, 2, 4, 1, 3, 5)),
+                                (b, gh * gw, 3 * p * p))
+            tok = linear(patches, "patch_embed")
+            specials = [special("cls_token")]
             if cfg.distillation_token:
-                specials.append(W("dist_token").reshape(1, 1, d).broadcast_to((b, 1, d)))
-            x = concat(specials + [tok], axis=1)
-            x = x + W("pos_embed")
+                specials.append(special("dist_token"))
+            x = o.concat(specials + [tok], axis=1)
+            x = o.add(x, W("pos_embed"))
         except NumericError as e:
             raise NumericError(f"patch embedding: {e}") from None
 
@@ -294,44 +433,42 @@ class VisionTransformer:
         for layer in range(1, cfg.num_layers + 1):
             pre = f"blocks.{layer - 1}"
             try:
-                h = x.layernorm(W(f"{pre}.ln1.gain"), W(f"{pre}.ln1.bias"), LAYERNORM_EPS)
-                q = (h @ W(f"{pre}.attn.q.weight") + W(f"{pre}.attn.q.bias")) \
-                    .reshape(b, n, nh, dh).transpose((0, 2, 1, 3))
-                k = (h @ W(f"{pre}.attn.k.weight") + W(f"{pre}.attn.k.bias")) \
-                    .reshape(b, n, nh, dh).transpose((0, 2, 1, 3))
-                v = (h @ W(f"{pre}.attn.v.weight") + W(f"{pre}.attn.v.bias")) \
-                    .reshape(b, n, nh, dh).transpose((0, 2, 1, 3))
-                scores = (q @ k.transpose((0, 1, 3, 2))).scale(1.0 / math.sqrt(dh))
-                attn = scores.softmax(1.0)
-                merged = (attn @ v).transpose((0, 2, 1, 3)).reshape(b, n, d)
+                h = o.layernorm(x, W(f"{pre}.ln1.gain"), W(f"{pre}.ln1.bias"), LAYERNORM_EPS)
+                q = split_heads(linear(h, f"{pre}.attn.q"))
+                k = split_heads(linear(h, f"{pre}.attn.k"))
+                v = split_heads(linear(h, f"{pre}.attn.v"))
+                scores = o.scale(o.matmul(q, o.transpose(k, (0, 1, 3, 2))),
+                                 1.0 / math.sqrt(dh))
+                attn = o.softmax(scores, 1.0)
+                merged = o.reshape(o.transpose(o.matmul(attn, v), (0, 2, 1, 3)), (b, n, d))
                 if cls_out_offsets and layer in cls_out_offsets:
                     pad = np.zeros((b, n, d))
                     pad[:, 0, :] = cls_out_offsets[layer]
-                    merged = merged + pad
+                    merged = o.add(merged, pad)
                 if capture and layer >= first_captured:
                     captures.append(LayerCapture(
                         layer=layer,
-                        attn_logits=scores.detach(),
-                        values=v.detach(),
-                        cls_out=merged.data[:, 0, :].copy(),
-                        merged_node=merged.node_id,
+                        attn_logits=o.array(scores).copy(),
+                        values=o.array(v).copy(),
+                        cls_out=o.array(merged)[:, 0, :].copy(),
+                        merged_node=o.node(merged),
                     ))
-                x = x + (merged @ W(f"{pre}.attn.out.weight") + W(f"{pre}.attn.out.bias"))
-                h2 = x.layernorm(W(f"{pre}.ln2.gain"), W(f"{pre}.ln2.bias"), LAYERNORM_EPS)
-                f = (h2 @ W(f"{pre}.ffn.fc1.weight") + W(f"{pre}.ffn.fc1.bias")).gelu()
-                x = x + (f @ W(f"{pre}.ffn.fc2.weight") + W(f"{pre}.ffn.fc2.bias"))
+                x = o.add(x, linear(merged, f"{pre}.attn.out"))
+                h2 = o.layernorm(x, W(f"{pre}.ln2.gain"), W(f"{pre}.ln2.bias"), LAYERNORM_EPS)
+                f = o.gelu(linear(h2, f"{pre}.ffn.fc1"))
+                x = o.add(x, linear(f, f"{pre}.ffn.fc2"))
             except NumericError as e:
                 raise NumericError(f"block {layer}: {e}") from None
 
         try:
-            xf = x.layernorm(W("ln_f.gain"), W("ln_f.bias"), LAYERNORM_EPS)
-            cls_state = xf.narrow(1, 0, 1).reshape(b, d)
-            logits = cls_state @ W("head.weight") + W("head.bias")
+            xf = o.layernorm(x, W("ln_f.gain"), W("ln_f.bias"), LAYERNORM_EPS)
+            cls_state = o.reshape(o.narrow(xf, 1, 0, 1), (b, d))
+            logits = linear(cls_state, "head")
         except NumericError as e:
             raise NumericError(f"classifier head: {e}") from None
 
-        return ForwardResult(logits=logits, captures=captures, graph=g,
-                             image_node=image_node, weight_nodes=wnodes,
+        return ForwardResult(logits=o.tensor(logits), captures=captures, graph=o.graph,
+                             image_node=o.node(x_img), weight_nodes=o.weight_nodes,
                              input_shape=input_shape)
 
     # -- gradients ------------------------------------------------------------
@@ -341,6 +478,8 @@ class VisionTransformer:
         c = int(class_index)
         if not 0 <= c < self.config.num_classes:
             raise ParameterError(f"class index {c} out of range")
+        if not result.graph.nodes:
+            raise StateError("forward ran without a tape; backward_class needs tape=True")
         if not result.captures:
             raise StateError("backward_class requires a forward run with capture=True")
         counters.bump("backward")
@@ -362,7 +501,7 @@ class VisionTransformer:
     # -- inference ------------------------------------------------------------
 
     def predict_logits(self, image: np.ndarray) -> np.ndarray:
-        return self.forward(image).logits.detach()
+        return self.forward(image, tape=False).logits.detach()
 
     def predict_proba(self, image: np.ndarray) -> np.ndarray:
         logits = self.predict_logits(image)

@@ -11,8 +11,9 @@ Layout, all little-endian:
     per tensor: int32 name length, name (utf-8), int32 rank,
                 rank * int32 dims, row-major float64 payload
 
-The loader validates the magic, the config, and every tensor shape against
-the config; any mismatch or truncation raises DataFormatError.
+The loader validates the magic, the config, every tensor shape against the
+config, and that every value is finite; any mismatch, truncation or
+NaN/Inf raises DataFormatError.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def load_weights(path: str) -> ViTWeights:
     try:
         return ViTWeights(cfg, tensors)
     except BicamError as e:
-        raise DataFormatError(f"weight tensors do not match config: {e}") from None
+        raise DataFormatError(f"invalid weight tensors: {e}") from None
 
 
 def load_model(path: str) -> VisionTransformer:

@@ -295,6 +295,28 @@ def test_attention_rollout_end_to_end(tiny_model, rnd_image):
     assert isinstance(amap, AttributionMap)
 
 
+def test_rollout_tape_free_matches_tape_captures(tiny_model, rnd_image, monkeypatch):
+    forward = tiny_model.forward
+    tape_nodes = []
+
+    def recording(tape=None):
+        def fwd(*args, **kwargs):
+            if tape is not None:
+                kwargs["tape"] = tape
+            res = forward(*args, **kwargs)
+            tape_nodes.append(len(res.graph.nodes))
+            return res
+        return fwd
+
+    monkeypatch.setattr(tiny_model, "forward", recording())
+    plain = attention_rollout(tiny_model, rnd_image)
+    monkeypatch.setattr(tiny_model, "forward", recording(tape=True))
+    taped = attention_rollout(tiny_model, rnd_image)
+    assert tape_nodes[0] == 0 and tape_nodes[1] > 0
+    assert np.array_equal(plain.patch_scores, taped.patch_scores)
+    assert np.array_equal(plain.heatmap, taped.heatmap)
+
+
 def test_bicam_rectangular_image():
     from bicam.vit import ViTConfig, new_model
     cfg = ViTConfig(image_height=16, image_width=32, patch_size=4, num_layers=2,

@@ -289,6 +289,11 @@ def test_nonfinite_result_raises_numeric_error():
         t.mul(t)
     with pytest.raises(NumericError):
         g.leaf([np.inf])
+    with pytest.raises(NumericError):
+        g.leaf([1.0, np.nan, -np.inf])
+    # finite values whose sum overflows are still finite
+    big = leaf(g, [1e308, 1e308, -1e308, -1e308])
+    assert np.array_equal(big.scale(1.0).data, big.data)
 
 
 def test_tensor_data_is_row_major_float64():

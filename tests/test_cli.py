@@ -1,10 +1,14 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bicam import netpbm, weightfile
+from bicam import counters, netpbm, weightfile
 from bicam.attribution import bicam
 from bicam.cli import load_config_file, main, read_grid_csv
 from bicam.detection import read_records, roc_analysis
+from bicam.errors import DataFormatError
 from bicam.toytrain import make_pattern_dataset
 
 
@@ -253,3 +257,36 @@ def test_numeric_error_exit_code(tmp_path, toy_config, image_dir):
     img_path = sorted(image_dir.glob("*.ppm"))[0]
     assert run(["attribute", "--model", poisoned, "--image", img_path,
                 "--out-prefix", tmp_path / "z"]) == 4
+
+
+def test_pass_counts_per_command(tmp_path, model_file, image_dir, capsys):
+    one = tmp_path / "one"
+    one.mkdir()
+    img_path = sorted(image_dir.glob("*.ppm"))[0]
+    (one / img_path.name).write_bytes(img_path.read_bytes())
+    counters.reset()
+    assert run(["attribute", "--model", model_file, "--image", img_path,
+                "--out-prefix", tmp_path / "a"]) == 0
+    # class pick + capture forward, one backward
+    assert counters.snapshot() == {"forward": 2, "backward": 1}
+    counters.reset()
+    assert run(["eval-faith", "--model", model_file, "--images", one,
+                "--seeds", 1, "--out-prefix", tmp_path / "f"]) == 0
+    # class pick + capture forward, then 17-point MIF and LIF curves for the
+    # map and for one random order
+    assert counters.snapshot() == {"forward": 2 + 2 * 17 + 2 * 17, "backward": 1}
+    capsys.readouterr()
+
+
+def test_non_finite_weight_file_exits_3(tmp_path, model_file, image_dir, capsys):
+    raw = bytearray(Path(model_file).read_bytes())
+    # the payload ends with head.bias; overwrite its last element
+    raw[-8:] = struct.pack("<d", float("nan"))
+    poisoned = tmp_path / "nan.bw"
+    poisoned.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match="'head.bias' has non-finite values"):
+        weightfile.load_weights(str(poisoned))
+    img_path = sorted(image_dir.glob("*.ppm"))[0]
+    assert run(["attribute", "--model", poisoned, "--image", img_path,
+                "--out-prefix", tmp_path / "n"]) == 3
+    assert "non-finite" in capsys.readouterr().err

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bicam import counters
+from bicam.autodiff import Graph
 from bicam.errors import (DimensionError, NumericError, ParameterError, StateError)
 from bicam.kernels import softmax_rows
 from bicam.vit import (ViTConfig, ViTWeights, VisionTransformer,
@@ -92,11 +94,62 @@ def test_weight_validation_rejects_mismatch(tiny_config):
     extra["rogue"] = np.zeros(3)
     with pytest.raises(DimensionError):
         ViTWeights(tiny_config, extra)
+    nan = dict(tensors)
+    nan["blocks.0.ln1.gain"] = np.full(tiny_config.embed_dim, np.nan)
+    with pytest.raises(ParameterError, match="non-finite"):
+        ViTWeights(tiny_config, nan)
 
 
 def test_forward_shape_check(tiny_model):
     with pytest.raises(DimensionError):
         tiny_model.forward(np.zeros((1, 3, 8, 8)))
+
+
+@pytest.mark.parametrize("probe", ["tiny", "distillation", "cls_out_offsets"])
+def test_tape_free_forward_is_bit_equal_to_tape(tiny_model, tiny_config, probe):
+    model, kwargs = tiny_model, {}
+    if probe == "distillation":
+        model = new_model(dataclasses.replace(tiny_config, distillation_token=True), seed=2)
+    elif probe == "cls_out_offsets":
+        delta = np.random.default_rng(12).standard_normal((1, tiny_config.embed_dim))
+        kwargs["cls_out_offsets"] = {2: 1e-3 * delta}
+    img = np.random.default_rng(13).random((2, 3, 16, 16))
+    taped = model.forward(img, capture=True, layer_window=tiny_config.num_layers, **kwargs)
+    plain = model.forward(img, capture=True, layer_window=tiny_config.num_layers,
+                          tape=False, **kwargs)
+    assert np.array_equal(plain.logits.data, taped.logits.data)
+    assert len(plain.captures) == len(taped.captures) == tiny_config.num_layers
+    for a, b in zip(plain.captures, taped.captures):
+        assert a.layer == b.layer
+        assert np.array_equal(a.attn_logits, b.attn_logits)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.cls_out, b.cls_out)
+        assert a.merged_node == -1 and b.merged_node >= 0
+    assert not plain.graph.nodes and not plain.weight_nodes
+
+
+def test_predict_logits_records_no_tape(tiny_model, monkeypatch):
+    recorded = []
+    record = Graph._record
+
+    def counting(self, *args):
+        recorded.append(args[0])
+        return record(self, *args)
+
+    monkeypatch.setattr(Graph, "_record", counting)
+    img = np.random.default_rng(14).random((1, 3, 16, 16))
+    counters.reset()
+    logits = tiny_model.predict_logits(img)
+    assert recorded == []
+    assert counters.snapshot() == {"forward": 1, "backward": 0}
+    assert np.array_equal(logits, tiny_model.forward(img).logits.data)
+    assert recorded
+
+
+def test_backward_class_refuses_tape_free_result(tiny_model):
+    res = tiny_model.forward(np.zeros((1, 3, 16, 16)), capture=True, tape=False)
+    with pytest.raises(StateError, match="forward ran without a tape"):
+        tiny_model.backward_class(res, 0)
 
 
 def test_forward_is_pure(tiny_model):
@@ -188,13 +241,19 @@ def test_head_row_scaling_scales_gradient_linearly(tiny_model, tiny_config):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_numeric_error_names_the_layer(tiny_config):
+@pytest.mark.parametrize("tape", [True, False], ids=["tape", "tape_free"])
+@pytest.mark.parametrize("weight, prefix", [
+    ("patch_embed.weight", "patch embedding: "),
+    ("blocks.1.attn.q.weight", "block 2: "),
+    ("head.weight", "classifier head: "),
+], ids=["patch_embed", "block", "head"])
+def test_numeric_error_names_the_layer(tiny_config, weight, prefix, tape):
     weights = init_weights(tiny_config, seed=0)
     tensors = {k: v.copy() for k, v in weights.tensors.items()}
-    tensors["blocks.1.attn.q.weight"][:] = 1e308
+    tensors[weight][:] = 1e308
     model = VisionTransformer(tiny_config, ViTWeights(tiny_config, tensors))
-    with pytest.raises(NumericError, match="block 2"):
-        model.forward(np.random.default_rng(0).random((1, 3, 16, 16)))
+    with pytest.raises(NumericError, match=f"^{prefix}non-finite values produced by matmul$"):
+        model.forward(np.random.default_rng(0).random((1, 3, 16, 16)), tape=tape)
 
 
 def test_full_input_gradient_matches_finite_differences(tiny_model):
