@@ -2,42 +2,18 @@
 """Benchmark the numba kernels against their pure-numpy fallbacks.
 
 Micro-benchmarks run both implementations in one process on shapes typical
-of the instrumented forward pass (rows = batch*heads*tokens). The
-end-to-end section times a full signed-attribution call in substitute
-processes with BICAM_BACKEND forced to each backend.
+of the instrumented forward pass (rows = batch*heads*tokens). End-to-end
+timings come from bench_e2e/run.py, which drives the real CLI.
 
 Run: python benchmarks/bench_kernels.py [--iters 200]
 """
 
 import argparse
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 
 from bicam import kernels
-
-END_TO_END_SNIPPET = r"""
-import time
-import numpy as np
-from bicam import kernels
-from bicam.attribution import bicam
-from bicam.vit import ViTConfig, new_model
-
-cfg = ViTConfig(image_height=56, image_width=56, patch_size=4, num_layers=6,
-                num_heads=4, embed_dim=32, ffn_dim=64, num_classes=10)
-model = new_model(cfg, seed=0)
-img = np.random.default_rng(0).random((1, 3, 56, 56))
-bicam(model, img, 0)  # warmup + JIT
-n = 8
-t0 = time.perf_counter()
-for _ in range(n):
-    bicam(model, img, 0)
-ms = (time.perf_counter() - t0) / n * 1000.0
-print(f"{kernels.ACTIVE_BACKEND} {ms:.1f}")
-"""
 
 
 def bench(fn, args, iters, warmup=3):
@@ -83,26 +59,13 @@ def micro(iters):
         print(f"{name:<22}{t_np:>10.3f}{t_nb:>10.3f}{t_np / t_nb:>8.1f}x")
 
 
-def end_to_end():
-    print("\nfull attribution call (56x56 image, 6 layers, 4 heads):")
-    for backend in ("numpy", "numba") if kernels.HAVE_NUMBA else ("numpy",):
-        env = dict(os.environ, BICAM_BACKEND=backend)
-        out = subprocess.run([sys.executable, "-c", END_TO_END_SNIPPET],
-                             capture_output=True, text=True, env=env, check=True)
-        name, ms = out.stdout.split()
-        print(f"  {name:<8} {float(ms):7.1f} ms/attribution")
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--iters", type=int, default=200)
-    ap.add_argument("--skip-end-to-end", action="store_true")
     args = ap.parse_args()
     if not kernels.HAVE_NUMBA:
         print("numba not importable; only the numpy fallback will be timed")
     micro(args.iters)
-    if not args.skip_end_to_end:
-        end_to_end()
 
 
 if __name__ == "__main__":

@@ -3,8 +3,11 @@
 A Graph records every primitive as an append-only node (op tag, parent node
 ids, and a backward closure holding the saved forward values). Tensors are
 thin handles: the raw data plus the owning graph and node id. backward(root)
-fills ``graph.gradients`` (node id -> ndarray) for every node; nodes that do
-not feed the root get zero gradients.
+fills ``graph.gradients`` (node id -> ndarray), storing a gradient only for
+the nodes that feed the root; every other node's gradient reads as zeros.
+Gradient arrays may share memory with each other (a reshape's gradient is a
+view of its output's, an add passes one array to both operands) and may be
+read-only broadcast views, so treat them as read-only.
 
 Every primitive checks its output for NaN/Inf and raises NumericError, so a
 finite forward pass is an invariant rather than a hope. A graph is
@@ -55,6 +58,25 @@ class Node:
         self.backward_fn = backward_fn
 
 
+class Gradients(dict):
+    """Node id -> gradient; a node with no stored gradient reads as zeros.
+
+    Reading a missing entry returns a fresh zero array and does not insert
+    it, so ``len()`` and iteration cover only the stored gradients.
+    """
+
+    __slots__ = ("_nodes",)
+
+    def __init__(self, nodes: list["Node"]):
+        super().__init__()
+        self._nodes = nodes
+
+    def __missing__(self, nid):
+        if not 0 <= nid < len(self._nodes):
+            raise KeyError(nid)
+        return np.zeros(self._nodes[nid].shape)
+
+
 class Graph:
     """Append-only tape of primitive ops plus per-node gradients."""
 
@@ -72,43 +94,39 @@ class Graph:
         return self._record("leaf", (), _as_f64(data), None)
 
     def backward(self, root: "Tensor") -> dict[int, np.ndarray]:
-        """Populate self.gradients with d(root)/d(node) for every node.
+        """Set self.gradients to d(root)/d(node) for every node.
 
         The root must be a scalar (one element) owned by this graph. Its own
         gradient is seeded with ones of its shape; the tape is then walked in
         reverse, so accumulation order is fixed and results are bit-identical
-        across runs.
+        across runs. A gradient is stored only for the nodes that feed the
+        root; every other node's gradient reads as zeros. A node's first
+        contribution is stored as it is and later ones are added out of
+        place, so stored arrays may share memory with each other or be
+        read-only views: treat them as read-only.
         """
         if root.graph is not self or root.node_id is None:
             raise ContractError("backward root does not belong to this graph")
         if root.data.size != 1:
             raise ContractError("backward root must be scalar")
 
-        grads = {i: np.zeros(n.shape) for i, n in enumerate(self.nodes)}
+        grads = Gradients(self.nodes)
         grads[root.node_id] = np.ones(self.nodes[root.node_id].shape)
-
-        reachable = {root.node_id}
-        stack = [root.node_id]
-        while stack:
-            for pid in self.nodes[stack.pop()].parents:
-                if pid not in reachable:
-                    reachable.add(pid)
-                    stack.append(pid)
-
-        for nid in range(len(self.nodes) - 1, -1, -1):
-            if nid not in reachable:
-                continue
+        for nid in range(root.node_id, -1, -1):
+            grad = grads.get(nid)
             node = self.nodes[nid]
-            if node.backward_fn is None:
+            if grad is None or node.backward_fn is None:
                 continue
-            for pid, contrib in zip(node.parents, node.backward_fn(grads[nid])):
-                grads[pid] += contrib
+            for pid, contrib in zip(node.parents, node.backward_fn(grad)):
+                prev = grads.get(pid)
+                grads[pid] = contrib if prev is None else prev + contrib
 
         self.gradients = grads
         return grads
 
     def grad(self, t: "Tensor") -> np.ndarray:
-        if t.node_id is None or t.node_id not in self.gradients:
+        # a backward always stores the root's gradient
+        if t.node_id is None or not self.gradients:
             raise ContractError("gradient not available; run backward() first")
         return self.gradients[t.node_id]
 

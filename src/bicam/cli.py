@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import netpbm
+from . import kernels, netpbm
 from .attacks import (DEFAULT_EPSILON, DEFAULT_NUM_STEPS, DEFAULT_STEP_SIZE,
                       AttackConfig, run_attack)
 from .attribution import attention_rollout, bicam, split_channels
@@ -210,11 +210,14 @@ def cmd_attack(args) -> int:
     def one(i_path):
         i, path = i_path
         image = netpbm.read_ppm(str(path))
-        label = _pick_class(model, image, args)
+        # one clean forward gives both the label and the clean probability
+        logits = model.predict_logits(image[None])
+        label = (int(np.argmax(logits[0])) if args.class_index is None
+                 else int(args.class_index))
         cfg = AttackConfig(method=args.method, epsilon=args.epsilon,
                            step_size=args.step_size, num_steps=args.steps,
                            momentum_decay=args.momentum, seed=seeds[i])
-        before = float(model.predict_proba(image[None])[0, label])
+        before = float(kernels.softmax_rows(logits, 1.0)[0, label])
         adv = run_attack(model, image[None], label, cfg)[0]
         netpbm.write_ppm(str(out_dir / path.name), adv)
         after = float(model.predict_proba(adv[None])[0, label])

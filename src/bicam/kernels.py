@@ -74,19 +74,25 @@ def gelu_grad_numpy(x, g):
     return g * (cdf + x * pdf)
 
 
+# Row means are np.add.reduce(...) / d: the sum-then-divide ndarray.mean
+# does, bit for bit, without its Python-level wrapper (a measurable share
+# of a small model's forward).
+
+
 def layernorm_rows_numpy(x, eps):
     """Standardize each row of ``x[rows, d]``; returns (xhat, inv_std)."""
-    mu = x.mean(axis=1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=1)
+    d = x.shape[1]
+    xc = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=1) / d
     inv_std = 1.0 / np.sqrt(var + eps)
     return xc * inv_std[:, None], inv_std
 
 
 def layernorm_rows_grad_numpy(xhat, inv_std, dxhat):
     """Backward of row standardization; dxhat is the grad wrt xhat."""
-    m1 = dxhat.mean(axis=1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    d = xhat.shape[1]
+    m1 = np.add.reduce(dxhat, axis=1, keepdims=True) / d
+    m2 = np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / d
     return (dxhat - m1 - xhat * m2) * inv_std[:, None]
 
 

@@ -70,7 +70,7 @@ class AdamState:
 
 def train_step(model: VisionTransformer, opt: AdamState,
                images: np.ndarray, labels: np.ndarray) -> float:
-    res = model.forward(images)
+    res = model.forward(images, weight_grads=True)
     loss = cross_entropy(res.logits, labels)
     res.graph.backward(loss)
     grads = {name: res.graph.gradients[nid] for name, nid in res.weight_nodes.items()}

@@ -228,19 +228,30 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 class _TapeOps:
-    """Forward ops that record a tape: the Tensor primitives themselves."""
+    """Forward ops that record a tape: the Tensor primitives themselves.
 
-    def __init__(self, weights: ViTWeights):
+    Weights enter as constant ndarrays, which the primitives accept as
+    operands and send no gradient to, unless weight gradients are asked for;
+    then every weight is a leaf listed in weight_nodes.
+    """
+
+    def __init__(self, weights: ViTWeights, weight_grads: bool):
         self.graph = Graph()
         self.weight_nodes: dict[str, int] = {}
         self._weights = weights
+        self._weight_grads = weight_grads
 
     def input(self, img: np.ndarray) -> Tensor:
         return self.graph.leaf(img)
 
-    def weight(self, name: str) -> Tensor:
+    def weight(self, name: str, leaf: bool = False) -> Tensor | np.ndarray:
+        """``leaf`` asks for a tape operand even without weight gradients
+        (the special tokens feed concat, which takes only tape operands)."""
+        if not (leaf or self._weight_grads):
+            return self._weights[name]
         t = self.graph.leaf(self._weights[name])
-        self.weight_nodes[name] = t.node_id
+        if self._weight_grads:
+            self.weight_nodes[name] = t.node_id
         return t
 
     @staticmethod
@@ -281,7 +292,10 @@ class _ArrayOps:
     def __init__(self, weights: ViTWeights):
         self.graph = Graph()  # stays empty
         self.weight_nodes: dict[str, int] = {}
-        self.weight = weights.__getitem__
+        self._weights = weights
+
+    def weight(self, name: str, leaf: bool = False) -> np.ndarray:
+        return self._weights[name]
 
     @staticmethod
     def input(img: np.ndarray) -> np.ndarray:
@@ -369,7 +383,7 @@ class VisionTransformer:
     def forward(self, image: np.ndarray, capture: bool = False,
                 layer_window: int | None = None,
                 cls_out_offsets: dict[int, np.ndarray] | None = None,
-                tape: bool = True) -> ForwardResult:
+                tape: bool = True, *, weight_grads: bool = False) -> ForwardResult:
         """Run the network; optionally record LayerCaptures.
 
         With capture on, layers L-window+1 .. L are recorded. The forward
@@ -382,6 +396,13 @@ class VisionTransformer:
         captures are bit-equal to the taped run's, the logits are a detached
         Tensor, the graph is empty, image_node and every merged_node are -1,
         and backward_class refuses the result.
+
+        On the tape, weights are constants by default: no weight or bias
+        leaf is recorded, weight_nodes is empty, and a backward computes no
+        weight gradient. weight_grads=True records every weight as a leaf
+        and maps its name to its node in weight_nodes, so a backward also
+        fills the weight gradients (for training). It has no effect with
+        tape off.
         """
         cfg = self.config
         img = np.asarray(image, dtype=np.float64)
@@ -398,7 +419,7 @@ class VisionTransformer:
         first_captured = cfg.num_layers - window + 1
 
         counters.bump("forward")
-        o = _TapeOps(self.weights) if tape else _ArrayOps(self.weights)
+        o = _TapeOps(self.weights, weight_grads) if tape else _ArrayOps(self.weights)
         W = o.weight
 
         b = img.shape[0]
@@ -413,7 +434,7 @@ class VisionTransformer:
             return o.transpose(o.reshape(t, (b, n, nh, dh)), (0, 2, 1, 3))
 
         def special(name: str):  # one learned token, repeated over the batch
-            return o.broadcast_to(o.reshape(W(name), (1, 1, d)), (b, 1, d))
+            return o.broadcast_to(o.reshape(W(name, leaf=True), (1, 1, d)), (b, 1, d))
 
         x_img = o.input(img)
         try:

@@ -25,6 +25,11 @@ def finite_difference(f, x, h=1e-5):
     return g
 
 
+def bit_equal(a, b) -> bool:
+    """Equal values and shapes, with signed zeros told apart."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def grad_rel_error(ad: np.ndarray, fd: np.ndarray) -> float:
     """Max abs difference scaled by the gradient's own magnitude."""
     denom = max(np.abs(fd).max(), np.abs(ad).max(), 1e-12)

@@ -312,3 +312,32 @@ def test_tape_is_topologically_ordered():
     concat([y, x], axis=0).sum()
     for nid, node in enumerate(g.nodes):
         assert all(p < nid for p in node.parents)
+
+
+def test_shared_read_only_contributions_are_accumulated_out_of_place():
+    g = Graph()
+    x = leaf(g, np.arange(6.0).reshape(2, 3))
+    # each sum sends x a read-only broadcast view; adding into the first
+    # view in place would raise
+    g.backward(x.sum().add(x.sum()))
+    assert np.array_equal(g.grad(x), 2.0 * np.ones((2, 3)))
+
+
+def test_gradients_are_stored_only_for_nodes_feeding_the_root():
+    g = Graph()
+    a = leaf(g, [1.0, 2.0])
+    b = leaf(g, [3.0, 4.0])
+    c = leaf(g, [5.0, 6.0])
+    b.scale(2.0).sum()                      # off the path
+    root = a.mul(c).add(a).sum()
+    feeding = {root.node_id}
+    for nid in range(root.node_id, -1, -1):
+        if nid in feeding:
+            feeding.update(g.nodes[nid].parents)
+    with pytest.raises(ContractError):
+        g.grad(a)
+    g.backward(root)
+    assert len(g.gradients) == len(feeding) == 5
+    assert set(g.gradients) == feeding
+    assert np.array_equal(g.grad(b), np.zeros(2))
+    assert len(g.gradients) == 5            # reading a missing entry inserts nothing

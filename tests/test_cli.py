@@ -290,3 +290,17 @@ def test_non_finite_weight_file_exits_3(tmp_path, model_file, image_dir, capsys)
     assert run(["attribute", "--model", poisoned, "--image", img_path,
                 "--out-prefix", tmp_path / "n"]) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_attack_pass_counts(tmp_path, model_file, image_dir, capsys):
+    one = tmp_path / "one"
+    one.mkdir()
+    img_path = sorted(image_dir.glob("*.ppm"))[0]
+    (one / img_path.name).write_bytes(img_path.read_bytes())
+    counters.reset()
+    assert run(["attack", "--model", model_file, "--images", one, "--out",
+                tmp_path / "adv", "--steps", 2, "--jobs", 1]) == 0
+    # one clean forward (label and clean probability), a forward and a
+    # backward per step, one forward on the adversarial image
+    assert counters.snapshot() == {"forward": 4, "backward": 2}
+    capsys.readouterr()

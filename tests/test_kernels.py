@@ -3,6 +3,8 @@ import pytest
 
 from bicam import kernels
 
+from conftest import bit_equal
+
 
 RNG = np.random.default_rng(0)
 X = RNG.standard_normal((40, 17)) * 8.0
@@ -84,3 +86,30 @@ def test_gelu_matches_reference_values():
     # gelu(1) = 0.5 * (1 + erf(1/sqrt2)) = 0.841344746...
     out = kernels.gelu(np.array([[1.0]]))
     assert out[0, 0] == pytest.approx(0.8413447460685429, abs=1e-12)
+
+
+def _layernorm_rows_by_mean(x, eps):
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=1)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    return xc * inv_std[:, None], inv_std
+
+
+def _layernorm_rows_grad_by_mean(xhat, inv_std, dxhat):
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    return (dxhat - m1 - xhat * m2) * inv_std[:, None]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (17, 16), (40, 17), (197, 32), (3, 257)])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 8.0, 1e5])
+def test_numpy_layernorm_matches_the_mean_formulation_bitwise(shape, scale):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    x = rng.standard_normal(shape) * scale + rng.standard_normal((shape[0], 1))
+    g = rng.standard_normal(shape) * scale
+    xhat, inv = kernels.layernorm_rows_numpy(x, 1e-6)
+    ref_xhat, ref_inv = _layernorm_rows_by_mean(x, 1e-6)
+    assert bit_equal(xhat, ref_xhat) and bit_equal(inv, ref_inv)
+    assert bit_equal(kernels.layernorm_rows_grad_numpy(xhat, inv, g),
+                      _layernorm_rows_grad_by_mean(xhat, inv, g))

@@ -7,11 +7,12 @@ from bicam import counters
 from bicam.autodiff import Graph
 from bicam.errors import (DimensionError, NumericError, ParameterError, StateError)
 from bicam.kernels import softmax_rows
-from bicam.vit import (ViTConfig, ViTWeights, VisionTransformer,
+from bicam.toytrain import make_pattern_dataset, train_step
+from bicam.vit import (ViTConfig, ViTWeights, VisionTransformer, cross_entropy,
                        default_layer_window, expected_shapes, init_weights,
                        new_model)
 
-from conftest import TINY, finite_difference, grad_rel_error
+from conftest import TINY, bit_equal, finite_difference, grad_rel_error
 
 
 def test_config_validation():
@@ -295,3 +296,77 @@ def test_weights_rejects_config_mismatch(tiny_config):
     w = init_weights(other, 0)
     with pytest.raises(ParameterError):
         VisionTransformer(tiny_config, w)
+
+
+@pytest.mark.parametrize("distillation", [False, True], ids=["cls", "distillation"])
+def test_weights_are_tape_leaves_only_when_weight_grads_are_asked(tiny_config, distillation):
+    cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
+    model = new_model(cfg, seed=1)
+    img = np.random.default_rng(20).random((1, 3, 16, 16))
+    shapes = expected_shapes(cfg)
+
+    plain = model.forward(img)
+    leaves = [nid for nid, n in enumerate(plain.graph.nodes) if n.op == "leaf"]
+    # the image and the special tokens, which concat takes as tape operands
+    assert len(leaves) == 1 + cfg.num_special_tokens
+    assert leaves[0] == plain.image_node
+    assert not plain.weight_nodes
+
+    full = model.forward(img, weight_grads=True)
+    assert set(full.weight_nodes) == set(shapes)
+    for name, nid in full.weight_nodes.items():
+        node = full.graph.nodes[nid]
+        assert node.op == "leaf" and node.shape == shapes[name]
+    assert sum(n.op == "leaf" for n in full.graph.nodes) == 1 + len(shapes)
+
+
+@pytest.mark.parametrize("distillation", [False, True], ids=["cls", "distillation"])
+def test_input_gradients_do_not_depend_on_weight_grads(tiny_config, distillation):
+    cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
+    model = new_model(cfg, seed=2)
+    img = np.random.default_rng(21).random((2, 3, 16, 16))
+    runs = []
+    for weight_grads in (False, True):
+        res = model.forward(img, capture=True, layer_window=cfg.num_layers,
+                            weight_grads=weight_grads)
+        model.backward_class(res, 1)
+        runs.append(res)
+    const, leaves = runs
+    assert bit_equal(const.logits.data, leaves.logits.data)
+    for a, b in zip(const.captures, leaves.captures):
+        assert bit_equal(a.cls_out_grad, b.cls_out_grad)
+    assert bit_equal(const.graph.gradients[const.image_node],
+                      leaves.graph.gradients[leaves.image_node])
+
+    loss, grad = model.loss_and_input_grad(img, [0, 2])
+    res = model.forward(img, weight_grads=True)
+    ce = cross_entropy(res.logits, [0, 2])
+    res.graph.backward(ce)
+    assert loss == ce.item()
+    assert bit_equal(grad, res.graph.gradients[res.image_node])
+
+
+def test_train_step_weight_gradient_matches_finite_differences(toy_config):
+    model = new_model(toy_config, seed=3)
+    images, labels = make_pattern_dataset(toy_config, per_class=2, seed=4)
+
+    class Recorder:
+        def update(self, weights, grads):
+            self.grads = grads
+
+    opt = Recorder()
+    train_step(model, opt, images, labels)
+    assert set(opt.grads) == set(expected_shapes(toy_config))
+
+    h = 1e-5
+    for name, idx in (("blocks.0.attn.q.weight", (3, 5)), ("head.bias", (1,))):
+        w = model.weights.tensors[name]
+        orig = w[idx]
+        losses = []
+        for delta in (h, -h):
+            w[idx] = orig + delta
+            losses.append(cross_entropy(model.forward(images).logits, labels).item())
+        w[idx] = orig
+        fd = (losses[0] - losses[1]) / (2 * h)
+        ad = opt.grads[name][idx]
+        assert abs(ad - fd) <= 1e-5 * abs(fd)
