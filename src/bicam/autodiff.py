@@ -9,6 +9,14 @@ Gradient arrays may share memory with each other (a reshape's gradient is a
 view of its output's, an add passes one array to both operands) and may be
 read-only broadcast views, so treat them as read-only.
 
+Besides the elementwise, shape and reduction primitives there is one fused
+node, ``attention``: scaled dot-product attention with parents q, k and v.
+It does the arithmetic of a chain of transpose, matmul, scale, softmax and
+matmul nodes, so its outputs and gradients are the same bits as that
+chain's, but it scales and softmaxes the [B, H, N, N] scores in place where
+the chain allocates a fresh array at every step. ``attention_arrays`` is
+its tape-free forward.
+
 Every primitive checks its output for NaN/Inf and raises NumericError, so a
 finite forward pass is an invariant rather than a hope. A graph is
 single-threaded during construction and backward; detached arrays are plain
@@ -483,3 +491,59 @@ def concat(tensors, axis: int = -1) -> Tensor:
         return tuple(pieces)
 
     return g._record("concat", tuple(t.node_id for t in tensors), out, backward)
+
+
+def attention_arrays(q, k, v, scale: float, keep_scores: bool = False):
+    """Scaled dot-product attention on ndarrays ``[B, H, N, d_h]``.
+
+    softmax(q @ k^T * scale) @ v over the last axis, with the scores
+    scaled and softmaxed in place. Returns (out, kept, p, kt): kept is a
+    copy of the scaled scores when ``keep_scores`` is set (else None), p the
+    attention probabilities and kt the contiguous k^T (both saved for the
+    backward). Outputs are checked for NaN/Inf under the names of the ops
+    they come from: matmul, scale, softmax, matmul.
+    """
+    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    s = check_finite(np.matmul(q, kt), "matmul")
+    s *= scale
+    check_finite(s, "scale")
+    kept = s.copy() if keep_scores else None
+    rows = s.reshape(-1, s.shape[-1])
+    kernels.softmax_rows(rows, 1.0, rows)
+    check_finite(s, "softmax")
+    out = check_finite(np.matmul(s, v), "matmul")
+    return out, kept, s, kt
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              keep_scores: bool = False) -> tuple[Tensor, np.ndarray | None]:
+    """Scaled dot-product attention as one tape node with parents q, k, v.
+
+    The forward is attention_arrays; returns the output tensor and the kept
+    scores (or None). The backward runs the arithmetic of the transpose,
+    matmul, scale, softmax and matmul primitives in the same order, with
+    the softmax gradient and the scale done in place:
+    dv = p^T g, dp = g v^T, dp = softmax_grad(p, dp) * scale, dq = dp kt^T,
+    dk = (q^T dp)^T.
+    """
+    g = q._require_graph()
+    if k.graph is not g or v.graph is not g:
+        raise ContractError("attention operands belong to different graphs")
+    if q.ndim != 4 or k.shape != q.shape or v.shape[:3] != q.shape[:3]:
+        raise DimensionError(
+            f"attention needs q, k [B, H, N, d] and v [B, H, N, d_v], got "
+            f"{q.shape}, {k.shape}, {v.shape}")
+    scale = float(scale)
+    out, kept, p, kt = attention_arrays(q.data, k.data, v.data, scale, keep_scores)
+
+    def backward(grad, _q=q.data, _kt=kt, _v=v.data, _p=p, _scale=scale):
+        dv = np.matmul(np.swapaxes(_p, -1, -2), grad)
+        dp = np.matmul(grad, np.swapaxes(_v, -1, -2))
+        rows = dp.reshape(-1, dp.shape[-1])
+        kernels.softmax_rows_grad(_p.reshape(rows.shape), rows, 1.0, rows)
+        dp *= _scale
+        dq = np.matmul(dp, np.swapaxes(_kt, -1, -2))
+        dk = np.ascontiguousarray(np.swapaxes(np.matmul(np.swapaxes(_q, -1, -2), dp), -1, -2))
+        return dq, dk, dv
+
+    return g._record("attention", (q.node_id, k.node_id, v.node_id), out, backward), kept

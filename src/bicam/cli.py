@@ -206,6 +206,9 @@ def cmd_attack(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = _sub_seeds(args.seed, len(files))
+    classes = model.config.num_classes
+    if args.class_index is not None and not 0 <= args.class_index < classes:
+        raise ParameterError(f"class index {args.class_index} out of range [0, {classes})")
 
     def one(i_path):
         i, path = i_path

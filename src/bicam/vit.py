@@ -13,6 +13,8 @@ together with its gradient after a class-score backward pass.
 The forward body is written once, against a small ops interface with two
 backends: _TapeOps records an autodiff tape (for gradients), _ArrayOps
 runs the same ops on plain ndarrays (for predictions, which need none).
+Each block's scaled dot-product attention is one op, ``attention`` (one
+tape node); it hands back a copy of the scaled scores for captured layers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import counters, kernels
-from .autodiff import Graph, Tensor, check_finite, concat
+from .autodiff import Graph, Tensor, attention, attention_arrays, check_finite, concat
 from .errors import (DimensionError, NumericError, ParameterError, StateError)
 
 LAYERNORM_EPS = 1e-6
@@ -268,12 +270,11 @@ class _TapeOps:
 
     matmul = staticmethod(Tensor.matmul)
     add = staticmethod(Tensor.add)
-    scale = staticmethod(Tensor.scale)
     reshape = staticmethod(Tensor.reshape)
     transpose = staticmethod(Tensor.transpose)
     broadcast_to = staticmethod(Tensor.broadcast_to)
     narrow = staticmethod(Tensor.narrow)
-    softmax = staticmethod(Tensor.softmax)
+    attention = staticmethod(attention)
     gelu = staticmethod(Tensor.gelu)
     layernorm = staticmethod(Tensor.layernorm)
     concat = staticmethod(concat)
@@ -284,9 +285,11 @@ class _ArrayOps:
 
     Each op computes what the Tensor primitive of the same name computes
     forward, with the same kernels and the same (C-contiguous) memory
-    layout, so results are bit-equal to the taped forward. Each output is
-    checked for NaN/Inf as the tape does; weights were checked when the
-    ViTWeights were built.
+    layout, so results are bit-equal to the taped forward. The outputs of
+    arithmetic ops are checked for NaN/Inf under the same op names as on
+    the tape; pure data movement (reshape, transpose, broadcast_to, narrow,
+    concat) is not, because its inputs were checked already or are weights,
+    which were checked when the ViTWeights were built.
     """
 
     def __init__(self, weights: ViTWeights):
@@ -322,33 +325,26 @@ class _ArrayOps:
         return check_finite(a + b, "add")
 
     @staticmethod
-    def scale(a, k: float):
-        return check_finite(a * float(k), "scale")
-
-    @staticmethod
     def reshape(a, shape):
-        return check_finite(a.reshape(shape), "reshape")
+        return a.reshape(shape)
 
     @staticmethod
     def transpose(a, axes):
-        return check_finite(np.ascontiguousarray(a.transpose(axes)), "transpose")
+        return np.ascontiguousarray(a.transpose(axes))
 
     @staticmethod
     def broadcast_to(a, shape):
-        return check_finite(np.ascontiguousarray(np.broadcast_to(a, shape)),
-                            "broadcast_to")
+        return np.ascontiguousarray(np.broadcast_to(a, shape))
 
     @staticmethod
     def narrow(a, axis: int, start: int, length: int):
         idx = [slice(None)] * a.ndim
         idx[axis] = slice(start, start + length)
-        return check_finite(np.ascontiguousarray(a[tuple(idx)]), "narrow")
+        return np.ascontiguousarray(a[tuple(idx)])
 
     @staticmethod
-    def softmax(a, temperature: float):
-        n = a.shape[-1]
-        out = kernels.softmax_rows(a.reshape(-1, n), float(temperature))
-        return check_finite(out.reshape(a.shape), "softmax")
+    def attention(q, k, v, scale: float, keep_scores: bool):
+        return attention_arrays(q, k, v, scale, keep_scores)[:2]
 
     @staticmethod
     def gelu(a):
@@ -362,7 +358,7 @@ class _ArrayOps:
 
     @staticmethod
     def concat(arrays, axis: int):
-        return check_finite(np.concatenate(arrays, axis=axis), "concat")
+        return np.concatenate(arrays, axis=axis)
 
 
 class VisionTransformer:
@@ -458,18 +454,17 @@ class VisionTransformer:
                 q = split_heads(linear(h, f"{pre}.attn.q"))
                 k = split_heads(linear(h, f"{pre}.attn.k"))
                 v = split_heads(linear(h, f"{pre}.attn.v"))
-                scores = o.scale(o.matmul(q, o.transpose(k, (0, 1, 3, 2))),
-                                 1.0 / math.sqrt(dh))
-                attn = o.softmax(scores, 1.0)
-                merged = o.reshape(o.transpose(o.matmul(attn, v), (0, 2, 1, 3)), (b, n, d))
+                captured = capture and layer >= first_captured
+                heads, scores = o.attention(q, k, v, 1.0 / math.sqrt(dh), captured)
+                merged = o.reshape(o.transpose(heads, (0, 2, 1, 3)), (b, n, d))
                 if cls_out_offsets and layer in cls_out_offsets:
                     pad = np.zeros((b, n, d))
                     pad[:, 0, :] = cls_out_offsets[layer]
                     merged = o.add(merged, pad)
-                if capture and layer >= first_captured:
+                if captured:
                     captures.append(LayerCapture(
                         layer=layer,
-                        attn_logits=o.array(scores).copy(),
+                        attn_logits=scores,
                         values=o.array(v).copy(),
                         cls_out=o.array(merged)[:, 0, :].copy(),
                         merged_node=o.node(merged),

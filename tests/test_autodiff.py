@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bicam.autodiff import Graph, concat
+from bicam.autodiff import Graph, attention, attention_arrays, concat
 from bicam.errors import ContractError, DimensionError, NumericError, ParameterError
 
-from conftest import finite_difference, grad_rel_error
+from conftest import bit_equal, finite_difference, grad_rel_error
 
 
 def leaf(g, x):
@@ -341,3 +341,74 @@ def test_gradients_are_stored_only_for_nodes_feeding_the_root():
     assert set(g.gradients) == feeding
     assert np.array_equal(g.grad(b), np.zeros(2))
     assert len(g.gradients) == 5            # reading a missing entry inserts nothing
+
+
+# -- fused attention ------------------------------------------------------------
+
+
+def _attention_inputs(shape, seed):
+    rng = np.random.default_rng(seed)
+    q, k, v, w = (rng.standard_normal(shape) for _ in range(4))
+    return q, k, v, w
+
+
+def _attention_chain(q, k, v, scale):
+    """The five primitives the fused node replaces: transpose, matmul,
+    scale, softmax, matmul."""
+    scores = q.matmul(k.transpose((0, 1, 3, 2))).scale(scale)
+    return scores.softmax(1.0).matmul(v), scores
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 17, 8), (2, 2, 17, 8), (1, 4, 197, 8)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_attention_is_bit_equal_to_the_primitive_chain(shape):
+    q0, k0, v0, w = _attention_inputs(shape, seed=shape[1] * 100 + shape[2])
+    scale = 1.0 / math.sqrt(shape[-1])
+
+    ref = Graph()
+    rq, rk, rv = leaf(ref, q0), leaf(ref, k0), leaf(ref, v0)
+    ref_out, ref_scores = _attention_chain(rq, rk, rv, scale)
+    ref.backward(ref_out.mul(w).sum())
+
+    g = Graph()
+    q, k, v = leaf(g, q0), leaf(g, k0), leaf(g, v0)
+    out, kept = attention(q, k, v, scale, keep_scores=True)
+    g.backward(out.mul(w).sum())
+    assert len(g.nodes) == 3 + 3              # three leaves, attention, mul, sum
+    assert bit_equal(out.data, ref_out.data)
+    assert bit_equal(kept, ref_scores.data)
+    for t, rt in ((q, rq), (k, rk), (v, rv)):
+        assert bit_equal(g.grad(t), ref.grad(rt))
+
+    a_out, a_kept, _, _ = attention_arrays(q0, k0, v0, scale, True)
+    assert bit_equal(a_out, ref_out.data) and bit_equal(a_kept, ref_scores.data)
+    assert attention(q, k, v, scale)[1] is None
+    assert attention_arrays(q0, k0, v0, scale)[1] is None
+
+
+def test_attention_gradients_match_finite_differences():
+    q0, k0, v0, w = _attention_inputs((1, 2, 5, 3), seed=7)
+    scale = 0.7
+
+    def loss(q, k, v):
+        return float((attention_arrays(q, k, v, scale)[0] * w).sum())
+
+    g = Graph()
+    q, k, v = leaf(g, q0), leaf(g, k0), leaf(g, v0)
+    out, _ = attention(q, k, v, scale)
+    g.backward(out.mul(w).sum())
+    assert grad_rel_error(g.grad(q), finite_difference(lambda x: loss(x, k0, v0), q0)) < 1e-7
+    assert grad_rel_error(g.grad(k), finite_difference(lambda x: loss(q0, x, v0), k0)) < 1e-7
+    assert grad_rel_error(g.grad(v), finite_difference(lambda x: loss(q0, k0, x), v0)) < 1e-7
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_attention_checks_operands():
+    g = Graph()
+    q = leaf(g, np.zeros((1, 1, 3, 2)))
+    with pytest.raises(DimensionError):
+        attention(q, leaf(g, np.zeros((1, 1, 4, 2))), q, 1.0)
+    with pytest.raises(ContractError):
+        attention(q, leaf(Graph(), np.zeros((1, 1, 3, 2))), q, 1.0)
+    with pytest.raises(NumericError, match="^non-finite values produced by scale$"):
+        attention(q.add(1e150), q.add(1e150), q, 1e10)   # scores 2e300, then inf

@@ -304,3 +304,11 @@ def test_attack_pass_counts(tmp_path, model_file, image_dir, capsys):
     # backward per step, one forward on the adversarial image
     assert counters.snapshot() == {"forward": 4, "backward": 2}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("class_index", [5, -1])
+def test_attack_class_index_out_of_range_is_a_usage_error(tmp_path, model_file, image_dir,
+                                                          class_index, capsys):
+    assert run(["attack", "--model", model_file, "--images", image_dir, "--out",
+                tmp_path / "adv", "--steps", 1, "--class-index", class_index]) == 2
+    assert "usage error: class index" in capsys.readouterr().err

@@ -8,49 +8,51 @@ from conftest import bit_equal
 
 RNG = np.random.default_rng(0)
 X = RNG.standard_normal((40, 17)) * 8.0
-Y = kernels.softmax_rows_numpy(X, 2.0)
 G = RNG.standard_normal(X.shape)
 GRID = RNG.standard_normal((5, 7))
-XHAT, INV = kernels.layernorm_rows_numpy(X, 1e-6)
-
-CALLS = {
-    "softmax_rows": (X, 2.0),
-    "softmax_rows_grad": (Y, G, 2.0),
-    "gelu": (X,),
-    "gelu_grad": (X, G),
-    "layernorm_rows": (X, 1e-6),
-    "layernorm_rows_grad": (XHAT, INV, G),
-    "upsample_bilinear": (GRID, 20, 31),
-    "upsample_nearest": (GRID, 20, 31),
-}
-
-
-def test_backend_selection_is_consistent():
-    assert kernels.ACTIVE_BACKEND in ("numpy", "numba")
-    assert kernels.USE_NUMBA == (kernels.ACTIVE_BACKEND == "numba")
-    if kernels.USE_NUMBA:
-        assert kernels.softmax_rows is kernels.softmax_rows_numba
-    else:
-        assert kernels.softmax_rows is kernels.softmax_rows_numpy
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("name,np_fn,nb_fn", kernels.kernel_pairs(),
-                         ids=[p[0] for p in kernels.kernel_pairs()])
-def test_numba_numpy_parity(name, np_fn, nb_fn):
-    args = CALLS[name]
-    a, b = np_fn(*args), nb_fn(*args)
-    if name == "layernorm_rows":
-        assert np.abs(a[0] - b[0]).max() < 1e-12
-        assert np.abs(a[1] - b[1]).max() < 1e-12
-    else:
-        assert np.abs(a - b).max() < 1e-12
 
 
 def test_softmax_rows_properties():
     out = kernels.softmax_rows(X, 3.0)
     assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
     assert (out > 0).all()
+
+
+def test_softmax_rows_grad_rows_sum_to_zero():
+    # softmax rows sum to 1 whatever the input, so every gradient row sums to 0
+    dx = kernels.softmax_rows_grad(kernels.softmax_rows(X, 2.0), G, 2.0)
+    assert np.abs(dx.sum(axis=1)).max() < 1e-12
+
+
+def _softmax_rows_unfused(x, temperature):
+    z = (x - x.max(axis=1, keepdims=True)) / temperature
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_rows_grad_unfused(y, g, temperature):
+    dot = (g * y).sum(axis=1, keepdims=True)
+    return y * (g - dot) / temperature
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (17, 5), (40, 17), (788, 197)])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 8.0, 300.0])
+@pytest.mark.parametrize("temperature", [1.0, 2.0, 0.5, 3.7])
+def test_softmax_kernels_in_place_are_bit_equal(shape, scale, temperature):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    x = rng.standard_normal(shape) * scale
+    g = rng.standard_normal(shape) * scale
+    y = kernels.softmax_rows(x, temperature)
+    assert bit_equal(y, _softmax_rows_unfused(x, temperature))
+    inplace = x.copy()
+    assert kernels.softmax_rows(inplace, temperature, inplace) is inplace
+    assert bit_equal(inplace, y)
+
+    dx = kernels.softmax_rows_grad(y, g, temperature)
+    assert bit_equal(dx, _softmax_rows_grad_unfused(y, g, temperature))
+    inplace = g.copy()
+    assert kernels.softmax_rows_grad(y, inplace, temperature, inplace) is inplace
+    assert bit_equal(inplace, dx)
 
 
 def test_upsample_nearest_integer_ratio_replicates_blocks():

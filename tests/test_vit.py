@@ -370,3 +370,15 @@ def test_train_step_weight_gradient_matches_finite_differences(toy_config):
         fd = (losses[0] - losses[1]) / (2 * h)
         ad = opt.grads[name][idx]
         assert abs(ad - fd) <= 1e-5 * abs(fd)
+
+
+@pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
+def test_attention_is_one_tape_node_per_block(tiny_config, distillation):
+    cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
+    res = new_model(cfg, seed=0).forward(np.random.default_rng(0).random((1, 3, 16, 16)))
+    ops = [node.op for node in res.graph.nodes]
+    # the five-node chain (transpose, matmul, scale, softmax, matmul) it
+    # replaces recorded 136 (plain) or 139 (distillation) nodes here
+    assert len(ops) == (139 if distillation else 136) - 4 * cfg.num_layers
+    assert ops.count("attention") == cfg.num_layers
+    assert "softmax" not in ops and "scale" not in ops
