@@ -1,7 +1,16 @@
 """Command-line drivers for the attribution, attack, and evaluation flows.
 
-Commands: init-model, attribute, rollout, attack, pnr-detect, eval-loc,
-eval-faith. Exit codes: 0 success, 2 usage, 3 data/format, 4 numeric.
+Commands: init-model, attribute, rollout, attack, pnr-detect,
+detect-from-records, eval-loc, eval-faith. Exit codes: 0 success, 2 usage,
+3 data/format, 4 numeric.
+
+The four attribution commands (attribute, pnr-detect, eval-loc,
+eval-faith) share one per-image step: read the PPM, take the class from
+--class-index or the model's argmax, and run ``bicam``. The directory
+commands run their items through one loop (``_map_items``): on the calling
+thread with --jobs 1, on a thread pool otherwise; results come back in
+sorted-filename order, --skip-errors drops failed items with a ``skipped``
+line on stderr, and a run where every item failed is an error.
 
 Reproducibility rules: every command takes one --seed; per-item randomness
 is derived by numpy SeedSequence(seed).spawn(k), with children assigned to
@@ -9,13 +18,16 @@ items in sorted-filename order, so results do not depend on execution
 order or --jobs. Floats in CSV output are written with repr-exact
 precision (%.17g), making re-runs byte-identical.
 
-A flat key=value config file (--config) supplies defaults for the invoked
-subcommand; explicit flags win; unknown keys are rejected.
+A flat key=value config file (--config, before or after the subcommand)
+supplies defaults for the invoked subcommand; explicit flags win; unknown
+keys are rejected. Values pass through the same argparse type checks as
+flags, and flag options take only true or false.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -32,12 +44,20 @@ from .errors import (BicamError, ContractError, DataFormatError, NumericError,
                      ParameterError)
 from .evaluation import (class_probability_fn, evaluate_bidirectional,
                          faithfulness, random_order_faithfulness)
-from .vit import ViTConfig, VisionTransformer, init_weights
+from .vit import ViTConfig, init_weights
 from . import weightfile
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """A header line, then one line per row: strings as they are, numbers by _fmt."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
 
 
 def write_grid_csv(path: str, grid: np.ndarray) -> None:
@@ -97,44 +117,45 @@ def _list_images(directory: str) -> list[Path]:
     d = Path(directory)
     if not d.is_dir():
         raise DataFormatError(f"not a directory: {directory}")
-    return sorted(p for p in d.iterdir() if p.suffix == ".ppm")
+    files = sorted(p for p in d.iterdir() if p.suffix == ".ppm")
+    if not files:
+        raise ContractError(f"no .ppm images in {directory}")
+    return files
 
 
 def _map_items(names, fn, jobs: int, skip_errors: bool):
-    """Apply fn to each name; aggregation order is the given (sorted) order."""
-    results, failures = {}, []
-    if jobs <= 1:
-        for n in names:
+    """Apply fn to each name; return the results of the items that did not
+    fail, in the given (sorted) order.
+
+    With jobs 1 every item runs on the calling thread, so its thread-local
+    pass counters see every pass.
+    """
+    results, failures = [], []
+    with (ThreadPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext()) as pool:
+        pending = [pool.submit(fn, n) for n in names] if pool else names
+        for n, item in zip(names, pending):
             try:
-                results[n] = fn(n)
+                results.append(item.result() if pool else fn(n))
             except BicamError as e:
                 if not skip_errors:
                     raise
                 failures.append((n, str(e)))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futures = {n: ex.submit(fn, n) for n in names}
-            for n in names:
-                try:
-                    results[n] = futures[n].result()
-                except BicamError as e:
-                    if not skip_errors:
-                        raise
-                    failures.append((n, str(e)))
     for n, msg in failures:
         print(f"skipped {n}: {msg}", file=sys.stderr)
+    if not results:
+        raise ContractError(f"all {len(names)} items failed")
     return results
 
 
-def _load_model(args) -> VisionTransformer:
-    model = weightfile.load_model(args.model)
-    return model
-
-
-def _pick_class(model, image, args) -> int:
-    if getattr(args, "class_index", None) is not None:
-        return int(args.class_index)
-    return int(np.argmax(model.predict_logits(image[None])[0]))
+def _attribute(model, path, args, interpolation: str = "bilinear"):
+    """Read one PPM, pick its class and attribute it: (image, class, map)."""
+    image = netpbm.read_ppm(str(path))
+    c = args.class_index
+    if c is None:
+        c = int(np.argmax(model.predict_logits(image[None])[0]))
+    amap = bicam(model, image[None], c, layer_window=args.window,
+                 temperature=args.temperature, interpolation=interpolation)
+    return image, c, amap
 
 
 def _table(headers, rows) -> str:
@@ -144,6 +165,18 @@ def _table(headers, rows) -> str:
     lines = [fmt_row(headers), fmt_row(["-" * c for c in cols])]
     lines.extend(fmt_row(r) for r in rows)
     return "\n".join(lines)
+
+
+# (DetectionReport field, display format): the pnr-detect table and report
+# CSV columns; detect-from-records prints the first three
+REPORT_ROWS = [("auroc", ".4f"), ("aupr", ".4f"), ("threshold", ".6g"),
+               ("sensitivity", ".4f"), ("specificity", ".4f"),
+               ("delta_pnr_mean", ".6g"), ("delta_pnr_std", ".6g")]
+
+
+def _report_table(report, rows=REPORT_ROWS) -> str:
+    return _table(["metric", "value"],
+                  [[name, format(getattr(report, name), spec)] for name, spec in rows])
 
 
 # -- commands -----------------------------------------------------------------
@@ -165,11 +198,8 @@ def cmd_init_model(args) -> int:
 
 
 def cmd_attribute(args) -> int:
-    model = _load_model(args)
-    image = netpbm.read_ppm(args.image)
-    c = _pick_class(model, image, args)
-    amap = bicam(model, image[None], c, layer_window=args.window,
-                 temperature=args.temperature, interpolation=args.interpolation)
+    model = weightfile.load_model(args.model)
+    _, c, amap = _attribute(model, args.image, args, args.interpolation)
     _write_map_outputs(args.out_prefix, amap, channels=True)
     print(f"class={c}")
     print(f"pnr={_fmt(pnr(amap, args.pnr_epsilon))}")
@@ -177,7 +207,7 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    model = _load_model(args)
+    model = weightfile.load_model(args.model)
     image = netpbm.read_ppm(args.image)
     amap = attention_rollout(model, image[None], interpolation=args.interpolation)
     _write_map_outputs(args.out_prefix, amap, channels=False)
@@ -199,10 +229,8 @@ def _write_map_outputs(prefix: str, amap, channels: bool) -> None:
 
 
 def cmd_attack(args) -> int:
-    model = _load_model(args)
+    model = weightfile.load_model(args.model)
     files = _list_images(args.images)
-    if not files:
-        raise ContractError(f"no .ppm images in {args.images}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = _sub_seeds(args.seed, len(files))
@@ -227,99 +255,59 @@ def cmd_attack(args) -> int:
         return before, after
 
     results = _map_items(list(enumerate(files)), one, args.jobs, args.skip_errors)
-    if not results:
-        raise ContractError("all attack items failed")
-    before = float(np.mean([r[0] for r in results.values()]))
-    after = float(np.mean([r[1] for r in results.values()]))
+    before = float(np.mean([r[0] for r in results]))
+    after = float(np.mean([r[1] for r in results]))
     print(f"images={len(results)} mean_true_prob_before={before:.4f} "
           f"mean_true_prob_after={after:.4f}")
     return 0
 
 
 def cmd_pnr_detect(args) -> int:
-    model = _load_model(args)
-    clean_files = _list_images(args.clean)
-    adv_files = _list_images(args.adv)
-    if not clean_files or not adv_files:
-        raise ContractError("pnr-detect needs non-empty clean and adversarial dirs")
+    model = weightfile.load_model(args.model)
+    items = ([(p, "clean") for p in _list_images(args.clean)]
+             + [(p, "adversarial") for p in _list_images(args.adv)])
 
     def score(path_label):
         path, label = path_label
-        image = netpbm.read_ppm(str(path))
-        c = _pick_class(model, image, args)
-        amap = bicam(model, image[None], c, layer_window=args.window,
-                     temperature=args.temperature)
+        _, _, amap = _attribute(model, path, args)
         return PNRRecord(path.stem, pnr(amap, args.pnr_epsilon), label)
 
-    items = [(p, "clean") for p in clean_files] + [(p, "adversarial") for p in adv_files]
-    results = _map_items(items, score, args.jobs, args.skip_errors)
-    records = [results[k] for k in items if k in results]
+    records = _map_items(items, score, args.jobs, args.skip_errors)
     write_records(args.out_prefix + ".records.csv", records)
     report = roc_analysis(records)
-    with open(args.out_prefix + ".report.csv", "w", encoding="utf-8") as fh:
-        fh.write("auroc,aupr,threshold,sensitivity,specificity,"
-                 "delta_pnr_mean,delta_pnr_std,num_clean,num_adversarial\n")
-        fh.write(",".join([
-            _fmt(report.auroc), _fmt(report.aupr), _fmt(report.threshold),
-            _fmt(report.sensitivity), _fmt(report.specificity),
-            _fmt(report.delta_pnr_mean), _fmt(report.delta_pnr_std),
-            str(report.num_clean), str(report.num_adversarial)]) + "\n")
-    print(_table(
-        ["metric", "value"],
-        [["auroc", f"{report.auroc:.4f}"],
-         ["aupr", f"{report.aupr:.4f}"],
-         ["threshold", f"{report.threshold:.6g}"],
-         ["sensitivity", f"{report.sensitivity:.4f}"],
-         ["specificity", f"{report.specificity:.4f}"],
-         ["delta_pnr_mean", f"{report.delta_pnr_mean:.6g}"],
-         ["delta_pnr_std", f"{report.delta_pnr_std:.6g}"]]))
+    _write_csv(args.out_prefix + ".report.csv",
+               [name for name, _ in REPORT_ROWS] + ["num_clean", "num_adversarial"],
+               [[getattr(report, name) for name, _ in REPORT_ROWS]
+                + [report.num_clean, report.num_adversarial]])
+    print(_report_table(report))
     return 0
 
 
 def cmd_detect_from_records(args) -> int:
-    records = read_records(args.records)
-    report = roc_analysis(records)
-    print(_table(
-        ["metric", "value"],
-        [["auroc", f"{report.auroc:.4f}"], ["aupr", f"{report.aupr:.4f}"],
-         ["threshold", f"{report.threshold:.6g}"]]))
+    print(_report_table(roc_analysis(read_records(args.records)), REPORT_ROWS[:3]))
     return 0
 
 
 def cmd_eval_loc(args) -> int:
-    model = _load_model(args)
+    model = weightfile.load_model(args.model)
     files = _list_images(args.data)
-    if not files:
-        raise ContractError(f"no .ppm images in {args.data}")
 
     def one(path):
         target_path = path.with_name(path.stem + "_target.pgm")
         if not target_path.exists():
             raise DataFormatError(f"missing target mask {target_path.name}")
         nontarget_path = path.with_name(path.stem + "_nontarget.pgm")
-        image = netpbm.read_ppm(str(path))
-        c = _pick_class(model, image, args)
-        amap = bicam(model, image[None], c, layer_window=args.window,
-                     temperature=args.temperature)
+        _, _, amap = _attribute(model, path, args)
         target = netpbm.read_pgm(str(target_path))
         nontarget = netpbm.read_pgm(str(nontarget_path)) if nontarget_path.exists() else None
-        pos_rep, neg_rep = evaluate_bidirectional(amap, target, nontarget)
-        return [r for r in (pos_rep, neg_rep) if r is not None]
+        return [[path.stem, rep.channel, rep.pixel_accuracy, rep.iou, rep.f1,
+                 rep.precision, rep.recall, int(rep.fallback_unified)]
+                for rep in evaluate_bidirectional(amap, target, nontarget) if rep is not None]
 
-    results = _map_items(files, one, args.jobs, args.skip_errors)
-    if not results:
-        raise ContractError("all localization items failed")
-    rows = []
-    for path in files:
-        if path not in results:
-            continue
-        for rep in results[path]:
-            rows.append([path.stem, rep.channel, rep.pixel_accuracy, rep.iou,
-                         rep.f1, rep.precision, rep.recall, int(rep.fallback_unified)])
-    with open(args.out_prefix + ".csv", "w", encoding="utf-8") as fh:
-        fh.write("id,channel,pixel_accuracy,iou,f1,precision,recall,fallback_unified\n")
-        for r in rows:
-            fh.write(",".join([r[0], r[1]] + [_fmt(v) for v in r[2:7]] + [str(r[7])]) + "\n")
+    rows = [row for item in _map_items(files, one, args.jobs, args.skip_errors)
+            for row in item]
+    _write_csv(args.out_prefix + ".csv", ["id", "channel", "pixel_accuracy", "iou", "f1",
+                                          "precision", "recall", "fallback_unified"], rows)
     display = [[r[0], r[1]] + [f"{v:.4f}" for v in r[2:7]] for r in rows]
     for channel in ("unified", "positive", "negative"):
         sel = [r for r in rows if r[1] == channel]
@@ -331,46 +319,31 @@ def cmd_eval_loc(args) -> int:
 
 
 def cmd_eval_faith(args) -> int:
-    model = _load_model(args)
+    model = weightfile.load_model(args.model)
     files = _list_images(args.images)
-    if not files:
-        raise ContractError(f"no .ppm images in {args.images}")
-    cfg = model.config
+    patch = model.config.patch_size
     seeds = _sub_seeds(args.seed, len(files) * args.seeds)
 
     def one(i_path):
         i, path = i_path
-        image = netpbm.read_ppm(str(path))
-        c = _pick_class(model, image, args)
-        amap = bicam(model, image[None], c, layer_window=args.window,
-                     temperature=args.temperature)
+        image, c, amap = _attribute(model, path, args)
         prob_fn = class_probability_fn(model, c)
-        rep = faithfulness(prob_fn, image, amap.patch_scores[0], cfg.patch_size)
+        rep = faithfulness(prob_fn, image, amap.patch_scores[0], patch)
         rand = [random_order_faithfulness(
-                    prob_fn, image, amap.patch_scores[0].shape, cfg.patch_size,
+                    prob_fn, image, amap.patch_scores[0].shape, patch,
                     seeds[i * args.seeds + s]).faithfulness
                 for s in range(args.seeds)]
-        return rep, float(np.mean(rand)) if rand else float("nan")
+        return path.stem, rep, float(np.mean(rand)) if rand else float("nan")
 
     results = _map_items(list(enumerate(files)), one, args.jobs, args.skip_errors)
-    if not results:
-        raise ContractError("all faithfulness items failed")
-    rows, curve_lines = [], []
-    for i, path in enumerate(files):
-        if (i, path) not in results:
-            continue
-        rep, rand_mean = results[(i, path)]
-        rows.append([path.stem, rep.mif_auc, rep.lif_auc, rep.faithfulness, rand_mean])
-        for kind, curve in (("mif", rep.mif_curve), ("lif", rep.lif_curve)):
-            for k, v in enumerate(curve):
-                curve_lines.append(f"{path.stem},{kind},{k},{_fmt(v)}")
-    with open(args.out_prefix + ".csv", "w", encoding="utf-8") as fh:
-        fh.write("id,mif_auc,lif_auc,faithfulness,random_faithfulness_mean\n")
-        for r in rows:
-            fh.write(",".join([r[0]] + [_fmt(v) for v in r[1:]]) + "\n")
-    with open(args.out_prefix + ".curves.csv", "w", encoding="utf-8") as fh:
-        fh.write("id,curve,step,value\n")
-        fh.write("\n".join(curve_lines) + "\n")
+    rows = [[stem, rep.mif_auc, rep.lif_auc, rep.faithfulness, rand_mean]
+            for stem, rep, rand_mean in results]
+    _write_csv(args.out_prefix + ".csv",
+               ["id", "mif_auc", "lif_auc", "faithfulness", "random_faithfulness_mean"], rows)
+    _write_csv(args.out_prefix + ".curves.csv", ["id", "curve", "step", "value"],
+               [[stem, kind, k, v] for stem, rep, _ in results
+                for kind, curve in (("mif", rep.mif_curve), ("lif", rep.lif_curve))
+                for k, v in enumerate(curve)])
     display = [[r[0]] + [f"{v:.4f}" for v in r[1:]] for r in rows]
     means = [float(np.mean([r[i] for r in rows])) for i in range(1, 5)]
     display.append([f"mean({len(rows)})"] + [f"{v:.4f}" for v in means])
@@ -381,20 +354,29 @@ def cmd_eval_faith(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common_model_args(sp, window_temp: bool = True):
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _add_common_model_args(sp, attribution: bool = True):
     sp.add_argument("--model", required=True, help="BICAMW1 weight file")
-    if window_temp:
+    if attribution:
         sp.add_argument("--window", type=int, default=None,
                         help="layer aggregation window (default: from model config)")
         sp.add_argument("--temperature", type=float, default=None,
                         help="attribution softmax temperature (default: from config)")
+        sp.add_argument("--class-index", type=int, default=None,
+                        help="target class (default: model argmax per image)")
 
 
 def _add_driver_args(sp):
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
     sp.add_argument("--skip-errors", action="store_true",
                     help="skip failing items instead of aborting")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_non_negative_int, default=0)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -404,11 +386,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     "for small vision transformers.")
     parser.add_argument("--config", help="flat key=value defaults file")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
-    sp = subs.add_parser("init-model", help="create and save a seeded model")
+    def command(name, func, summary):
+        sp = subs.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
+        # SUPPRESS: a --config given before the subcommand must survive
+        sp.add_argument("--config", default=argparse.SUPPRESS,
+                        help="flat key=value defaults file")
+        return sp
+
+    sp = command("init-model", cmd_init_model, "create and save a seeded model")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_non_negative_int, default=0)
     sp.add_argument("--image-size", type=int, default=16)
     sp.add_argument("--image-width", type=int, default=None)
     sp.add_argument("--patch-size", type=int, default=4)
@@ -420,32 +409,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--distillation", action="store_true")
     sp.add_argument("--window", type=int, default=None)
     sp.add_argument("--temperature", type=float, default=2.0)
-    sp.set_defaults(func=cmd_init_model)
-    registry["init-model"] = sp
 
-    sp = subs.add_parser("attribute", help="signed attribution map for one image")
+    sp = command("attribute", cmd_attribute, "signed attribution map for one image")
     _add_common_model_args(sp)
     sp.add_argument("--image", required=True)
-    sp.add_argument("--class-index", type=int, default=None,
-                    help="target class (default: model argmax)")
     sp.add_argument("--interpolation", choices=["bilinear", "nearest"],
                     default="bilinear")
     sp.add_argument("--pnr-epsilon", type=float, default=DEFAULT_PNR_EPSILON)
     sp.add_argument("--out-prefix", required=True)
-    sp.set_defaults(func=cmd_attribute)
-    registry["attribute"] = sp
 
-    sp = subs.add_parser("rollout", help="attention-rollout baseline map")
-    _add_common_model_args(sp, window_temp=False)
+    sp = command("rollout", cmd_rollout, "attention-rollout baseline map")
+    _add_common_model_args(sp, attribution=False)
     sp.add_argument("--image", required=True)
     sp.add_argument("--interpolation", choices=["bilinear", "nearest"],
                     default="bilinear")
     sp.add_argument("--out-prefix", required=True)
-    sp.set_defaults(func=cmd_rollout)
-    registry["rollout"] = sp
 
-    sp = subs.add_parser("attack", help="attack a directory of images")
-    _add_common_model_args(sp, window_temp=False)
+    sp = command("attack", cmd_attack, "attack a directory of images")
+    _add_common_model_args(sp, attribution=False)
     sp.add_argument("--images", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--method", choices=["pgd", "mifgsm"], default="pgd")
@@ -456,73 +437,63 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--class-index", type=int, default=None,
                     help="true class (default: model argmax per image)")
     _add_driver_args(sp)
-    sp.set_defaults(func=cmd_attack)
-    registry["attack"] = sp
 
-    sp = subs.add_parser("pnr-detect", help="PNR detection report from clean+adv dirs")
+    sp = command("pnr-detect", cmd_pnr_detect, "PNR detection report from clean+adv dirs")
     _add_common_model_args(sp)
     sp.add_argument("--clean", required=True)
     sp.add_argument("--adv", required=True)
     sp.add_argument("--pnr-epsilon", type=float, default=DEFAULT_PNR_EPSILON)
-    sp.add_argument("--class-index", type=int, default=None)
     sp.add_argument("--out-prefix", required=True)
     _add_driver_args(sp)
-    sp.set_defaults(func=cmd_pnr_detect)
-    registry["pnr-detect"] = sp
 
-    sp = subs.add_parser("detect-from-records", help="score an existing records CSV")
+    sp = command("detect-from-records", cmd_detect_from_records,
+                 "score an existing records CSV")
     sp.add_argument("--records", required=True)
-    sp.set_defaults(func=cmd_detect_from_records)
-    registry["detect-from-records"] = sp
 
-    sp = subs.add_parser("eval-loc", help="localization metrics over image+mask dir")
+    sp = command("eval-loc", cmd_eval_loc, "localization metrics over image+mask dir")
     _add_common_model_args(sp)
     sp.add_argument("--data", required=True,
                     help="dir with NAME.ppm, NAME_target.pgm, optional NAME_nontarget.pgm")
-    sp.add_argument("--class-index", type=int, default=None)
     sp.add_argument("--out-prefix", required=True)
     _add_driver_args(sp)
-    sp.set_defaults(func=cmd_eval_loc)
-    registry["eval-loc"] = sp
 
-    sp = subs.add_parser("eval-faith", help="faithfulness curves over an image dir")
+    sp = command("eval-faith", cmd_eval_faith, "faithfulness curves over an image dir")
     _add_common_model_args(sp)
     sp.add_argument("--images", required=True)
-    sp.add_argument("--class-index", type=int, default=None)
-    sp.add_argument("--seeds", type=int, default=5,
+    sp.add_argument("--seeds", type=_non_negative_int, default=5,
                     help="random-order baselines per image")
     sp.add_argument("--out-prefix", required=True)
     _add_driver_args(sp)
-    sp.set_defaults(func=cmd_eval_faith)
-    registry["eval-faith"] = sp
 
-    for sub in registry.values():
-        sub.add_argument("--config", help="flat key=value defaults file")
+    return parser, subs.choices
 
-    return parser, registry
+
+def _config_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> dict:
+    """The config file's values as defaults that argparse type-checks."""
+    overrides = load_config_file(path)
+    actions = {a.dest: a for a in sub._actions}
+    unknown = sorted(set(overrides) - set(actions))
+    if unknown:
+        raise DataFormatError(f"unknown config keys for {command}: {', '.join(unknown)}")
+    out = {}
+    for key, value in overrides.items():
+        if actions[key].nargs != 0:
+            out[key] = str(value)  # argparse converts (and checks) string defaults
+        elif isinstance(value, bool):
+            out[key] = value
+        else:
+            raise DataFormatError(f"{path}: {key} takes true or false, got {value!r}")
+    return out
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
-
     try:
-        command = next((a for a in argv if a in registry), None)
-        pre = argparse.ArgumentParser(add_help=False)
-        pre.add_argument("--config")
-        known, _ = pre.parse_known_args(argv)
-        if known.config:
-            overrides = load_config_file(known.config)
-            if command is None:
-                raise DataFormatError("--config requires a subcommand")
-            valid = {a.dest for a in registry[command]._actions}
-            unknown = sorted(set(overrides) - valid)
-            if unknown:
-                raise DataFormatError(
-                    f"unknown config keys for {command}: {', '.join(unknown)}")
-            registry[command].set_defaults(**overrides)
-
         args = parser.parse_args(argv)
+        if args.config:
+            sub = registry[args.command]
+            sub.set_defaults(**_config_defaults(args.config, sub, args.command))
+            args = parser.parse_args(argv)
         return args.func(args)
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)

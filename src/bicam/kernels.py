@@ -9,9 +9,6 @@ of the inputs: with it they work in place, without it they allocate one
 result array and reuse it for their temporaries. Either way the
 arithmetic is the same, so the results are the same bits. Callers pass
 ``out`` positionally.
-
-``layernorm_rows_numpy`` and ``layernorm_rows_grad_numpy`` are aliases
-kept for existing callers.
 """
 
 import math
@@ -108,7 +105,3 @@ def upsample_nearest(grid, out_h, out_w):
     ys = np.minimum(((np.arange(out_h) + 0.5) * (gh / out_h)).astype(np.int64), gh - 1)
     xs = np.minimum(((np.arange(out_w) + 0.5) * (gw / out_w)).astype(np.int64), gw - 1)
     return grid[np.ix_(ys, xs)]
-
-
-layernorm_rows_numpy = layernorm_rows
-layernorm_rows_grad_numpy = layernorm_rows_grad

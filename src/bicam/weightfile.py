@@ -11,13 +11,17 @@ Layout, all little-endian:
     per tensor: int32 name length, name (utf-8), int32 rank,
                 rank * int32 dims, row-major float64 payload
 
-The loader validates the magic, the config, every tensor shape against the
-config, and that every value is finite; any mismatch, truncation or
-NaN/Inf raises DataFormatError.
+The loader validates the magic, the config, every tensor record (utf-8
+name, positive dims, a payload no larger than the bytes left in the file,
+checked before it is read), every tensor shape against the config, and
+that every value is finite; any mismatch, truncation or NaN/Inf raises
+DataFormatError.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -73,18 +77,27 @@ def load_weights(path: str) -> ViTWeights:
         (count,) = struct.unpack("<i", _read_exact(fh, 4))
         if count < 0:
             raise DataFormatError("negative tensor count")
+        file_size = os.fstat(fh.fileno()).st_size
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<i", _read_exact(fh, 4))
             if not 0 < nlen < 4096:
                 raise DataFormatError("implausible tensor name length")
-            name = _read_exact(fh, nlen).decode("utf-8")
+            try:
+                name = _read_exact(fh, nlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataFormatError("tensor name is not utf-8") from None
             (rank,) = struct.unpack("<i", _read_exact(fh, 4))
             if not 0 < rank < 16:
                 raise DataFormatError(f"implausible rank {rank} for tensor {name!r}")
             dims = struct.unpack(f"<{rank}i", _read_exact(fh, 4 * rank))
-            size = int(np.prod(dims))
-            payload = _read_exact(fh, 8 * size)
+            if min(dims) < 1:
+                raise DataFormatError(f"non-positive dimension in {dims} for tensor {name!r}")
+            # checked against the bytes left before anything is allocated
+            nbytes = 8 * math.prod(dims)
+            if nbytes > file_size - fh.tell():
+                raise DataFormatError("weight file truncated")
+            payload = _read_exact(fh, nbytes)
             tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
         if fh.read(1):
             raise DataFormatError("trailing bytes after last tensor record")

@@ -312,3 +312,123 @@ def test_attack_class_index_out_of_range_is_a_usage_error(tmp_path, model_file, 
     assert run(["attack", "--model", model_file, "--images", image_dir, "--out",
                 tmp_path / "adv", "--steps", 1, "--class-index", class_index]) == 2
     assert "usage error: class index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["init-model", "--seed", "-1"],
+    ["attack", "--seed", "-3"],
+    ["eval-faith", "--seed", "-1"],
+    ["eval-faith", "--seeds", "-1"],
+])
+def test_negative_seed_is_a_usage_error(tmp_path, model_file, image_dir, argv, capsys):
+    common = {"init-model": ["--out", tmp_path / "m.bw"],
+              "attack": ["--model", model_file, "--images", image_dir, "--out", tmp_path / "adv"],
+              "eval-faith": ["--model", model_file, "--images", image_dir,
+                             "--out-prefix", tmp_path / "f"]}[argv[0]]
+    with pytest.raises(SystemExit) as e:
+        run(argv + common)
+    assert e.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, code", [
+    ("seeds=1.5", 2), ("window=2.5", 2), ("skip_errors=no", 3), ("skip_errors=1", 3)])
+def test_config_values_get_the_flag_checks(tmp_path, model_file, image_dir, line, code):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    argv = ["eval-faith", "--config", cfgfile, "--model", model_file, "--images", image_dir,
+            "--out-prefix", tmp_path / "f"]
+    if code == 2:
+        with pytest.raises(SystemExit) as e:
+            run(argv)
+        assert e.value.code == 2
+    else:
+        assert run(argv) == 3
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_config_before_and_after_the_command_agree(tmp_path, model_file, image_dir, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("seeds=1\nseed=7\ntemperature=3.0\nclass_index=1\n")
+    common = ["--model", model_file, "--images", image_dir]
+    assert run(["--config", cfgfile, "eval-faith", *common,
+                "--out-prefix", tmp_path / "before"]) == 0
+    assert run(["eval-faith", "--config", cfgfile, *common,
+                "--out-prefix", tmp_path / "after"]) == 0
+    assert run(["eval-faith", *common, "--seeds", 1, "--seed", 7, "--temperature", 3.0,
+                "--class-index", 1, "--out-prefix", tmp_path / "flags"]) == 0
+    for suffix in (".csv", ".curves.csv"):
+        flags = (tmp_path / ("flags" + suffix)).read_bytes()
+        assert (tmp_path / ("before" + suffix)).read_bytes() == flags
+        assert (tmp_path / ("after" + suffix)).read_bytes() == flags
+    # the config's seeds=1 took effect: 17-point MIF and LIF curves per image
+    assert len(flags.splitlines()) == 1 + 2 * 17 * len(list(image_dir.glob("*.ppm")))
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["eval-faith", "eval-loc"])
+def test_jobs_two_writes_the_same_bytes_as_jobs_one(tmp_path, model_file, image_dir,
+                                                    command, capsys):
+    data = image_dir
+    if command == "eval-loc":
+        data = tmp_path / "loc"
+        data.mkdir()
+        for p in sorted(image_dir.glob("*.ppm")):
+            (data / p.name).write_bytes(p.read_bytes())
+            target = np.zeros((16, 16), np.uint8)
+            target[:, :8] = 1
+            netpbm.write_pgm(str(data / f"{p.stem}_target.pgm"), target)
+    flag = "--data" if command == "eval-loc" else "--images"
+    outs = []
+    for jobs in (1, 2):
+        prefix = tmp_path / f"j{jobs}"
+        argv = [command, "--model", model_file, flag, data, "--out-prefix", prefix,
+                "--jobs", jobs] + (["--seeds", 2] if command == "eval-faith" else [])
+        assert run(argv) == 0
+        outs.append({p.name[2:]: p.read_bytes() for p in tmp_path.glob(f"j{jobs}.*")})
+    assert outs[0] == outs[1] and outs[0]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["attack", "pnr-detect", "eval-loc", "eval-faith"])
+def test_every_item_failing_under_skip_errors_exits_3(tmp_path, model_file, image_dir,
+                                                      command, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    good = sorted(image_dir.glob("*.ppm"))[0].read_bytes()
+    (bad / "t.ppm").write_bytes(good[:len(good) // 2])
+    (bad / "t_target.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(256))
+    args = {"attack": ["--images", bad, "--out", tmp_path / "adv"],
+            "pnr-detect": ["--clean", bad, "--adv", bad, "--out-prefix", tmp_path / "d"],
+            "eval-loc": ["--data", bad, "--out-prefix", tmp_path / "l"],
+            "eval-faith": ["--images", bad, "--out-prefix", tmp_path / "f"]}[command]
+    assert run([command, "--model", model_file, *args, "--skip-errors"]) == 3
+    err = capsys.readouterr().err
+    assert "skipped" in err and "truncated" in err
+    assert "items failed" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _first_record(raw: bytes):
+    """Offsets of the first tensor record's name and rank fields."""
+    name_at = 7 + 40 + 8 + 4 + 4
+    (nlen,) = struct.unpack_from("<i", raw, name_at - 4)
+    return name_at, name_at + nlen
+
+
+@pytest.mark.parametrize("damage", ["name_byte", "negative_dim", "huge_dims"])
+def test_malformed_tensor_record_exits_3(tmp_path, model_file, image_dir, damage, capsys):
+    raw = bytearray(Path(model_file).read_bytes())
+    name_at, rank_at = _first_record(raw)
+    if damage == "name_byte":
+        raw[name_at] = 0xFF
+    elif damage == "negative_dim":
+        struct.pack_into("<i", raw, rank_at + 4, -3)
+    else:
+        struct.pack_into("<4i", raw, rank_at, 3, *[2**31 - 1] * 3)
+    bad = tmp_path / "bad.bw"
+    bad.write_bytes(bytes(raw))
+    img_path = sorted(image_dir.glob("*.ppm"))[0]
+    assert run(["attribute", "--model", bad, "--image", img_path,
+                "--out-prefix", tmp_path / "n"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicam import weightfile
 from bicam.cli import read_grid_csv, write_grid_csv
@@ -210,3 +214,38 @@ def test_weightfile_rejects_config_payload_mismatch(small_weights, tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError):
         weightfile.load_weights(str(p))
+
+
+def _record_header_offsets(raw: bytes) -> list[int]:
+    """Byte offsets of every tensor record's name length, name, rank and dims."""
+    offsets, pos = [], 7 + 40 + 8 + 4
+    while pos < len(raw):
+        (nlen,) = struct.unpack_from("<i", raw, pos)
+        (rank,) = struct.unpack_from("<i", raw, pos + 4 + nlen)
+        end = pos + 8 + nlen + 4 * rank
+        offsets.extend(range(pos, end))
+        pos = end + 8 * int(np.prod(struct.unpack_from(f"<{rank}i", raw, end - 4 * rank)))
+    return offsets
+
+
+@pytest.fixture(scope="module")
+def record_fuzz(small_weights, tmp_path_factory):
+    p = tmp_path_factory.mktemp("fuzz") / "w.bw"
+    weightfile.save_weights(small_weights, str(p))
+    raw = p.read_bytes()
+    return p, raw, _record_header_offsets(raw)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                      min_size=1, max_size=3))
+def test_weightfile_record_mutations_raise_only_data_format_error(record_fuzz, edits):
+    p, raw, offsets = record_fuzz
+    buf = bytearray(raw)
+    for where, value in edits:
+        buf[offsets[where % len(offsets)]] = value
+    p.write_bytes(bytes(buf))
+    try:
+        weightfile.load_weights(str(p))
+    except DataFormatError:
+        pass
