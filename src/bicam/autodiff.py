@@ -5,8 +5,13 @@ ids, and a backward closure holding the saved forward values). Tensors are
 thin handles: the raw data plus the owning graph and node id. backward(root)
 fills ``graph.gradients`` (node id -> ndarray), storing a gradient only for
 the nodes that feed the root; every other node's gradient reads as zeros.
-Gradient arrays may share memory with each other (a reshape's gradient is a
-view of its output's, an add passes one array to both operands) and may be
+A caller that reads only a few gradients names their nodes in
+``graph.retain`` before the backward: the walk then drops every other
+node's gradient as soon as it has been passed to the node's parents, so a
+backward holds the gradients of one tape "frontier" at a time, not of the
+whole tape, and reading a dropped node raises ContractError. Gradient
+arrays may share memory with each other (a reshape's gradient is a view of
+its output's, an add passes one array to both operands) and may be
 read-only broadcast views, so treat them as read-only.
 
 Besides the elementwise, shape and reduction primitives there is one fused
@@ -14,8 +19,9 @@ node, ``attention``: scaled dot-product attention with parents q, k and v.
 It does the arithmetic of a chain of transpose, matmul, scale, softmax and
 matmul nodes, so its outputs and gradients are the same bits as that
 chain's, but it scales and softmaxes the [B, H, N, N] scores in place where
-the chain allocates a fresh array at every step. ``attention_arrays`` is
-its tape-free forward.
+the chain allocates a fresh array at every step, and its backward keeps its
+two score-sized work arrays in ``graph.scratch``, shared by every attention
+node during one walk. ``attention_arrays`` is its tape-free forward.
 
 Every primitive checks its output for NaN/Inf and raises NumericError, so a
 finite forward pass is an invariant rather than a hope. A graph is
@@ -70,18 +76,23 @@ class Gradients(dict):
     """Node id -> gradient; a node with no stored gradient reads as zeros.
 
     Reading a missing entry returns a fresh zero array and does not insert
-    it, so ``len()`` and iteration cover only the stored gradients.
+    it, so ``len()`` and iteration cover only the stored gradients. With a
+    retain set, reading a node outside it raises ContractError: its
+    gradient was dropped (or never kept), not zero.
     """
 
-    __slots__ = ("_nodes",)
+    __slots__ = ("_nodes", "_retain")
 
-    def __init__(self, nodes: list["Node"]):
+    def __init__(self, nodes: list["Node"], retain: set[int] | None):
         super().__init__()
         self._nodes = nodes
+        self._retain = retain
 
     def __missing__(self, nid):
         if not 0 <= nid < len(self._nodes):
             raise KeyError(nid)
+        if self._retain is not None and nid not in self._retain:
+            raise ContractError(f"gradient of node {nid} was not retained by backward")
         return np.zeros(self._nodes[nid].shape)
 
 
@@ -91,6 +102,10 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
         self.gradients: dict[int, np.ndarray] = {}
+        # node ids whose gradients backward keeps; None keeps every one
+        self.retain: set[int] | None = None
+        # shape -> work arrays that backward closures share during one walk
+        self.scratch: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
     def _record(self, op, parents, out_data, backward_fn) -> "Tensor":
         check_finite(out_data, op)
@@ -102,7 +117,8 @@ class Graph:
         return self._record("leaf", (), _as_f64(data), None)
 
     def backward(self, root: "Tensor") -> dict[int, np.ndarray]:
-        """Set self.gradients to d(root)/d(node) for every node.
+        """Set self.gradients to d(root)/d(node) for every node, or for the
+        nodes in ``self.retain`` when it is set.
 
         The root must be a scalar (one element) owned by this graph. Its own
         gradient is seeded with ones of its shape; the tape is then walked in
@@ -112,16 +128,23 @@ class Graph:
         contribution is stored as it is and later ones are added out of
         place, so stored arrays may share memory with each other or be
         read-only views: treat them as read-only.
+
+        When ``self.retain`` is a set of node ids, only those nodes keep
+        their gradients: every other node's gradient is complete when the
+        reverse walk reaches it (all its consumers come later on the tape),
+        so it is popped there, handed to the node's backward and freed.
+        The arithmetic and its order are the same either way.
         """
         if root.graph is not self or root.node_id is None:
             raise ContractError("backward root does not belong to this graph")
         if root.data.size != 1:
             raise ContractError("backward root must be scalar")
 
-        grads = Gradients(self.nodes)
+        retain = self.retain
+        grads = Gradients(self.nodes, retain)
         grads[root.node_id] = np.ones(self.nodes[root.node_id].shape)
         for nid in range(root.node_id, -1, -1):
-            grad = grads.get(nid)
+            grad = grads.get(nid) if retain is None or nid in retain else grads.pop(nid, None)
             node = self.nodes[nid]
             if grad is None or node.backward_fn is None:
                 continue
@@ -129,12 +152,13 @@ class Graph:
                 prev = grads.get(pid)
                 grads[pid] = contrib if prev is None else prev + contrib
 
+        self.scratch.clear()
         self.gradients = grads
         return grads
 
     def grad(self, t: "Tensor") -> np.ndarray:
-        # a backward always stores the root's gradient
-        if t.node_id is None or not self.gradients:
+        # only a backward sets a Gradients mapping
+        if t.node_id is None or not isinstance(self.gradients, Gradients):
             raise ContractError("gradient not available; run backward() first")
         return self.gradients[t.node_id]
 
@@ -524,7 +548,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     matmul, scale, softmax and matmul primitives in the same order, with
     the softmax gradient and the scale done in place:
     dv = p^T g, dp = g v^T, dp = softmax_grad(p, dp) * scale, dq = dp kt^T,
-    dk = (q^T dp)^T.
+    dk = (q^T dp)^T. dp and the softmax gradient's g * p are work arrays in
+    ``graph.scratch``, which every attention node of the graph reuses
+    during a walk: one pair per score shape instead of two fresh [B, H, N,
+    N] arrays per layer, which the allocator would otherwise return to the
+    system and fault in again once the walk drops the gradients above them.
     """
     g = q._require_graph()
     if k.graph is not g or v.graph is not g:
@@ -536,11 +564,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     scale = float(scale)
     out, kept, p, kt = attention_arrays(q.data, k.data, v.data, scale, keep_scores)
 
-    def backward(grad, _q=q.data, _kt=kt, _v=v.data, _p=p, _scale=scale):
+    def backward(grad, _q=q.data, _kt=kt, _v=v.data, _p=p, _scale=scale, _scratch=g.scratch):
         dv = np.matmul(np.swapaxes(_p, -1, -2), grad)
-        dp = np.matmul(grad, np.swapaxes(_v, -1, -2))
+        work = _scratch.get(_p.shape)
+        if work is None:
+            work = _scratch[_p.shape] = (np.empty(_p.shape), np.empty(_p.shape))
+        dp, gp = work
+        np.matmul(grad, np.swapaxes(_v, -1, -2), out=dp)
         rows = dp.reshape(-1, dp.shape[-1])
-        kernels.softmax_rows_grad(_p.reshape(rows.shape), rows, 1.0, rows)
+        kernels.softmax_rows_grad(_p.reshape(rows.shape), rows, 1.0, rows, gp.reshape(rows.shape))
         dp *= _scale
         dq = np.matmul(dp, np.swapaxes(_kt, -1, -2))
         dk = np.ascontiguousarray(np.swapaxes(np.matmul(np.swapaxes(_q, -1, -2), dp), -1, -2))

@@ -10,7 +10,9 @@ eval-faith) share one per-image step: read the PPM, take the class from
 commands run their items through one loop (``_map_items``): on the calling
 thread with --jobs 1, on a thread pool otherwise; results come back in
 sorted-filename order, --skip-errors drops failed items with a ``skipped``
-line on stderr, and a run where every item failed is an error.
+line on stderr, and a run where every item failed is an error. A bad
+option is a usage error, never a skipped item: --class-index is checked
+before any item runs, and a ParameterError inside an item stops the run.
 
 Reproducibility rules: every command takes one --seed; per-item randomness
 is derived by numpy SeedSequence(seed).spawn(k), with children assigned to
@@ -20,8 +22,8 @@ precision (%.17g), making re-runs byte-identical.
 
 A flat key=value config file (--config, before or after the subcommand)
 supplies defaults for the invoked subcommand; explicit flags win; unknown
-keys are rejected. Values pass through the same argparse type checks as
-flags, and flag options take only true or false.
+keys are rejected. Values pass through the same argparse type and choice
+checks as flags, and flag options take only true or false.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ def load_config_file(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise DataFormatError(f"cannot read config file: {e}") from None
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: config file is not utf-8 text (byte {e.start})") from None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -127,8 +131,9 @@ def _map_items(names, fn, jobs: int, skip_errors: bool):
     """Apply fn to each name; return the results of the items that did not
     fail, in the given (sorted) order.
 
-    With jobs 1 every item runs on the calling thread, so its thread-local
-    pass counters see every pass.
+    A ParameterError is never skipped: it comes from a bad option, which
+    fails every item alike. With jobs 1 every item runs on the calling
+    thread, so its thread-local pass counters see every pass.
     """
     results, failures = [], []
     with (ThreadPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext()) as pool:
@@ -137,7 +142,7 @@ def _map_items(names, fn, jobs: int, skip_errors: bool):
             try:
                 results.append(item.result() if pool else fn(n))
             except BicamError as e:
-                if not skip_errors:
+                if not skip_errors or isinstance(e, ParameterError):
                     raise
                 failures.append((n, str(e)))
     for n, msg in failures:
@@ -145,6 +150,14 @@ def _map_items(names, fn, jobs: int, skip_errors: bool):
     if not results:
         raise ContractError(f"all {len(names)} items failed")
     return results
+
+
+def _check_class_index(model, args) -> None:
+    """Reject an out-of-range --class-index before any item runs, so that
+    --skip-errors does not turn it into one failure per item."""
+    classes = model.config.num_classes
+    if args.class_index is not None and not 0 <= args.class_index < classes:
+        raise ParameterError(f"class index {args.class_index} out of range [0, {classes})")
 
 
 def _attribute(model, path, args, interpolation: str = "bilinear"):
@@ -234,9 +247,7 @@ def cmd_attack(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = _sub_seeds(args.seed, len(files))
-    classes = model.config.num_classes
-    if args.class_index is not None and not 0 <= args.class_index < classes:
-        raise ParameterError(f"class index {args.class_index} out of range [0, {classes})")
+    _check_class_index(model, args)
 
     def one(i_path):
         i, path = i_path
@@ -264,6 +275,7 @@ def cmd_attack(args) -> int:
 
 def cmd_pnr_detect(args) -> int:
     model = weightfile.load_model(args.model)
+    _check_class_index(model, args)
     items = ([(p, "clean") for p in _list_images(args.clean)]
              + [(p, "adversarial") for p in _list_images(args.adv)])
 
@@ -290,6 +302,7 @@ def cmd_detect_from_records(args) -> int:
 
 def cmd_eval_loc(args) -> int:
     model = weightfile.load_model(args.model)
+    _check_class_index(model, args)
     files = _list_images(args.data)
 
     def one(path):
@@ -320,6 +333,7 @@ def cmd_eval_loc(args) -> int:
 
 def cmd_eval_faith(args) -> int:
     model = weightfile.load_model(args.model)
+    _check_class_index(model, args)
     files = _list_images(args.images)
     patch = model.config.patch_size
     seeds = _sub_seeds(args.seed, len(files) * args.seeds)
@@ -477,6 +491,11 @@ def _config_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> d
         raise DataFormatError(f"unknown config keys for {command}: {', '.join(unknown)}")
     out = {}
     for key, value in overrides.items():
+        choices = actions[key].choices
+        if choices is not None and str(value) not in choices:
+            # argparse checks the choices of flags, not of defaults
+            raise ParameterError(f"{path}: {key} must be one of {', '.join(choices)}, "
+                                 f"got {value!r}")
         if actions[key].nargs != 0:
             out[key] = str(value)  # argparse converts (and checks) string defaults
         elif isinstance(value, bool):

@@ -34,8 +34,9 @@ class PNRRecord:
     def __post_init__(self):
         if self.label not in (CLEAN, ADVERSARIAL):
             raise ParameterError(f"label must be clean|adversarial, got {self.label!r}")
-        if self.pnr < 0:
-            raise ParameterError("pnr is a ratio of nonnegative sums; cannot be negative")
+        if not 0 <= self.pnr < math.inf:
+            raise ParameterError(
+                f"pnr is a finite ratio of nonnegative sums, got {self.pnr}")
 
 
 @dataclass
@@ -181,20 +182,24 @@ def write_records(path: str, records) -> None:
 
 
 def read_records(path: str) -> list[PNRRecord]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not utf-8 text (byte {e.start})") from None
+    header = lines[0].strip()
+    if header != "id,label,pnr":
+        raise DataFormatError(f"expected header 'id,label,pnr', got {header!r}")
     out = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "id,label,pnr":
-            raise DataFormatError(f"expected header 'id,label,pnr', got {header!r}")
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}:{ln}: expected 3 fields")
-            try:
-                out.append(PNRRecord(parts[0], float(parts[2]), parts[1]))
-            except (ValueError, ParameterError) as e:
-                raise DataFormatError(f"{path}:{ln}: {e}") from None
+    for ln, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise DataFormatError(f"{path}:{ln}: expected 3 fields")
+        try:
+            out.append(PNRRecord(parts[0], float(parts[2]), parts[1]))
+        except (ValueError, ParameterError) as e:
+            raise DataFormatError(f"{path}:{ln}: {e}") from None
     return out

@@ -36,12 +36,13 @@ def softmax_rows(x, temperature, out=None):
     return np.divide(out, np.add.reduce(out, axis=1, keepdims=True), out=out)
 
 
-def softmax_rows_grad(y, g, temperature, out=None):
+def softmax_rows_grad(y, g, temperature, out=None, tmp=None):
     """Backward of softmax_rows: y is the forward output, g the output grad.
 
-    (g - rowsum(g * y)) * y / T; ``out`` may be ``g`` itself.
+    (g - rowsum(g * y)) * y / T; ``out`` may be ``g`` itself. ``tmp``, an
+    array of y's shape, takes g * y instead of a fresh allocation.
     """
-    tmp = g * y
+    tmp = np.multiply(g, y, out=tmp)
     dot = np.add.reduce(tmp, axis=1, keepdims=True)
     out = np.subtract(g, dot, out=tmp if out is None else out)
     out *= y

@@ -72,6 +72,7 @@ def train_step(model: VisionTransformer, opt: AdamState,
                images: np.ndarray, labels: np.ndarray) -> float:
     res = model.forward(images, weight_grads=True)
     loss = cross_entropy(res.logits, labels)
+    res.graph.retain = set(res.weight_nodes.values())
     res.graph.backward(loss)
     grads = {name: res.graph.gradients[nid] for name, nid in res.weight_nodes.items()}
     opt.update(model.weights, grads)

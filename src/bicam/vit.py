@@ -106,6 +106,11 @@ class ViTConfig:
         return self.embed_dim // self.num_heads
 
 
+def tensor_count(config: ViTConfig) -> int:
+    """len(expected_shapes(config)), without building the map."""
+    return 8 + 16 * config.num_layers + (1 if config.distillation_token else 0)
+
+
 def expected_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape map for every weight tensor, in canonical order."""
     d, f, c = config.embed_dim, config.ffn_dim, config.num_classes
@@ -490,7 +495,11 @@ class VisionTransformer:
     # -- gradients ------------------------------------------------------------
 
     def backward_class(self, result: ForwardResult, class_index: int) -> ForwardResult:
-        """Backpropagate the class score; fills cls_out_grad on every capture."""
+        """Backpropagate the class score; fills cls_out_grad on every capture.
+
+        The graph keeps the gradients of the image and of every captured
+        layer's merged node; reading any other node's raises ContractError.
+        """
         c = int(class_index)
         if not 0 <= c < self.config.num_classes:
             raise ParameterError(f"class index {c} out of range")
@@ -500,16 +509,19 @@ class VisionTransformer:
             raise StateError("backward_class requires a forward run with capture=True")
         counters.bump("backward")
         y = result.logits.narrow(-1, c, 1).sum()
+        result.graph.retain = {result.image_node, *(cap.merged_node for cap in result.captures)}
         result.graph.backward(y)
         for cap in result.captures:
             cap.cls_out_grad = result.graph.gradients[cap.merged_node][:, 0, :].copy()
         return result
 
     def loss_and_input_grad(self, image: np.ndarray, labels) -> tuple[float, np.ndarray]:
-        """Cross-entropy loss and its gradient with respect to the image."""
+        """Cross-entropy loss and its gradient with respect to the image (the
+        one gradient the backward keeps)."""
         res = self.forward(image, capture=False)
         loss = cross_entropy(res.logits, labels)
         counters.bump("backward")
+        res.graph.retain = {res.image_node}
         res.graph.backward(loss)
         grad = res.graph.gradients[res.image_node]
         return loss.item(), grad.reshape(res.input_shape)

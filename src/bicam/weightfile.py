@@ -11,11 +11,12 @@ Layout, all little-endian:
     per tensor: int32 name length, name (utf-8), int32 rank,
                 rank * int32 dims, row-major float64 payload
 
-The loader validates the magic, the config, every tensor record (utf-8
-name, positive dims, a payload no larger than the bytes left in the file,
-checked before it is read), every tensor shape against the config, and
-that every value is finite; any mismatch, truncation or NaN/Inf raises
-DataFormatError.
+The loader validates the magic, the config, the tensor count (it must be
+the config's and fit in the file, checked before anything sized by the
+config is built), every tensor record (utf-8 name, positive dims, a payload
+no larger than the bytes left in the file, checked before it is read),
+every tensor shape against the config, and that every value is finite; any
+mismatch, truncation or NaN/Inf raises DataFormatError.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ import struct
 import numpy as np
 
 from .errors import BicamError, DataFormatError
-from .vit import ViTConfig, ViTWeights, VisionTransformer
+from .vit import ViTConfig, ViTWeights, VisionTransformer, tensor_count
 
 MAGIC = b"BICAMW1"
+# name length, a 1-byte name, rank, one dim and one float64 value
+MIN_RECORD_BYTES = 4 + 1 + 4 + 4 + 8
 
 
 def save_weights(weights: ViTWeights, path: str) -> None:
@@ -75,9 +78,14 @@ def load_weights(path: str) -> ViTWeights:
         except BicamError as e:
             raise DataFormatError(f"invalid config block: {e}") from None
         (count,) = struct.unpack("<i", _read_exact(fh, 4))
-        if count < 0:
-            raise DataFormatError("negative tensor count")
+        # checked before the config's shape map is built: its size follows
+        # num_layers, which the header alone can make arbitrarily large
+        expected = tensor_count(cfg)
+        if count != expected:
+            raise DataFormatError(f"tensor count {count} does not match the config's {expected}")
         file_size = os.fstat(fh.fileno()).st_size
+        if MIN_RECORD_BYTES * count > file_size - fh.tell():
+            raise DataFormatError(f"weight file truncated: too small for {count} tensors")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<i", _read_exact(fh, 4))

@@ -386,6 +386,28 @@ def test_attention_is_bit_equal_to_the_primitive_chain(shape):
     assert attention_arrays(q0, k0, v0, scale)[1] is None
 
 
+def test_attention_nodes_share_work_arrays_during_a_walk():
+    q0, k0, v0, w = _attention_inputs((2, 2, 17, 8), seed=9)
+    scale = 0.5
+
+    ref = Graph()
+    rq, rk, rv = leaf(ref, q0), leaf(ref, k0), leaf(ref, v0)
+    first, _ = _attention_chain(rq, rk, rv, scale)
+    second, _ = _attention_chain(first, rk, first, scale)
+    ref.backward(second.mul(w).sum())
+
+    g = Graph()
+    q, k, v = leaf(g, q0), leaf(g, k0), leaf(g, v0)
+    first, _ = attention(q, k, v, scale)
+    second, _ = attention(first, k, first, scale)   # same score shape
+    root = second.mul(w).sum()
+    for _ in range(2):                                 # a second walk reuses nothing stale
+        g.backward(root)
+        assert g.scratch == {}
+        for t, rt in ((q, rq), (k, rk), (v, rv)):
+            assert bit_equal(g.grad(t), ref.grad(rt))
+
+
 def test_attention_gradients_match_finite_differences():
     q0, k0, v0, w = _attention_inputs((1, 2, 5, 3), seed=7)
     scale = 0.7
@@ -412,3 +434,45 @@ def test_attention_checks_operands():
         attention(q, leaf(Graph(), np.zeros((1, 1, 3, 2))), q, 1.0)
     with pytest.raises(NumericError, match="^non-finite values produced by scale$"):
         attention(q.add(1e150), q.add(1e150), q, 1e10)   # scores 2e300, then inf
+
+
+def test_retained_backward_keeps_only_the_retained_gradients():
+    def build():
+        rng = np.random.default_rng(13)
+        g = Graph()
+        x = leaf(g, rng.standard_normal((4, 4)))
+        w = leaf(g, rng.standard_normal((4, 4)))
+        off = leaf(g, [1.0, 2.0])                   # never reached
+        h = (x @ w).gelu()
+        root = h.softmax(1.7).mul(h).sum()
+        return g, x, w, off, h, root
+
+    g, x, w, off, h, root = build()
+    g.backward(root)
+    keep_all = {nid: grad.copy() for nid, grad in g.gradients.items()}
+
+    g, x, w, off, h, root = build()
+    g.retain = {x.node_id, off.node_id}
+    g.backward(root)
+    assert set(g.gradients) == {x.node_id}
+    assert bit_equal(g.grad(x), keep_all[x.node_id])
+    assert np.array_equal(g.grad(off), np.zeros(2))  # retained but unreached
+    for t in (w, h, root):                           # reached, then dropped
+        with pytest.raises(ContractError, match="not retained"):
+            g.grad(t)
+    # without a retain set the same graph keeps every gradient again
+    g.retain = None
+    g.backward(root)
+    assert set(g.gradients) == set(keep_all)
+    assert all(bit_equal(g.gradients[nid], grad) for nid, grad in keep_all.items())
+
+
+def test_retained_backward_with_an_empty_set_still_counts_as_run():
+    g = Graph()
+    x = leaf(g, [1.0, 2.0])
+    root = x.sum()
+    g.retain = set()
+    g.backward(root)
+    assert len(g.gradients) == 0
+    with pytest.raises(ContractError, match="not retained"):
+        g.grad(x)

@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -432,3 +435,106 @@ def test_malformed_tensor_record_exits_3(tmp_path, model_file, image_dir, damage
     assert run(["attribute", "--model", bad, "--image", img_path,
                 "--out-prefix", tmp_path / "n"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["attack", "pnr-detect", "eval-loc", "eval-faith"])
+def test_out_of_range_class_index_is_a_usage_error_under_skip_errors(
+        tmp_path, model_file, image_dir, command, capsys):
+    args = {"attack": ["--images", image_dir, "--out", tmp_path / "adv"],
+            "pnr-detect": ["--clean", image_dir, "--adv", image_dir,
+                           "--out-prefix", tmp_path / "d"],
+            "eval-loc": ["--data", image_dir, "--out-prefix", tmp_path / "l"],
+            "eval-faith": ["--images", image_dir, "--out-prefix", tmp_path / "f"]}[command]
+    assert run([command, "--model", model_file, *args, "--class-index", 9,
+                "--skip-errors"]) == 2
+    err = capsys.readouterr().err
+    assert "usage error: class index 9 out of range" in err
+    assert "skipped" not in err
+
+
+@pytest.mark.parametrize("command, option", [("pnr-detect", ["--window", 9]),
+                                             ("eval-faith", ["--temperature", 0]),
+                                             ("attack", ["--epsilon", -1])])
+def test_bad_options_checked_inside_items_are_usage_errors_under_skip_errors(
+        tmp_path, model_file, image_dir, command, option, capsys):
+    args = {"attack": ["--images", image_dir, "--out", tmp_path / "adv"],
+            "pnr-detect": ["--clean", image_dir, "--adv", image_dir,
+                           "--out-prefix", tmp_path / "d"],
+            "eval-faith": ["--images", image_dir, "--out-prefix", tmp_path / "f"]}[command]
+    assert run([command, "--model", model_file, *args, *option, "--skip-errors",
+                "--jobs", 2]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "skipped" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, line", [("attack", "method=bogus"),
+                                           ("attribute", "interpolation=1")])
+def test_config_values_outside_the_choices_are_usage_errors(tmp_path, model_file, image_dir,
+                                                            command, line, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    img_path = sorted(image_dir.glob("*.ppm"))[0]
+    args = {"attack": ["--images", image_dir, "--out", tmp_path / "adv", "--skip-errors"],
+            "attribute": ["--image", img_path, "--out-prefix", tmp_path / "a"]}[command]
+    assert run([command, "--config", cfgfile, "--model", model_file, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "must be one of" in err
+    assert "skipped" not in err
+
+
+def test_non_utf8_config_file_exits_3(tmp_path, model_file, image_dir, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b"temperature=2.0\n# \xff\n")
+    with pytest.raises(DataFormatError, match="not utf-8"):
+        load_config_file(str(cfgfile))
+    img_path = sorted(image_dir.glob("*.ppm"))[0]
+    assert run(["attribute", "--config", cfgfile, "--model", model_file, "--image", img_path,
+                "--out-prefix", tmp_path / "a"]) == 3
+    assert "not utf-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [b"a,clean,0.1\nb,adversarial,\xff\n",
+                                  b"a,clean,nan\nb,adversarial,0.9\n",
+                                  b"a,clean,0.1\nb,adversarial,inf\n",
+                                  b"a,clean,-inf\nb,adversarial,0.9\n"],
+                         ids=["non-utf8", "nan", "inf", "-inf"])
+def test_detect_from_bad_records_exits_3(tmp_path, body, capsys):
+    p = tmp_path / "recs.csv"
+    p.write_bytes(b"id,label,pnr\n" + body)
+    assert run(["detect-from-records", "--records", p]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "auroc" not in captured.out
+
+
+def test_forged_layer_count_fails_fast_under_an_address_space_cap(tmp_path, model_file,
+                                                                   image_dir):
+    raw = bytearray(Path(model_file).read_bytes())
+    struct.pack_into("<i", raw, 7 + 3 * 4, 5_000_000)   # num_layers
+    forged = tmp_path / "forged.bw"
+    forged.write_bytes(bytes(raw))
+    img_path = sorted(image_dir.glob("*.ppm"))[0]
+    argv = ["attribute", "--model", str(forged), "--image", str(img_path),
+            "--out-prefix", str(tmp_path / "a")]
+    # the cap turns an allocation sized by the header into a MemoryError
+    # (exit 1) instead of letting it take the machine's memory
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from bicam.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(weightfile.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "tensor count" in proc.stderr
+
+
+def test_tensor_count_must_fit_in_the_file(tmp_path, model_file):
+    raw = bytearray(Path(model_file).read_bytes())
+    struct.pack_into("<i", raw, 7 + 3 * 4, 5_000_000)   # num_layers
+    struct.pack_into("<i", raw, 7 + 40 + 8, 8 + 16 * 5_000_000)
+    forged = tmp_path / "forged.bw"
+    forged.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match="too small for 80000008 tensors"):
+        weightfile.load_weights(str(forged))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,3 +244,17 @@ def test_report_metric_ranges_random():
         assert 0.0 <= rep.aupr <= 1.0
         assert 0.0 <= rep.sensitivity <= 1.0
         assert 0.0 <= rep.specificity <= 1.0
+
+
+@pytest.mark.parametrize("pnr_value", [math.nan, math.inf, -math.inf])
+def test_record_rejects_non_finite_pnr(pnr_value):
+    with pytest.raises(ParameterError, match="finite"):
+        PNRRecord("x", pnr_value, "clean")
+
+
+@pytest.mark.parametrize("line", [b"x,clean,\xff", b"x,clean,nan", b"x,clean,inf"])
+def test_records_csv_rejects_non_utf8_and_non_finite(tmp_path, line):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"id,label,pnr\n" + line + b"\n")
+    with pytest.raises(DataFormatError):
+        read_records(str(p))

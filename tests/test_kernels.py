@@ -55,6 +55,18 @@ def test_softmax_kernels_in_place_are_bit_equal(shape, scale, temperature):
     assert bit_equal(inplace, dx)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (40, 17), (788, 197)])
+def test_softmax_rows_grad_with_a_work_array_is_bit_equal(shape):
+    rng = np.random.default_rng(shape[0] + 7)
+    y = kernels.softmax_rows(rng.standard_normal(shape) * 4.0, 1.0)
+    g = rng.standard_normal(shape)
+    ref = kernels.softmax_rows_grad(y, g, 1.0)
+    work, inplace = np.full(shape, np.nan), g.copy()
+    assert kernels.softmax_rows_grad(y, inplace, 1.0, inplace, work) is inplace
+    assert bit_equal(inplace, ref)
+    assert bit_equal(work, g * y)
+
+
 def test_upsample_nearest_integer_ratio_replicates_blocks():
     grid = np.arange(6.0).reshape(2, 3)
     up = kernels.upsample_nearest(grid, 4, 6)

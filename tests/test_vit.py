@@ -1,16 +1,18 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bicam import counters
 from bicam.autodiff import Graph
-from bicam.errors import (DimensionError, NumericError, ParameterError, StateError)
+from bicam.errors import (ContractError, DimensionError, NumericError, ParameterError,
+                          StateError)
 from bicam.kernels import softmax_rows
 from bicam.toytrain import make_pattern_dataset, train_step
 from bicam.vit import (ViTConfig, ViTWeights, VisionTransformer, cross_entropy,
                        default_layer_window, expected_shapes, init_weights,
-                       new_model)
+                       new_model, tensor_count)
 
 from conftest import TINY, bit_equal, finite_difference, grad_rel_error
 
@@ -382,3 +384,112 @@ def test_attention_is_one_tape_node_per_block(tiny_config, distillation):
     assert len(ops) == (139 if distillation else 136) - 4 * cfg.num_layers
     assert ops.count("attention") == cfg.num_layers
     assert "softmax" not in ops and "scale" not in ops
+
+
+def _capture_forwards(model, monkeypatch):
+    """Record every ForwardResult the model's own methods produce."""
+    results = []
+    forward = model.forward
+
+    def recording(*args, **kwargs):
+        results.append(forward(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(model, "forward", recording)
+    return results
+
+
+def _keep_all(graph, root):
+    graph.retain = None
+    graph.backward(root)
+    return graph.gradients
+
+
+@pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
+def test_backward_class_keeps_only_the_image_and_merged_gradients(tiny_config, distillation):
+    cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
+    model = new_model(cfg, seed=4)
+    img = np.random.default_rng(22).random((2, 3, 16, 16))
+    res = model.forward(img, capture=True, layer_window=2)
+    model.backward_class(res, 1)
+    retained = {res.image_node} | {cap.merged_node for cap in res.captures}
+    assert len(retained) == 3
+    assert set(res.graph.gradients) == retained
+    kept = {nid: res.graph.gradients[nid] for nid in retained}
+    with pytest.raises(ContractError, match="not retained"):
+        res.graph.grad(res.logits)
+
+    full = _keep_all(res.graph, res.logits.narrow(-1, 1, 1).sum())
+    assert len(full) > 10 * len(retained)
+    for nid, grad in kept.items():
+        assert bit_equal(grad, full[nid])
+    for cap in res.captures:
+        assert bit_equal(cap.cls_out_grad, full[cap.merged_node][:, 0, :])
+
+
+@pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
+def test_loss_and_input_grad_keeps_only_the_image_gradient(tiny_config, distillation,
+                                                          monkeypatch):
+    cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
+    model = new_model(cfg, seed=5)
+    img = np.random.default_rng(23).random((2, 3, 16, 16))
+    results = _capture_forwards(model, monkeypatch)
+    loss, grad = model.loss_and_input_grad(img, [0, 2])
+    (res,) = results
+    assert set(res.graph.gradients) == {res.image_node}
+    with pytest.raises(ContractError, match="not retained"):
+        res.graph.grad(res.logits)
+
+    again = model.forward(img)
+    full = _keep_all(again.graph, cross_entropy(again.logits, [0, 2]))
+    assert bit_equal(grad, full[again.image_node])
+
+
+@pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
+def test_train_step_keeps_only_the_weight_gradients(toy_config, distillation, monkeypatch):
+    cfg = dataclasses.replace(toy_config, distillation_token=distillation)
+    model = new_model(cfg, seed=6)
+    images, labels = make_pattern_dataset(cfg, per_class=2, seed=7)
+
+    class Recorder:
+        def update(self, weights, grads):
+            self.grads = grads
+
+    opt = Recorder()
+    results = _capture_forwards(model, monkeypatch)
+    train_step(model, opt, images, labels)
+    (res,) = results
+    assert set(res.graph.gradients) == set(res.weight_nodes.values())
+    with pytest.raises(ContractError, match="not retained"):
+        res.graph.grad(res.logits)
+
+    again = model.forward(images, weight_grads=True)
+    full = _keep_all(again.graph, cross_entropy(again.logits, labels))
+    for name, nid in again.weight_nodes.items():
+        assert bit_equal(opt.grads[name], full[nid])
+
+
+def test_retained_backward_class_peak_memory_is_lower(tiny_model):
+    img = np.random.default_rng(24).random((1, 3, 16, 16))
+
+    def peak(run):
+        res = tiny_model.forward(img, capture=True)
+        tracemalloc.start()
+        try:
+            run(res)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(lambda res: tiny_model.backward_class(res, 0))  # warm up lazy imports
+    retained = peak(lambda res: tiny_model.backward_class(res, 0))
+    keep_all = peak(lambda res: res.graph.backward(res.logits.narrow(-1, 0, 1).sum()))
+    assert retained <= 0.8 * keep_all, (retained, keep_all)
+
+
+@pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
+def test_tensor_count_matches_expected_shapes(tiny_config, distillation):
+    for layers in (1, 2, 4):
+        cfg = dataclasses.replace(tiny_config, num_layers=layers, layer_window=1,
+                                  distillation_token=distillation)
+        assert tensor_count(cfg) == len(expected_shapes(cfg))
