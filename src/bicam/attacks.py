@@ -8,6 +8,7 @@ the epsilon ball and the valid range. The attacked model only needs a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,10 @@ class AttackConfig:
         if self.method not in ("pgd", "mifgsm"):
             raise ParameterError(f"unknown attack method {self.method!r}")
         # epsilon == 0 is allowed as the degenerate no-op attack
-        if self.epsilon < 0:
-            raise ParameterError("epsilon must be >= 0")
-        if self.step_size <= 0:
-            raise ParameterError("step_size must be > 0")
+        if not 0 <= self.epsilon < math.inf:
+            raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not 0 < self.step_size < math.inf:
+            raise ParameterError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.num_steps < 1:
             raise ParameterError("num_steps must be >= 1")
         if not 0.0 <= self.momentum_decay <= 1.0:

@@ -11,6 +11,7 @@ final map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ def attribution_alpha(capture: LayerCapture, temperature: float) -> np.ndarray:
 
     Returns [B, H, N]; each (batch, head) slice sums to 1.
     """
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
+    if not 0 < temperature < math.inf:
+        raise ParameterError(f"temperature must be finite and > 0, got {temperature}")
     cls_row = np.ascontiguousarray(capture.attn_logits[:, :, 0, :])
     b, h, n = cls_row.shape
     out = kernels.softmax_rows(cls_row.reshape(b * h, n), float(temperature))
@@ -99,8 +100,8 @@ def bicam(model: VisionTransformer, image: np.ndarray, class_index: int,
     cfg = model.config
     window = cfg.layer_window if layer_window is None else int(layer_window)
     temp = cfg.temperature if temperature is None else float(temperature)
-    if temp <= 0:
-        raise ParameterError(f"temperature must be > 0, got {temp}")
+    if not 0 < temp < math.inf:
+        raise ParameterError(f"temperature must be finite and > 0, got {temp}")
 
     res = model.forward(image, capture=True, layer_window=window)
     model.backward_class(res, class_index)
@@ -137,19 +138,12 @@ def rollout_chain(head_mean_attn, keep_steps: bool = False):
 def attention_rollout(model: VisionTransformer, image: np.ndarray,
                       interpolation: str = "bilinear") -> AttributionMap:
     """Class-agnostic rollout baseline: per layer, average the post-softmax
-    attention over heads, add identity, row-normalize, and multiply through
-    all layers; the CLS row gives unsigned patch scores."""
+    attention (the forward's own probabilities) over heads, add identity,
+    row-normalize, and multiply through all layers; the CLS row gives
+    unsigned patch scores."""
     cfg = model.config
     res = model.forward(image, capture=True, layer_window=cfg.num_layers, tape=False)
-    n = cfg.num_tokens
-    b = res.captures[0].attn_logits.shape[0]
-    mats = []
-    for cap in res.captures:
-        logits = np.ascontiguousarray(cap.attn_logits)
-        bh = logits.shape[0] * logits.shape[1]
-        attn = kernels.softmax_rows(logits.reshape(bh * n, n), 1.0)
-        mats.append(attn.reshape(b, -1, n, n).mean(axis=1))
-    rollout = rollout_chain(mats)
+    rollout = rollout_chain(cap.attn_probs.mean(axis=1) for cap in res.captures)
     cls_row = rollout[:, 0, :]
     return _tokens_to_map(cls_row, model, None, cfg.num_layers, 1.0, interpolation)
 

@@ -395,8 +395,8 @@ class Tensor:
         """
         g = self._require_graph()
         temperature = float(temperature)
-        if temperature <= 0.0:
-            raise ParameterError(f"softmax temperature must be > 0, got {temperature}")
+        if not 0.0 < temperature < math.inf:
+            raise ParameterError(f"softmax temperature must be finite and > 0, got {temperature}")
         n = self.data.shape[-1]
         rows = self.data.reshape(-1, n)
         out_rows = kernels.softmax_rows(rows, temperature)
@@ -540,13 +540,15 @@ def attention_arrays(q, k, v, scale: float, keep_scores: bool = False):
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              keep_scores: bool = False) -> tuple[Tensor, np.ndarray | None]:
+              keep_scores: bool = False) -> tuple[Tensor, np.ndarray | None, np.ndarray]:
     """Scaled dot-product attention as one tape node with parents q, k, v.
 
-    The forward is attention_arrays; returns the output tensor and the kept
-    scores (or None). The backward runs the arithmetic of the transpose,
-    matmul, scale, softmax and matmul primitives in the same order, with
-    the softmax gradient and the scale done in place:
+    The forward is attention_arrays; returns the output tensor, the kept
+    scores (or None) and the attention probabilities, which the node's
+    backward reads too, so treat them as read-only. The backward runs the
+    arithmetic of the transpose, matmul, scale, softmax and matmul
+    primitives in the same order, with the softmax gradient and the scale
+    done in place:
     dv = p^T g, dp = g v^T, dp = softmax_grad(p, dp) * scale, dq = dp kt^T,
     dk = (q^T dp)^T. dp and the softmax gradient's g * p are work arrays in
     ``graph.scratch``, which every attention node of the graph reuses
@@ -578,4 +580,4 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         dk = np.ascontiguousarray(np.swapaxes(np.matmul(np.swapaxes(_q, -1, -2), dp), -1, -2))
         return dq, dk, dv
 
-    return g._record("attention", (q.node_id, k.node_id, v.node_id), out, backward), kept
+    return g._record("attention", (q.node_id, k.node_id, v.node_id), out, backward), kept, p

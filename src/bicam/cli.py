@@ -11,8 +11,9 @@ commands run their items through one loop (``_map_items``): on the calling
 thread with --jobs 1, on a thread pool otherwise; results come back in
 sorted-filename order, --skip-errors drops failed items with a ``skipped``
 line on stderr, and a run where every item failed is an error. A bad
-option is a usage error, never a skipped item: --class-index is checked
-before any item runs, and a ParameterError inside an item stops the run.
+option is a usage error, never a skipped item: --class-index and the
+attack options are checked before any item runs, and a ParameterError
+inside an item stops the run.
 
 Reproducibility rules: every command takes one --seed; per-item randomness
 is derived by numpy SeedSequence(seed).spawn(k), with children assigned to
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -213,9 +215,10 @@ def cmd_init_model(args) -> int:
 def cmd_attribute(args) -> int:
     model = weightfile.load_model(args.model)
     _, c, amap = _attribute(model, args.image, args, args.interpolation)
+    value = pnr(amap, args.pnr_epsilon)
     _write_map_outputs(args.out_prefix, amap, channels=True)
     print(f"class={c}")
-    print(f"pnr={_fmt(pnr(amap, args.pnr_epsilon))}")
+    print(f"pnr={_fmt(value)}")
     return 0
 
 
@@ -243,11 +246,13 @@ def _write_map_outputs(prefix: str, amap, channels: bool) -> None:
 
 def cmd_attack(args) -> int:
     model = weightfile.load_model(args.model)
+    cfg = AttackConfig(method=args.method, epsilon=args.epsilon, step_size=args.step_size,
+                       num_steps=args.steps, momentum_decay=args.momentum)
+    _check_class_index(model, args)
     files = _list_images(args.images)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = _sub_seeds(args.seed, len(files))
-    _check_class_index(model, args)
 
     def one(i_path):
         i, path = i_path
@@ -256,11 +261,8 @@ def cmd_attack(args) -> int:
         logits = model.predict_logits(image[None])
         label = (int(np.argmax(logits[0])) if args.class_index is None
                  else int(args.class_index))
-        cfg = AttackConfig(method=args.method, epsilon=args.epsilon,
-                           step_size=args.step_size, num_steps=args.steps,
-                           momentum_decay=args.momentum, seed=seeds[i])
         before = float(kernels.softmax_rows(logits, 1.0)[0, label])
-        adv = run_attack(model, image[None], label, cfg)[0]
+        adv = run_attack(model, image[None], label, dataclasses.replace(cfg, seed=seeds[i]))[0]
         netpbm.write_ppm(str(out_dir / path.name), adv)
         after = float(model.predict_proba(adv[None])[0, label])
         return before, after

@@ -2,8 +2,11 @@
 
 PNR summarizes a signed patch grid as sum(positive) / (sum(negative) + eps);
 adversarial perturbations tend to inflate it. Detection quality is scored
-with rank-based AUROC (tie-corrected), step-integrated AUPR, and a decision
-threshold chosen by maximizing Youden's J = sensitivity + specificity - 1.
+from one sorted sweep over the scores (Fawcett 2006): one sort gives, per
+distinct score, the adversarial and clean counts at it and at or above it,
+in O(n log n). AUROC (the tie-corrected Mann-Whitney U), step-integrated
+AUPR and the decision threshold maximizing Youden's J = sensitivity +
+specificity - 1 are each read from that table.
 
 ROC scoring uses raw per-sample PNR (deployable without a clean twin);
 delta-PNR statistics are reported separately from records whose ids pair
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import AttributionMap
+from .attribution import split_channels
 from .errors import ContractError, DataFormatError, ParameterError
 
 CLEAN = "clean"
@@ -53,20 +56,12 @@ class DetectionReport:
     higher_is_adversarial: bool = True
 
 
-def _scores(values) -> np.ndarray:
-    if isinstance(values, AttributionMap):
-        return values.patch_scores
-    return np.asarray(values, dtype=np.float64)
-
-
 def pnr(attribution, epsilon: float = DEFAULT_PNR_EPSILON) -> float:
     """sum(max(M, 0)) / (sum(max(-M, 0)) + epsilon) over patch scores."""
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
-    m = _scores(attribution)
-    pos = np.maximum(m, 0.0).sum()
-    neg = np.maximum(-m, 0.0).sum()
-    return float(pos / (neg + epsilon))
+    if not 0 < epsilon < math.inf:
+        raise ParameterError(f"pnr epsilon must be finite and > 0, got {epsilon}")
+    pos, neg = split_channels(attribution)
+    return float(pos.sum() / (neg.sum() + epsilon))
 
 
 def delta_pnr(clean_map, adv_map, epsilon: float = DEFAULT_PNR_EPSILON) -> float:
@@ -74,60 +69,46 @@ def delta_pnr(clean_map, adv_map, epsilon: float = DEFAULT_PNR_EPSILON) -> float
     return pnr(adv_map, epsilon) - pnr(clean_map, epsilon)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks (1-based); ties get the mean of their positions."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    sval = values[order]
-    i = 0
-    while i < len(sval):
-        j = i
-        while j + 1 < len(sval) and sval[j + 1] == sval[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _count_table(scores: np.ndarray, is_adv: np.ndarray):
+    """The one sort: distinct scores ascending, with the adversarial and
+    clean counts at each score (adv, clean) and at or above it (tp, fp)."""
+    values, inverse = np.unique(scores, return_inverse=True)
+    adv = np.bincount(inverse[is_adv], minlength=len(values))
+    clean = np.bincount(inverse, minlength=len(values)) - adv
+    tp = np.cumsum(adv[::-1])[::-1]
+    fp = np.cumsum(clean[::-1])[::-1]
+    return values, adv, clean, tp, fp
 
 
-def _auroc(scores: np.ndarray, is_adv: np.ndarray) -> float:
-    n1 = int(is_adv.sum())
-    n0 = len(scores) - n1
-    ranks = _average_ranks(scores)
-    u = ranks[is_adv].sum() - n1 * (n1 + 1) / 2.0
-    return float(u / (n1 * n0))
+def _auroc(table, n1: int, n0: int) -> float:
+    """Mann-Whitney U over n1 * n0: each adversarial record beats the clean
+    records below its score and ties those at it. 2U is an integer, so the
+    result is exact."""
+    _, adv, clean, _, fp = table
+    return float((2 * adv * (n0 - fp) + adv * clean).sum() / 2 / (n1 * n0))
 
 
-def _aupr(scores: np.ndarray, is_adv: np.ndarray) -> float:
-    """Step-integrated precision-recall area (adversarial = positive class)."""
-    n1 = int(is_adv.sum())
-    order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    y = is_adv[order].astype(np.float64)
-    tp = np.cumsum(y)
-    k = np.arange(1, len(s) + 1)
-    # evaluate only at the last index of each tied run (one point per threshold)
-    boundary = np.ones(len(s), dtype=bool)
-    boundary[:-1] = s[:-1] != s[1:]
-    precision = tp[boundary] / k[boundary]
-    recall = tp[boundary] / n1
-    prev = np.concatenate(([0.0], recall[:-1]))
-    return float(((recall - prev) * precision).sum())
+def _aupr(table, n1: int) -> float:
+    """Precision-recall steps at every distinct threshold, highest first
+    (adversarial = positive class)."""
+    _, _, _, tp, fp = table
+    precision, recall = (tp / (tp + fp))[::-1], (tp / n1)[::-1]
+    return float(((recall - np.concatenate(([0.0], recall[:-1]))) * precision).sum())
 
 
-def _youden(scores: np.ndarray, is_adv: np.ndarray) -> tuple[float, float, float]:
+def _youden(table, n1: int, n0: int) -> tuple[float, float, float]:
     """Threshold maximizing sensitivity + specificity - 1 over observed
-    scores (predict adversarial when score >= threshold); ties go to the
+    scores (predict adversarial when score >= threshold). The scan runs
+    ascending and moves only on a gain above 1e-15, so near-ties go to the
     smaller threshold."""
-    n1 = int(is_adv.sum())
-    n0 = len(scores) - n1
-    best = None
-    for t in np.unique(scores):  # ascending, so strict improvement keeps the smallest
-        sens = float((scores[is_adv] >= t).sum()) / n1
-        spec = float((scores[~is_adv] < t).sum()) / n0
-        j = sens + spec - 1.0
-        if best is None or j > best[0] + 1e-15:
-            best = (j, float(t), sens, spec)
-    return best[1], best[2], best[3]
+    values, _, _, tp, fp = table
+    sens, spec = tp / n1, (n0 - fp) / n0
+    j = (sens + spec - 1.0).tolist()
+    best = 0
+    for i, ji in enumerate(j):
+        if ji > j[best] + 1e-15:
+            best = i
+    return float(values[best]), float(sens[best]), float(spec[best])
 
 
 def _paired_deltas(records) -> np.ndarray:
@@ -143,9 +124,9 @@ def _paired_deltas(records) -> np.ndarray:
 def roc_analysis(records, higher_is_adversarial: bool = True) -> DetectionReport:
     """Score a mixed set of clean/adversarial PNR records.
 
-    Requires at least one record of each label. AUROC equals pairwise
-    comparison counting (ties at half credit); AUPR integrates the
-    precision-recall steps at every distinct threshold.
+    Requires at least one record of each label. The scores are sorted
+    once; AUROC equals pairwise comparison counting (ties at half credit);
+    AUPR integrates the precision-recall steps at every distinct threshold.
     """
     records = list(records)
     labels = np.array([r.label == ADVERSARIAL for r in records])
@@ -155,11 +136,12 @@ def roc_analysis(records, higher_is_adversarial: bool = True) -> DetectionReport
     raw = np.array([r.pnr for r in records], dtype=np.float64)
     scores = raw if higher_is_adversarial else -raw
 
-    thr, sens, spec = _youden(scores, labels)
+    table = _count_table(scores, labels)
+    thr, sens, spec = _youden(table, n1, n0)
     deltas = _paired_deltas(records)
     return DetectionReport(
-        auroc=_auroc(scores, labels),
-        aupr=_aupr(scores, labels),
+        auroc=_auroc(table, n1, n0),
+        aupr=_aupr(table, n1),
         threshold=thr if higher_is_adversarial else -thr,
         sensitivity=sens,
         specificity=spec,

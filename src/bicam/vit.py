@@ -14,7 +14,9 @@ The forward body is written once, against a small ops interface with two
 backends: _TapeOps records an autodiff tape (for gradients), _ArrayOps
 runs the same ops on plain ndarrays (for predictions, which need none).
 Each block's scaled dot-product attention is one op, ``attention`` (one
-tape node); it hands back a copy of the scaled scores for captured layers.
+tape node); it hands back a copy of the scaled scores for captured layers
+and the probabilities it softmaxed in place, which captures keep as they
+are (attention rollout reads them).
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ class ViTConfig:
         if not 1 <= self.layer_window <= self.num_layers:
             raise ParameterError(
                 f"layer_window must be in [1, {self.num_layers}], got {self.layer_window}")
-        if self.temperature <= 0:
-            raise ParameterError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ParameterError(f"temperature must be finite and > 0, got {self.temperature}")
 
     @property
     def grid_height(self) -> int:
@@ -208,6 +210,8 @@ class LayerCapture:
     values: np.ndarray        # [B, H, N, d_h]
     cls_out: np.ndarray       # [B, d], concat of per-head CLS attention output
     cls_out_grad: np.ndarray | None = None   # [B, d] after backward_class
+    # [B, H, N, N], the forward's own softmax of attn_logits (not a copy)
+    attn_probs: np.ndarray | None = field(default=None, repr=False)
     merged_node: int = field(default=-1, repr=False)
 
 
@@ -349,7 +353,9 @@ class _ArrayOps:
 
     @staticmethod
     def attention(q, k, v, scale: float, keep_scores: bool):
-        return attention_arrays(q, k, v, scale, keep_scores)[:2]
+        out, kept, p, _ = attention_arrays(q, k, v, scale, keep_scores)
+        # an uncaptured layer's p is freed before the next layer allocates its own
+        return out, kept, p if keep_scores else None
 
     @staticmethod
     def gelu(a):
@@ -460,7 +466,7 @@ class VisionTransformer:
                 k = split_heads(linear(h, f"{pre}.attn.k"))
                 v = split_heads(linear(h, f"{pre}.attn.v"))
                 captured = capture and layer >= first_captured
-                heads, scores = o.attention(q, k, v, 1.0 / math.sqrt(dh), captured)
+                heads, scores, probs = o.attention(q, k, v, 1.0 / math.sqrt(dh), captured)
                 merged = o.reshape(o.transpose(heads, (0, 2, 1, 3)), (b, n, d))
                 if cls_out_offsets and layer in cls_out_offsets:
                     pad = np.zeros((b, n, d))
@@ -470,6 +476,7 @@ class VisionTransformer:
                     captures.append(LayerCapture(
                         layer=layer,
                         attn_logits=scores,
+                        attn_probs=probs,
                         values=o.array(v).copy(),
                         cls_out=o.array(merged)[:, 0, :].copy(),
                         merged_node=o.node(merged),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bicam import counters
+from bicam import counters, kernels
 from bicam.attribution import (AttributionMap, attention_rollout,
                                attribution_alpha, bicam, layer_mask,
                                rollout_chain, split_channels)
@@ -315,6 +315,16 @@ def test_rollout_tape_free_matches_tape_captures(tiny_model, rnd_image, monkeypa
     assert tape_nodes[0] == 0 and tape_nodes[1] > 0
     assert np.array_equal(plain.patch_scores, taped.patch_scores)
     assert np.array_equal(plain.heatmap, taped.heatmap)
+
+
+def test_rollout_reads_the_forward_probabilities(tiny_model, rnd_image, monkeypatch):
+    calls = []
+    softmax_rows = kernels.softmax_rows
+    monkeypatch.setattr(kernels, "softmax_rows",
+                        lambda *args: calls.append(1) or softmax_rows(*args))
+    attention_rollout(tiny_model, rnd_image)
+    # one in-place softmax per layer, inside the forward's attention
+    assert len(calls) == tiny_model.config.num_layers
 
 
 def test_bicam_rectangular_image():

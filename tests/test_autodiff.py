@@ -372,7 +372,7 @@ def test_attention_is_bit_equal_to_the_primitive_chain(shape):
 
     g = Graph()
     q, k, v = leaf(g, q0), leaf(g, k0), leaf(g, v0)
-    out, kept = attention(q, k, v, scale, keep_scores=True)
+    out, kept, _ = attention(q, k, v, scale, keep_scores=True)
     g.backward(out.mul(w).sum())
     assert len(g.nodes) == 3 + 3              # three leaves, attention, mul, sum
     assert bit_equal(out.data, ref_out.data)
@@ -398,8 +398,8 @@ def test_attention_nodes_share_work_arrays_during_a_walk():
 
     g = Graph()
     q, k, v = leaf(g, q0), leaf(g, k0), leaf(g, v0)
-    first, _ = attention(q, k, v, scale)
-    second, _ = attention(first, k, first, scale)   # same score shape
+    first = attention(q, k, v, scale)[0]
+    second = attention(first, k, first, scale)[0]   # same score shape
     root = second.mul(w).sum()
     for _ in range(2):                                 # a second walk reuses nothing stale
         g.backward(root)
@@ -417,7 +417,7 @@ def test_attention_gradients_match_finite_differences():
 
     g = Graph()
     q, k, v = leaf(g, q0), leaf(g, k0), leaf(g, v0)
-    out, _ = attention(q, k, v, scale)
+    out = attention(q, k, v, scale)[0]
     g.backward(out.mul(w).sum())
     assert grad_rel_error(g.grad(q), finite_difference(lambda x: loss(x, k0, v0), q0)) < 1e-7
     assert grad_rel_error(g.grad(k), finite_difference(lambda x: loss(q0, x, v0), k0)) < 1e-7

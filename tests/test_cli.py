@@ -538,3 +538,59 @@ def test_tensor_count_must_fit_in_the_file(tmp_path, model_file):
     forged.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError, match="too small for 80000008 tensors"):
         weightfile.load_weights(str(forged))
+
+
+NON_FINITE_OPTIONS = [
+    (["attribute", "--temperature", "nan"], "temperature"),
+    (["attribute", "--temperature", "inf"], "temperature"),
+    (["attribute", "--pnr-epsilon", "nan"], "pnr epsilon"),
+    (["attack", "--epsilon", "nan"], "epsilon"),
+    (["attack", "--epsilon", "inf"], "epsilon"),
+    (["attack", "--step-size", "inf"], "step_size"),
+    (["attack", "--step-size", "nan"], "step_size"),
+    (["pnr-detect", "--pnr-epsilon", "nan"], "pnr epsilon"),
+    (["eval-faith", "--temperature=-inf"], "temperature"),
+    (["init-model", "--temperature", "nan"], "temperature"),
+]
+
+
+@pytest.mark.parametrize("argv, option", NON_FINITE_OPTIONS,
+                         ids=[" ".join(argv) for argv, _ in NON_FINITE_OPTIONS])
+def test_non_finite_float_options_are_usage_errors(tmp_path, model_file, image_dir, argv,
+                                                   option, capsys):
+    img_path = sorted(image_dir.glob("*.ppm"))[0]
+    common = {"init-model": ["--out", tmp_path / "m.bw"],
+              "attribute": ["--model", model_file, "--image", img_path,
+                            "--out-prefix", tmp_path / "a"],
+              "attack": ["--model", model_file, "--images", image_dir, "--out", tmp_path / "adv"],
+              "pnr-detect": ["--model", model_file, "--clean", image_dir, "--adv", image_dir,
+                             "--out-prefix", tmp_path / "d"],
+              "eval-faith": ["--model", model_file, "--images", image_dir,
+                             "--out-prefix", tmp_path / "f"]}[argv[0]]
+    assert run(argv + common) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {option} must be finite")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_temperature_in_a_weight_header_exits_3(tmp_path, model_file, image_dir,
+                                                           capsys):
+    raw = bytearray(Path(model_file).read_bytes())
+    struct.pack_into("<d", raw, 7 + 40, float("nan"))   # temperature
+    bad = tmp_path / "nan_temperature.bw"
+    bad.write_bytes(bytes(raw))
+    img_path = sorted(image_dir.glob("*.ppm"))[0]
+    assert run(["attribute", "--model", bad, "--image", img_path,
+                "--out-prefix", tmp_path / "a"]) == 3
+    assert "temperature must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("a.*"))
+
+
+def test_bad_attack_option_fails_before_any_image_is_read(tmp_path, model_file, image_dir,
+                                                          capsys):
+    counters.reset()
+    assert run(["attack", "--model", model_file, "--images", image_dir, "--out",
+                tmp_path / "adv", "--epsilon", -1, "--skip-errors"]) == 2
+    assert counters.snapshot() == {"forward": 0, "backward": 0}
+    assert capsys.readouterr().err.startswith("usage error: epsilon must be finite")
+    assert not (tmp_path / "adv").exists()

@@ -151,16 +151,21 @@ def test_roc_single_class_rejected():
 
 def test_roc_matches_bruteforce_random_sets():
     rng = np.random.default_rng(5)
-    for trial in range(30):
-        n_c, n_a = rng.integers(2, 21, size=2)
-        clean = np.round(rng.random(n_c) * 4, 2)
-        adv = np.round(rng.random(n_a) * 4 + rng.uniform(0, 1), 2)
-        rep = roc_analysis(records_from(clean, adv))
-        assert rep.auroc == auroc_bruteforce(clean, adv)
-        assert rep.aupr == pytest.approx(aupr_bruteforce(clean, adv), abs=1e-12)
-        j_best, t_best = youden_bruteforce(clean, adv)
-        assert rep.threshold == t_best
-        assert rep.sensitivity + rep.specificity - 1.0 == pytest.approx(j_best, abs=1e-12)
+    # (decimals, higher_is_adversarial): scores rounded to 0-1 decimals tie
+    # heavily; with lower scores adversarial, the oracles see negated scores
+    for decimals, higher in ((2, True), (1, True), (0, True), (2, False), (0, False)):
+        sign = 1.0 if higher else -1.0
+        for trial in range(30):
+            n_c, n_a = rng.integers(2, 21, size=2)
+            clean = np.round(rng.random(n_c) * 4, decimals)
+            adv = np.round(rng.random(n_a) * 4 + rng.uniform(0, 1), decimals)
+            rep = roc_analysis(records_from(clean, adv), higher_is_adversarial=higher)
+            c, a = sign * clean, sign * adv
+            assert rep.auroc == auroc_bruteforce(c, a)
+            assert rep.aupr == pytest.approx(aupr_bruteforce(c, a), abs=1e-12)
+            j_best, t_best = youden_bruteforce(c, a)
+            assert rep.threshold == sign * t_best
+            assert rep.sensitivity + rep.specificity - 1.0 == pytest.approx(j_best, abs=1e-12)
 
 
 def test_youden_threshold_exhaustively_optimal():
