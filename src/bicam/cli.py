@@ -42,8 +42,8 @@ from . import kernels, netpbm
 from .attacks import (DEFAULT_EPSILON, DEFAULT_NUM_STEPS, DEFAULT_STEP_SIZE,
                       AttackConfig, run_attack)
 from .attribution import attention_rollout, bicam, split_channels
-from .detection import (DEFAULT_PNR_EPSILON, PNRRecord, pnr, read_records,
-                        roc_analysis, write_records)
+from .detection import (DEFAULT_PNR_EPSILON, PNRRecord, check_pnr_epsilon, pnr,
+                        read_records, roc_analysis, write_records)
 from .errors import (BicamError, ContractError, DataFormatError, NumericError,
                      ParameterError)
 from .evaluation import (class_probability_fn, evaluate_bidirectional,
@@ -214,6 +214,7 @@ def cmd_init_model(args) -> int:
 
 def cmd_attribute(args) -> int:
     model = weightfile.load_model(args.model)
+    check_pnr_epsilon(args.pnr_epsilon)
     _, c, amap = _attribute(model, args.image, args, args.interpolation)
     value = pnr(amap, args.pnr_epsilon)
     _write_map_outputs(args.out_prefix, amap, channels=True)
@@ -278,6 +279,7 @@ def cmd_attack(args) -> int:
 def cmd_pnr_detect(args) -> int:
     model = weightfile.load_model(args.model)
     _check_class_index(model, args)
+    check_pnr_epsilon(args.pnr_epsilon)
     items = ([(p, "clean") for p in _list_images(args.clean)]
              + [(p, "adversarial") for p in _list_images(args.adv)])
 

@@ -56,10 +56,14 @@ class DetectionReport:
     higher_is_adversarial: bool = True
 
 
-def pnr(attribution, epsilon: float = DEFAULT_PNR_EPSILON) -> float:
-    """sum(max(M, 0)) / (sum(max(-M, 0)) + epsilon) over patch scores."""
+def check_pnr_epsilon(epsilon: float) -> None:
     if not 0 < epsilon < math.inf:
         raise ParameterError(f"pnr epsilon must be finite and > 0, got {epsilon}")
+
+
+def pnr(attribution, epsilon: float = DEFAULT_PNR_EPSILON) -> float:
+    """sum(max(M, 0)) / (sum(max(-M, 0)) + epsilon) over patch scores."""
+    check_pnr_epsilon(epsilon)
     pos, neg = split_channels(attribution)
     return float(pos.sum() / (neg.sum() + epsilon))
 

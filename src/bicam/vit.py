@@ -16,7 +16,13 @@ runs the same ops on plain ndarrays (for predictions, which need none).
 Each block's scaled dot-product attention is one op, ``attention`` (one
 tape node); it hands back a copy of the scaled scores for captured layers
 and the probabilities it softmaxed in place, which captures keep as they
-are (attention rollout reads them).
+are (attention rollout reads them). Every affine map is one op,
+``linear``, and a block's q, k and v projections are one op, ``qkv``. On
+the tape they are built from the matmul and add primitives (plus reshape
+and transpose to split heads), one node per primitive. Off the tape,
+``qkv`` is one fused product and ``linear`` finite-checks only its
+bias-added output: 6L + 2 products per forward instead of the tape's
+8L + 2, with bit-equal results and the same NumericError text.
 """
 
 from __future__ import annotations
@@ -277,7 +283,19 @@ class _TapeOps:
     def tensor(t: Tensor) -> Tensor:
         return t
 
-    matmul = staticmethod(Tensor.matmul)
+    def linear(self, t: Tensor, name: str) -> Tensor:
+        return t.matmul(self.weight(f"{name}.weight")).add(self.weight(f"{name}.bias"))
+
+    def qkv(self, h: Tensor, block: str, heads: int) -> tuple[Tensor, Tensor, Tensor]:
+        """The q, k and v projections of ``h`` [B, N, d], each split into
+        heads [B, H, N, d_h]: three linears, one after the other."""
+        b, n, d = h.shape
+
+        def split(t):
+            return t.reshape((b, n, heads, d // heads)).transpose((0, 2, 1, 3))
+
+        return tuple(split(self.linear(h, f"{block}.attn.{p}")) for p in "qkv")
+
     add = staticmethod(Tensor.add)
     reshape = staticmethod(Tensor.reshape)
     transpose = staticmethod(Tensor.transpose)
@@ -292,13 +310,23 @@ class _TapeOps:
 class _ArrayOps:
     """Forward ops on plain ndarrays: no tape, no closures, no weight leaves.
 
-    Each op computes what the Tensor primitive of the same name computes
-    forward, with the same kernels and the same (C-contiguous) memory
-    layout, so results are bit-equal to the taped forward. The outputs of
-    arithmetic ops are checked for NaN/Inf under the same op names as on
-    the tape; pure data movement (reshape, transpose, broadcast_to, narrow,
-    concat) is not, because its inputs were checked already or are weights,
-    which were checked when the ViTWeights were built.
+    Each op computes what the Tensor primitives of the same name (or the
+    _TapeOps op built from them) compute forward, with the same kernels and
+    the same (C-contiguous) memory layout, so results are bit-equal to the
+    taped forward. The outputs of arithmetic ops are checked for NaN/Inf,
+    and a failing check raises the NumericError the tape would raise; pure
+    data movement (reshape, transpose, broadcast_to, narrow, concat) is not
+    checked, because its inputs were checked already or are weights, which
+    were checked when the ViTWeights were built.
+
+    Two ops do less numpy work than their tape counterparts. ``linear``
+    adds the bias in place and checks only the sum (see _affine). ``qkv``
+    runs one product on [Wq|Wk|Wv] and one bias add, then splits the
+    result into q, k and v heads with one reshape, one transpose and one
+    contiguous copy. That is bit-equal to three separate products as long
+    as BLAS computes each output column from its own weight column alone,
+    with the same summation order whatever the number of columns; tests
+    pin it on the tiny and the 56x56 model shapes.
     """
 
     def __init__(self, weights: ViTWeights):
@@ -326,8 +354,39 @@ class _ArrayOps:
         return Tensor(a)
 
     @staticmethod
-    def matmul(a, b):
-        return check_finite(np.matmul(a, b), "matmul")
+    def _affine(t, w, bias, parts: int = 1):
+        """t @ w + bias with one finite check, on the sum: weights and
+        biases are finite, so a finite sum means a finite product. Only when
+        the check fails is the product computed again, to name the op the
+        tape would have named first, going through the ``parts`` equal
+        column groups of w (the fused q, k, v projections) in order.
+        """
+        out = np.matmul(t, w)
+        out += bias
+        try:
+            return check_finite(out, "add")
+        except NumericError:
+            for prod, total in zip(np.split(np.matmul(t, w), parts, axis=-1),
+                                   np.split(out, parts, axis=-1)):
+                check_finite(prod, "matmul")
+                check_finite(total, "add")
+            raise
+
+    def linear(self, t, name: str):
+        return self._affine(t, self._weights[f"{name}.weight"],
+                            self._weights[f"{name}.bias"])
+
+    def qkv(self, h, block: str, heads: int):
+        w = self._weights
+        names = [f"{block}.attn.{p}" for p in "qkv"]
+        # concatenated on every call, not cached: training and tests update
+        # the weight arrays in place, which a cached copy would not see
+        out = self._affine(h, np.concatenate([w[f"{m}.weight"] for m in names], axis=1),
+                           np.concatenate([w[f"{m}.bias"] for m in names]), parts=3)
+        b, n, d3 = out.shape
+        q, k, v = np.ascontiguousarray(
+            out.reshape(b, n, 3, heads, d3 // (3 * heads)).transpose(2, 0, 3, 1, 4))
+        return q, k, v
 
     @staticmethod
     def add(a, b):
@@ -434,12 +493,6 @@ class VisionTransformer:
         gh, gw = cfg.grid_height, cfg.grid_width
         nh, dh, n = cfg.num_heads, cfg.head_dim, cfg.num_tokens
 
-        def linear(t, name: str):
-            return o.add(o.matmul(t, W(f"{name}.weight")), W(f"{name}.bias"))
-
-        def split_heads(t):  # [B, N, d] -> [B, H, N, d_h]
-            return o.transpose(o.reshape(t, (b, n, nh, dh)), (0, 2, 1, 3))
-
         def special(name: str):  # one learned token, repeated over the batch
             return o.broadcast_to(o.reshape(W(name, leaf=True), (1, 1, d)), (b, 1, d))
 
@@ -448,7 +501,7 @@ class VisionTransformer:
             patches = o.reshape(o.transpose(o.reshape(x_img, (b, 3, gh, p, gw, p)),
                                             (0, 2, 4, 1, 3, 5)),
                                 (b, gh * gw, 3 * p * p))
-            tok = linear(patches, "patch_embed")
+            tok = o.linear(patches, "patch_embed")
             specials = [special("cls_token")]
             if cfg.distillation_token:
                 specials.append(special("dist_token"))
@@ -462,9 +515,7 @@ class VisionTransformer:
             pre = f"blocks.{layer - 1}"
             try:
                 h = o.layernorm(x, W(f"{pre}.ln1.gain"), W(f"{pre}.ln1.bias"), LAYERNORM_EPS)
-                q = split_heads(linear(h, f"{pre}.attn.q"))
-                k = split_heads(linear(h, f"{pre}.attn.k"))
-                v = split_heads(linear(h, f"{pre}.attn.v"))
+                q, k, v = o.qkv(h, pre, nh)
                 captured = capture and layer >= first_captured
                 heads, scores, probs = o.attention(q, k, v, 1.0 / math.sqrt(dh), captured)
                 merged = o.reshape(o.transpose(heads, (0, 2, 1, 3)), (b, n, d))
@@ -481,17 +532,17 @@ class VisionTransformer:
                         cls_out=o.array(merged)[:, 0, :].copy(),
                         merged_node=o.node(merged),
                     ))
-                x = o.add(x, linear(merged, f"{pre}.attn.out"))
+                x = o.add(x, o.linear(merged, f"{pre}.attn.out"))
                 h2 = o.layernorm(x, W(f"{pre}.ln2.gain"), W(f"{pre}.ln2.bias"), LAYERNORM_EPS)
-                f = o.gelu(linear(h2, f"{pre}.ffn.fc1"))
-                x = o.add(x, linear(f, f"{pre}.ffn.fc2"))
+                f = o.gelu(o.linear(h2, f"{pre}.ffn.fc1"))
+                x = o.add(x, o.linear(f, f"{pre}.ffn.fc2"))
             except NumericError as e:
                 raise NumericError(f"block {layer}: {e}") from None
 
         try:
             xf = o.layernorm(x, W("ln_f.gain"), W("ln_f.bias"), LAYERNORM_EPS)
             cls_state = o.reshape(o.narrow(xf, 1, 0, 1), (b, d))
-            logits = linear(cls_state, "head")
+            logits = o.linear(cls_state, "head")
         except NumericError as e:
             raise NumericError(f"classifier head: {e}") from None
 

@@ -594,3 +594,26 @@ def test_bad_attack_option_fails_before_any_image_is_read(tmp_path, model_file, 
     assert counters.snapshot() == {"forward": 0, "backward": 0}
     assert capsys.readouterr().err.startswith("usage error: epsilon must be finite")
     assert not (tmp_path / "adv").exists()
+
+
+BAD_PNR_EPSILON_RUNS = [(cmd, eps, flags) for eps in ("nan", "0", "-1")
+                        for cmd, flags in [("attribute", []), ("pnr-detect", []),
+                                           ("pnr-detect", ["--jobs", "2"]),
+                                           ("pnr-detect", ["--skip-errors"])]]
+
+
+@pytest.mark.parametrize("command, epsilon, flags", BAD_PNR_EPSILON_RUNS,
+                         ids=[" ".join([c, e, *f]) for c, e, f in BAD_PNR_EPSILON_RUNS])
+def test_bad_pnr_epsilon_fails_before_any_image_is_read(tmp_path, model_file, image_dir,
+                                                        command, epsilon, flags, monkeypatch,
+                                                        capsys):
+    passes = []   # every thread's passes, pool threads' too
+    monkeypatch.setattr(counters, "bump", passes.append)
+    img_path = sorted(image_dir.glob("*.ppm"))[0]
+    inputs = {"attribute": ["--image", img_path],
+              "pnr-detect": ["--clean", image_dir, "--adv", image_dir]}[command]
+    assert run([command, "--model", model_file, *inputs, "--out-prefix", tmp_path / "o",
+                f"--pnr-epsilon={epsilon}", *flags]) == 2
+    assert passes == []
+    assert capsys.readouterr().err.startswith("usage error: pnr epsilon must be finite")
+    assert list(tmp_path.iterdir()) == []

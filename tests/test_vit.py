@@ -493,3 +493,107 @@ def test_tensor_count_matches_expected_shapes(tiny_config, distillation):
         cfg = dataclasses.replace(tiny_config, num_layers=layers, layer_window=1,
                                   distillation_token=distillation)
         assert tensor_count(cfg) == len(expected_shapes(cfg))
+
+
+# the attribute-56 model shape: 14x14 patch grid, N = 197 tokens
+SHAPE_56 = dict(image_height=56, image_width=56, patch_size=4, num_layers=6, num_heads=4,
+                embed_dim=32, ffn_dim=64, num_classes=10)
+
+
+@pytest.mark.parametrize("shape", ["tiny", "56x56"])
+def test_fused_qkv_forward_is_bit_equal_to_tape(tiny_config, shape):
+    # the tape-free forward runs one [Wq|Wk|Wv] product per block, the tape
+    # three separate ones: equal only if BLAS computes each output column
+    # from its own weight column in the same order
+    cfg = tiny_config if shape == "tiny" else ViTConfig(**SHAPE_56)
+    model = new_model(cfg, seed=5)
+    batch = 2 if shape == "tiny" else 1
+    img = np.random.default_rng(15).random((batch, 3, cfg.image_height, cfg.image_width))
+    taped = model.forward(img, capture=True, layer_window=cfg.num_layers)
+    plain = model.forward(img, capture=True, layer_window=cfg.num_layers, tape=False)
+    assert plain.captures[0].attn_logits.shape[-1] == cfg.num_tokens
+    assert bit_equal(plain.logits.data, taped.logits.data)
+    assert len(plain.captures) == len(taped.captures) == cfg.num_layers
+    for a, b in zip(plain.captures, taped.captures):
+        for name in ("attn_logits", "attn_probs", "values", "cls_out"):
+            assert bit_equal(getattr(a, name), getattr(b, name)), (a.layer, name)
+
+
+def test_tape_free_forward_reads_weights_updated_in_place(tiny_config):
+    model = new_model(tiny_config, seed=6)
+    img = np.random.default_rng(16).random((1, 3, 16, 16))
+    model.predict_logits(img)   # anything it cached is stale after the update
+    model.weights.tensors["blocks.0.attn.k.weight"] += 0.05
+    fresh = VisionTransformer(tiny_config, ViTWeights(
+        tiny_config, {k: v.copy() for k, v in model.weights.tensors.items()}))
+    before = new_model(tiny_config, seed=6).predict_logits(img)
+    assert bit_equal(model.predict_logits(img), fresh.predict_logits(img))
+    assert not np.array_equal(model.predict_logits(img), before)
+
+
+# Block 2 (blocks.1) made to overflow in one linear at a time. Its layer
+# norms get gain 0 and bias 1, so the linear inputs are all ones and each
+# product is sum(weight column): d = 16 entries of w give 16 * w, ffn_dim =
+# 32 entries 32 * w. 1e308 overflows a product; 6.25e306 gives a finite
+# product of 1e308, which a 1e308 bias takes over the top.
+_ONES_IN = {"blocks.1.ln1.gain": 0.0, "blocks.1.ln1.bias": 1.0,
+            "blocks.1.ln2.gain": 0.0, "blocks.1.ln2.bias": 1.0}
+_BIG, _HALF = 1e308, 1e308 / 16
+OVERFLOWS = {
+    "q_product": ({"blocks.1.attn.q.weight": _BIG}, "matmul"),
+    "k_bias_add": ({"blocks.1.attn.k.weight": _HALF, "blocks.1.attn.k.bias": _BIG}, "add"),
+    "v_product": ({"blocks.1.attn.v.weight": _BIG}, "matmul"),
+    # the tape stops at q's add before it reaches v's product
+    "q_bias_add_before_v_product": ({"blocks.1.attn.q.weight": _HALF,
+                                     "blocks.1.attn.q.bias": _BIG,
+                                     "blocks.1.attn.v.weight": _BIG}, "add"),
+    # v = ones, so every head's attention output is ones too
+    "out_product": ({"blocks.1.attn.v.weight": 0.0, "blocks.1.attn.v.bias": 1.0,
+                     "blocks.1.attn.out.weight": _BIG}, "matmul"),
+    "out_bias_add": ({"blocks.1.attn.v.weight": 0.0, "blocks.1.attn.v.bias": 1.0,
+                      "blocks.1.attn.out.weight": _HALF,
+                      "blocks.1.attn.out.bias": _BIG}, "add"),
+    "fc1_product": ({"blocks.1.ffn.fc1.weight": _BIG}, "matmul"),
+    "fc1_bias_add": ({"blocks.1.ffn.fc1.weight": _HALF,
+                      "blocks.1.ffn.fc1.bias": _BIG}, "add"),
+    # fc1 gives ones, so fc2's input is gelu(1) ~ 0.84 everywhere
+    "fc2_product": ({"blocks.1.ffn.fc1.weight": 0.0, "blocks.1.ffn.fc1.bias": 1.0,
+                     "blocks.1.ffn.fc2.weight": _BIG}, "matmul"),
+    "fc2_bias_add": ({"blocks.1.ffn.fc1.weight": 0.0, "blocks.1.ffn.fc1.bias": 1.0,
+                      "blocks.1.ffn.fc2.weight": _BIG / 32,
+                      "blocks.1.ffn.fc2.bias": 1.7e308}, "add"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+def test_numeric_error_text_is_the_same_on_both_paths(tiny_config, case):
+    overrides, op = OVERFLOWS[case]
+    tensors = {k: v.copy() for k, v in init_weights(tiny_config, seed=0).tensors.items()}
+    for name, value in {**_ONES_IN, **overrides}.items():
+        tensors[name][...] = value
+    model = VisionTransformer(tiny_config, ViTWeights(tiny_config, tensors))
+    img = np.random.default_rng(0).random((1, 3, 16, 16))
+    messages = []
+    for tape in (True, False):
+        with pytest.raises(NumericError) as info:
+            model.forward(img, tape=tape)
+        messages.append(str(info.value))
+    assert messages == [f"block 2: non-finite values produced by {op}"] * 2
+
+
+@pytest.mark.parametrize("tape, products", [(True, 8 * 4 + 2), (False, 6 * 4 + 2)],
+                         ids=["tape", "tape_free"])
+def test_matmul_calls_per_forward(tiny_model, tiny_config, monkeypatch, tape, products):
+    # per block: q, k, v (one fused product off the tape), out, fc1, fc2 and
+    # attention's two; plus the patch embedding and the head
+    calls = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    tiny_model.forward(np.random.default_rng(17).random((1, 3, 16, 16)), tape=tape)
+    assert tiny_config.num_layers == 4 and len(calls) == products
