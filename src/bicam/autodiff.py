@@ -205,13 +205,15 @@ class Tensor:
         """Return (data, node_id) for the second operand of a binary op.
 
         Plain arrays and scalars act as constants: they take part in the
-        forward value but receive no gradient.
+        forward value but receive no gradient. A float64 array is used as it
+        is, not copied, whatever its layout (the q, k and v weights are
+        column views of a block's fused weight).
         """
         if isinstance(other, Tensor):
             if other.graph is not None and other.graph is not self.graph:
                 raise ContractError("operands belong to different graphs")
             return other.data, other.node_id
-        return _as_f64(other), None
+        return np.asarray(other, dtype=np.float64), None
 
     # -- arithmetic primitives ----------------------------------------------
 
@@ -524,17 +526,20 @@ def attention_arrays(q, k, v, scale: float, keep_scores: bool = False):
     scaled and softmaxed in place. Returns (out, kept, p, kt): kept is a
     copy of the scaled scores when ``keep_scores`` is set (else None), p the
     attention probabilities and kt the contiguous k^T (both saved for the
-    backward). Outputs are checked for NaN/Inf under the names of the ops
-    they come from: matmul, scale, softmax, matmul.
+    backward). The scores and the output are checked for NaN/Inf under the
+    name of the op they come from, matmul. The scaled scores are checked,
+    as ``scale``, only when ``|scale|`` > 1 (or it is NaN): finite scores
+    times a scale of at most 1 in magnitude are finite. The probabilities
+    are not checked: a max-subtracted softmax of finite rows is finite.
     """
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     s = check_finite(np.matmul(q, kt), "matmul")
     s *= scale
-    check_finite(s, "scale")
+    if not abs(scale) <= 1.0:
+        check_finite(s, "scale")
     kept = s.copy() if keep_scores else None
     rows = s.reshape(-1, s.shape[-1])
     kernels.softmax_rows(rows, 1.0, rows)
-    check_finite(s, "softmax")
     out = check_finite(np.matmul(s, v), "matmul")
     return out, kept, s, kt
 

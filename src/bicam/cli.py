@@ -65,10 +65,11 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def write_grid_csv(path: str, grid: np.ndarray) -> None:
+    """One line per row, every value as _fmt writes it."""
     arr = np.atleast_2d(np.asarray(grid, dtype=np.float64))
+    line = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in arr:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in arr.tolist())
 
 
 def read_grid_csv(path: str) -> np.ndarray:

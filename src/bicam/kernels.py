@@ -73,7 +73,8 @@ def layernorm_rows(x, eps):
     xc = x - np.add.reduce(x, axis=1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=1) / d
     inv_std = 1.0 / np.sqrt(var + eps)
-    return xc * inv_std[:, None], inv_std
+    xc *= inv_std[:, None]   # normalised in place: xc is this call's own array
+    return xc, inv_std
 
 
 def layernorm_rows_grad(xhat, inv_std, dxhat):

@@ -20,9 +20,11 @@ are (attention rollout reads them). Every affine map is one op,
 ``linear``, and a block's q, k and v projections are one op, ``qkv``. On
 the tape they are built from the matmul and add primitives (plus reshape
 and transpose to split heads), one node per primitive. Off the tape,
-``qkv`` is one fused product and ``linear`` finite-checks only its
-bias-added output: 6L + 2 products per forward instead of the tape's
-8L + 2, with bit-equal results and the same NumericError text.
+``qkv`` is one product on the block's fused [Wq|Wk|Wv]: 6L + 2 products
+per forward instead of the tape's 8L + 2, with bit-equal results. The
+tape checks every node for NaN/Inf; off the tape only the 3L + 4 values a
+non-finite can hide behind are checked (see _ArrayOps for which and why),
+and a failing check re-runs the body on the tape to name the op.
 """
 
 from __future__ import annotations
@@ -150,7 +152,13 @@ def expected_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
 
 
 class ViTWeights:
-    """Named, finite weight tensors whose shapes are pinned by a ViTConfig."""
+    """Named, finite weight tensors whose shapes are pinned by a ViTConfig.
+
+    Each block's q, k and v projections live in one fused weight [d, 3d]
+    and one fused bias [3d], ``qkv[block]``; their entries in ``tensors``
+    are column views of those, so a weight updated in place (training,
+    tests) is seen by both.
+    """
 
     def __init__(self, config: ViTConfig, tensors: dict[str, np.ndarray]):
         spec = expected_shapes(config)
@@ -168,6 +176,16 @@ class ViTWeights:
             if not np.isfinite(arr).all():
                 raise ParameterError(f"weight {name!r} has non-finite values")
             store[name] = arr
+        d = config.embed_dim
+        self.qkv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for i in range(config.num_layers):
+            names = [f"blocks.{i}.attn.{p}" for p in "qkv"]
+            w = np.concatenate([store[f"{m}.weight"] for m in names], axis=1)
+            bias = np.concatenate([store[f"{m}.bias"] for m in names])
+            for j, m in enumerate(names):
+                store[f"{m}.weight"] = w[:, j * d:(j + 1) * d]
+                store[f"{m}.bias"] = bias[j * d:(j + 1) * d]
+            self.qkv[f"blocks.{i}"] = (w, bias)
         self.config = config
         self.tensors = store
 
@@ -283,6 +301,8 @@ class _TapeOps:
     def tensor(t: Tensor) -> Tensor:
         return t
 
+    check = tensor   # every node was checked when it was recorded
+
     def linear(self, t: Tensor, name: str) -> Tensor:
         return t.matmul(self.weight(f"{name}.weight")).add(self.weight(f"{name}.bias"))
 
@@ -313,33 +333,40 @@ class _ArrayOps:
     Each op computes what the Tensor primitives of the same name (or the
     _TapeOps op built from them) compute forward, with the same kernels and
     the same (C-contiguous) memory layout, so results are bit-equal to the
-    taped forward. The outputs of arithmetic ops are checked for NaN/Inf,
-    and a failing check raises the NumericError the tape would raise; pure
-    data movement (reshape, transpose, broadcast_to, narrow, concat) is not
-    checked, because its inputs were checked already or are weights, which
-    were checked when the ViTWeights were built.
+    taped forward. ``linear`` adds the bias, and ``layernorm`` scales and
+    shifts, in place. ``qkv`` runs one product on the block's fused
+    [Wq|Wk|Wv] and splits it into heads with one contiguous copy: bit-equal
+    as long as BLAS computes each output column from its own weight column
+    alone, which tests pin on the tiny and the 56x56 model shapes.
 
-    Two ops do less numpy work than their tape counterparts. ``linear``
-    adds the bias in place and checks only the sum (see _affine). ``qkv``
-    runs one product on [Wq|Wk|Wv] and one bias add, then splits the
-    result into q, k and v heads with one reshape, one transpose and one
-    contiguous copy. That is bit-equal to three separate products as long
-    as BLAS computes each output column from its own weight column alone,
-    with the same summation order whatever the number of columns; tests
-    pin it on the tiny and the 56x56 model shapes.
+    NaN/Inf checks run only where a non-finite can hide: the input, the
+    attention scores (softmax turns -inf into 0) and output (in
+    attention_arrays), and what the body passes to ``check``: each stage's
+    output, ln_f before ``narrow`` drops its non-CLS rows, and the logits.
+    Weights are finite, and every other op turns a non-finite input element
+    into a non-finite output on the way to one of those: a matmul row (BLAS
+    makes inf * 0 a NaN), an add, a layer norm row and gelu; a finite input
+    to a scale of at most 1, a softmax or gelu gives a finite output. A
+    failing check does not name the op; forward re-runs the body on the
+    tape, which does.
     """
 
     def __init__(self, weights: ViTWeights):
         self.graph = Graph()  # stays empty
         self.weight_nodes: dict[str, int] = {}
-        self._weights = weights
+        self._tensors = weights.tensors
+        self._qkv = weights.qkv
 
     def weight(self, name: str, leaf: bool = False) -> np.ndarray:
-        return self._weights[name]
+        return self._tensors[name]
 
     @staticmethod
     def input(img: np.ndarray) -> np.ndarray:
         return check_finite(np.ascontiguousarray(img), "leaf")
+
+    @staticmethod
+    def check(a: np.ndarray) -> np.ndarray:
+        return check_finite(a, "the tape-free forward")
 
     @staticmethod
     def array(a: np.ndarray) -> np.ndarray:
@@ -353,36 +380,15 @@ class _ArrayOps:
     def tensor(a: np.ndarray) -> Tensor:
         return Tensor(a)
 
-    @staticmethod
-    def _affine(t, w, bias, parts: int = 1):
-        """t @ w + bias with one finite check, on the sum: weights and
-        biases are finite, so a finite sum means a finite product. Only when
-        the check fails is the product computed again, to name the op the
-        tape would have named first, going through the ``parts`` equal
-        column groups of w (the fused q, k, v projections) in order.
-        """
-        out = np.matmul(t, w)
-        out += bias
-        try:
-            return check_finite(out, "add")
-        except NumericError:
-            for prod, total in zip(np.split(np.matmul(t, w), parts, axis=-1),
-                                   np.split(out, parts, axis=-1)):
-                check_finite(prod, "matmul")
-                check_finite(total, "add")
-            raise
-
     def linear(self, t, name: str):
-        return self._affine(t, self._weights[f"{name}.weight"],
-                            self._weights[f"{name}.bias"])
+        out = np.matmul(t, self._tensors[f"{name}.weight"])
+        out += self._tensors[f"{name}.bias"]
+        return out
 
     def qkv(self, h, block: str, heads: int):
-        w = self._weights
-        names = [f"{block}.attn.{p}" for p in "qkv"]
-        # concatenated on every call, not cached: training and tests update
-        # the weight arrays in place, which a cached copy would not see
-        out = self._affine(h, np.concatenate([w[f"{m}.weight"] for m in names], axis=1),
-                           np.concatenate([w[f"{m}.bias"] for m in names]), parts=3)
+        w, bias = self._qkv[block]
+        out = np.matmul(h, w)
+        out += bias
         b, n, d3 = out.shape
         q, k, v = np.ascontiguousarray(
             out.reshape(b, n, 3, heads, d3 // (3 * heads)).transpose(2, 0, 3, 1, 4))
@@ -390,7 +396,7 @@ class _ArrayOps:
 
     @staticmethod
     def add(a, b):
-        return check_finite(a + b, "add")
+        return a + b
 
     @staticmethod
     def reshape(a, shape):
@@ -418,13 +424,15 @@ class _ArrayOps:
 
     @staticmethod
     def gelu(a):
-        return check_finite(kernels.gelu(a), "gelu")
+        return kernels.gelu(a)
 
     @staticmethod
     def layernorm(a, gain, bias, eps: float):
-        xhat, _ = kernels.layernorm_rows(np.ascontiguousarray(a.reshape(-1, a.shape[-1])),
-                                         float(eps))
-        return check_finite((xhat * gain + bias).reshape(a.shape), "layernorm")
+        # a is the residual stream, a fresh C-contiguous sum
+        xhat, _ = kernels.layernorm_rows(a.reshape(-1, a.shape[-1]), float(eps))
+        xhat *= gain
+        xhat += bias
+        return xhat.reshape(a.shape)
 
     @staticmethod
     def concat(arrays, axis: int):
@@ -469,6 +477,9 @@ class VisionTransformer:
         and maps its name to its node in weight_nodes, so a backward also
         fills the weight gradients (for training). It has no effect with
         tape off.
+
+        A non-finite value raises NumericError naming the stage and the op
+        that made it, with tape on or off (see _ArrayOps).
         """
         cfg = self.config
         img = np.asarray(image, dtype=np.float64)
@@ -482,10 +493,22 @@ class VisionTransformer:
         window = cfg.layer_window if layer_window is None else int(layer_window)
         if not 1 <= window <= cfg.num_layers:
             raise ParameterError(f"layer_window must be in [1, {cfg.num_layers}]")
-        first_captured = cfg.num_layers - window + 1
+        first_captured = cfg.num_layers + 1 - (window if capture else 0)
 
         counters.bump("forward")
-        o = _TapeOps(self.weights, weight_grads) if tape else _ArrayOps(self.weights)
+        args = (img, input_shape, first_captured, cls_out_offsets)
+        if tape:
+            return self._run(_TapeOps(self.weights, weight_grads), *args)
+        try:
+            return self._run(_ArrayOps(self.weights), *args)
+        except NumericError:
+            self._run(_TapeOps(self.weights, False), *args)  # raises the named error
+            raise
+
+    def _run(self, o, img: np.ndarray, input_shape: tuple[int, ...],
+             first_captured: int, cls_out_offsets) -> ForwardResult:
+        """The forward body on ops ``o``, capturing layers first_captured..L."""
+        cfg = self.config
         W = o.weight
 
         b = img.shape[0]
@@ -506,7 +529,7 @@ class VisionTransformer:
             if cfg.distillation_token:
                 specials.append(special("dist_token"))
             x = o.concat(specials + [tok], axis=1)
-            x = o.add(x, W("pos_embed"))
+            x = o.check(o.add(x, W("pos_embed")))
         except NumericError as e:
             raise NumericError(f"patch embedding: {e}") from None
 
@@ -516,7 +539,7 @@ class VisionTransformer:
             try:
                 h = o.layernorm(x, W(f"{pre}.ln1.gain"), W(f"{pre}.ln1.bias"), LAYERNORM_EPS)
                 q, k, v = o.qkv(h, pre, nh)
-                captured = capture and layer >= first_captured
+                captured = layer >= first_captured
                 heads, scores, probs = o.attention(q, k, v, 1.0 / math.sqrt(dh), captured)
                 merged = o.reshape(o.transpose(heads, (0, 2, 1, 3)), (b, n, d))
                 if cls_out_offsets and layer in cls_out_offsets:
@@ -535,14 +558,14 @@ class VisionTransformer:
                 x = o.add(x, o.linear(merged, f"{pre}.attn.out"))
                 h2 = o.layernorm(x, W(f"{pre}.ln2.gain"), W(f"{pre}.ln2.bias"), LAYERNORM_EPS)
                 f = o.gelu(o.linear(h2, f"{pre}.ffn.fc1"))
-                x = o.add(x, o.linear(f, f"{pre}.ffn.fc2"))
+                x = o.check(o.add(x, o.linear(f, f"{pre}.ffn.fc2")))
             except NumericError as e:
                 raise NumericError(f"block {layer}: {e}") from None
 
         try:
-            xf = o.layernorm(x, W("ln_f.gain"), W("ln_f.bias"), LAYERNORM_EPS)
+            xf = o.check(o.layernorm(x, W("ln_f.gain"), W("ln_f.bias"), LAYERNORM_EPS))
             cls_state = o.reshape(o.narrow(xf, 1, 0, 1), (b, d))
-            logits = o.linear(cls_state, "head")
+            logits = o.check(o.linear(cls_state, "head"))
         except NumericError as e:
             raise NumericError(f"classifier head: {e}") from None
 

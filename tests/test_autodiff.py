@@ -436,6 +436,20 @@ def test_attention_checks_operands():
         attention(q.add(1e150), q.add(1e150), q, 1e10)   # scores 2e300, then inf
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e300, -1e300, math.nan])
+def test_attention_checks_a_scale_that_can_overflow(scale):
+    # finite q and k give finite scores of 2e10; the scaled-score check is
+    # skipped only for a scale of at most 1 in magnitude
+    x = np.full((1, 1, 3, 2), 1e5)
+    with pytest.raises(NumericError, match="^non-finite values produced by scale$"):
+        attention_arrays(x, x, x, scale)
+    g = Graph()
+    q = leaf(g, x)
+    with pytest.raises(NumericError, match="^non-finite values produced by scale$"):
+        attention(q, q, q, scale)
+
+
 def test_retained_backward_keeps_only_the_retained_gradients():
     def build():
         rng = np.random.default_rng(13)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicam import weightfile
-from bicam.cli import read_grid_csv, write_grid_csv
+from bicam.cli import _fmt, read_grid_csv, write_grid_csv
 from bicam.errors import DataFormatError
 from bicam.netpbm import (read_pgm, read_ppm, render_channel, render_signed,
                           signed_scale, write_pgm, write_ppm, write_rendered)
@@ -200,6 +200,17 @@ def test_grid_csv_round_trip_bitwise(tmp_path):
     p = str(tmp_path / "g.csv")
     write_grid_csv(p, grid)
     assert np.array_equal(read_grid_csv(p), grid)
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (24,)], ids=["grid", "row"])
+def test_grid_csv_writes_each_value_as_fmt_does(tmp_path, shape):
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+               np.finfo(np.float64).tiny, 1e308, -np.finfo(np.float64).max, 0.1, 1 / 3]
+    grid = np.array(special + list(np.random.default_rng(4).standard_normal(12))).reshape(shape)
+    p = tmp_path / "g.csv"
+    write_grid_csv(str(p), grid)
+    expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in np.atleast_2d(grid))
+    assert p.read_bytes() == expected.encode()
 
 
 def test_weightfile_rejects_config_payload_mismatch(small_weights, tmp_path):

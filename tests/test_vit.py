@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bicam import counters
+from bicam import autodiff, counters, vit
 from bicam.autodiff import Graph
 from bicam.errors import (ContractError, DimensionError, NumericError, ParameterError,
                           StateError)
@@ -582,6 +584,98 @@ def test_numeric_error_text_is_the_same_on_both_paths(tiny_config, case):
     assert messages == [f"block 2: non-finite values produced by {op}"] * 2
 
 
+def _neg_inf_scores(t):
+    # block 1 sees zero patch rows and a CLS row of +-1: ln1 gives patch
+    # rows of 0 and a CLS row of about +-1, so k is 0 for every patch and
+    # about -1e308 for the CLS token; q = 1 makes the CLS column of every
+    # score row -inf while the patch columns are 0, and softmax hides it
+    t["patch_embed.weight"][...] = 0.0
+    t["pos_embed"][...] = 0.0
+    t["cls_token"][...] = np.resize([1.0, -1.0], t["cls_token"].shape)
+    t["blocks.0.attn.q.weight"][...] = 0.0
+    t["blocks.0.attn.q.bias"][...] = 1.0
+    t["blocks.0.attn.k.weight"][...] = 0.0
+    t["blocks.0.attn.k.weight"][0] = -1e308
+
+
+def _ln_f_overflow_off_cls(t):
+    # the blocks add nothing, so ln_f sees the embedding: a CLS row of +-1
+    # (|xhat| < 1 times a gain of 1e308 stays finite) and one patch row with
+    # a single spike (xhat ~ 3.9 overflows); narrow then drops that row
+    for i in range(4):
+        for name in ("attn.out.weight", "attn.out.bias", "ffn.fc2.weight", "ffn.fc2.bias"):
+            t[f"blocks.{i}.{name}"][...] = 0.0
+    t["patch_embed.weight"][...] = 0.0
+    t["pos_embed"][...] = 0.0
+    t["pos_embed"][5, 0] = 3.0
+    t["cls_token"][...] = np.resize([1.0, -1.0], t["cls_token"].shape)
+    t["ln_f.gain"][...] = 1e308
+
+
+def _ln1_overflow_into_zero_rows(t):
+    # feature 3 of block 2's ln1 overflows wherever xhat > ~0.8, and no q,
+    # k or v column reads it: off the tape that inf reaches the scores only
+    # as inf * 0, which BLAS must keep a NaN
+    t["blocks.1.ln1.gain"][3] = 1e308
+    t["blocks.1.ln1.bias"][3] = 1e308
+    for p in "qkv":
+        t[f"blocks.1.attn.{p}.weight"][3] = 0.0
+
+
+HIDDEN = {
+    "neg_inf_scores": (_neg_inf_scores, "block 1: non-finite values produced by matmul"),
+    "ln_f_off_cls_row": (_ln_f_overflow_off_cls,
+                         "classifier head: non-finite values produced by layernorm"),
+    "ln1_into_zero_weight_rows": (_ln1_overflow_into_zero_rows,
+                                  "block 2: non-finite values produced by layernorm"),
+}
+
+
+def _forward_outcome(model, img, tape):
+    """The logits, or the NumericError text."""
+    try:
+        return model.forward(img, tape=tape).logits.data
+    except NumericError as e:
+        return str(e)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(HIDDEN))
+def test_numeric_error_text_is_the_same_where_a_non_finite_can_hide(tiny_config, case):
+    # the tape-free forward checks only some values; these cases make a
+    # non-finite value that no later op would carry to the logits unchecked
+    edit, message = HIDDEN[case]
+    tensors = {k: v.copy() for k, v in init_weights(tiny_config, seed=0).tensors.items()}
+    edit(tensors)
+    model = VisionTransformer(tiny_config, ViTWeights(tiny_config, tensors))
+    img = np.random.default_rng(0).random((1, 3, 16, 16))
+    assert [_forward_outcome(model, img, tape) for tape in (True, False)] == [message] * 2
+
+
+_SCALED_NAMES = [name for name in expected_shapes(ViTConfig(num_classes=3, **TINY))
+                 if not name.endswith(".bias")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_SCALED_NAMES), st.integers(150, 308),
+                          st.sampled_from([1.0, -1.0])),
+                min_size=1, max_size=4, unique_by=lambda s: s[0]))
+def test_huge_weights_raise_the_same_text_or_give_the_same_logits(tiny_config, scalings):
+    tensors = {k: v.copy() for k, v in init_weights(tiny_config, seed=3).tensors.items()}
+    for name, exponent, sign in scalings:
+        t = tensors[name]
+        t /= np.abs(t).max()          # then its largest entry is 10 ** exponent
+        t *= sign * 10.0 ** exponent
+    model = VisionTransformer(tiny_config, ViTWeights(tiny_config, tensors))
+    img = np.random.default_rng(18).random((1, 3, 16, 16))
+    taped, plain = (_forward_outcome(model, img, tape) for tape in (True, False))
+    if isinstance(taped, str) or isinstance(plain, str):
+        assert taped == plain
+    else:
+        assert bit_equal(taped, plain)
+
+
 @pytest.mark.parametrize("tape, products", [(True, 8 * 4 + 2), (False, 6 * 4 + 2)],
                          ids=["tape", "tape_free"])
 def test_matmul_calls_per_forward(tiny_model, tiny_config, monkeypatch, tape, products):
@@ -597,3 +691,32 @@ def test_matmul_calls_per_forward(tiny_model, tiny_config, monkeypatch, tape, pr
     monkeypatch.setattr(np, "matmul", counting)
     tiny_model.forward(np.random.default_rng(17).random((1, 3, 16, 16)), tape=tape)
     assert tiny_config.num_layers == 4 and len(calls) == products
+
+
+def test_finite_checks_per_tape_free_forward(tiny_model, tiny_config, monkeypatch):
+    # the input, the embedding's output, each block's attention scores,
+    # attention output and block output, ln_f and the logits
+    ops = []
+    check = autodiff.check_finite
+
+    def counting(out, op):
+        ops.append(op)
+        return check(out, op)
+
+    monkeypatch.setattr(autodiff, "check_finite", counting)
+    monkeypatch.setattr(vit, "check_finite", counting)
+    tiny_model.forward(np.random.default_rng(17).random((1, 3, 16, 16)), tape=False)
+    assert tiny_config.num_layers == 4 and len(ops) == 3 * 4 + 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failing_tape_free_forward_counts_one_forward(tiny_config):
+    # the tape re-run that names the op is part of the same forward
+    tensors = {k: v.copy() for k, v in init_weights(tiny_config, seed=0).tensors.items()}
+    tensors["head.weight"][:] = 1e308
+    model = VisionTransformer(tiny_config, ViTWeights(tiny_config, tensors))
+    message = "^classifier head: non-finite values produced by matmul$"
+    counters.reset()
+    with pytest.raises(NumericError, match=message):
+        model.forward(np.random.default_rng(0).random((1, 3, 16, 16)), tape=False)
+    assert counters.snapshot() == {"forward": 1, "backward": 0}
