@@ -15,16 +15,19 @@ its output's, an add passes one array to both operands) and may be
 read-only broadcast views, so treat them as read-only.
 
 Besides the elementwise, shape and reduction primitives there is one fused
-node, ``attention``: scaled dot-product attention with parents q, k and v.
-It does the arithmetic of a chain of transpose, matmul, scale, softmax and
-matmul nodes, so its outputs and gradients are the same bits as that
-chain's, but it scales and softmaxes the [B, H, N, N] scores in place where
-the chain allocates a fresh array at every step, and its backward keeps its
-two score-sized work arrays in ``graph.scratch``, shared by every attention
-node during one walk. ``attention_arrays`` is its tape-free forward.
+node, ``attention``: multi-head scaled dot-product attention whose one
+parent is the fused q|k|v projection [B, N, 3d]. It does the arithmetic of
+a chain of nodes that split the heads, transpose, matmul, scale, softmax,
+matmul and merge the heads, so its outputs and gradients are the same bits
+as that chain's, but it scales and softmaxes the [B, H, N, N] scores in
+place where the chain allocates a fresh array at every step, and its
+backward keeps its two score-sized work arrays in ``graph.scratch``, shared
+by every attention node during one walk. ``attention_arrays`` is its
+tape-free forward.
 
-Every primitive checks its output for NaN/Inf and raises NumericError, so a
-finite forward pass is an invariant rather than a hope. A graph is
+Every node's output is checked for NaN/Inf (attention's by
+attention_arrays) and a non-finite one raises NumericError, so a finite
+forward pass is an invariant rather than a hope. A graph is
 single-threaded during construction and backward; detached arrays are plain
 numpy and freely shareable.
 """
@@ -35,7 +38,7 @@ import math
 
 import numpy as np
 
-from . import kernels
+from . import counters, kernels
 from .errors import ContractError, DimensionError, NumericError, ParameterError
 
 
@@ -108,7 +111,10 @@ class Graph:
         self.scratch: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
     def _record(self, op, parents, out_data, backward_fn) -> "Tensor":
-        check_finite(out_data, op)
+        return self._append(op, parents, check_finite(out_data, op), backward_fn)
+
+    def _append(self, op, parents, out_data, backward_fn) -> "Tensor":
+        """Record a node whose op has checked its output for NaN/Inf."""
         nid = len(self.nodes)
         self.nodes.append(Node(op, parents, out_data.shape, backward_fn))
         return Tensor(out_data, self, nid)
@@ -129,6 +135,8 @@ class Graph:
         place, so stored arrays may share memory with each other or be
         read-only views: treat them as read-only.
 
+        Every call counts as one backward pass in ``counters``.
+
         When ``self.retain`` is a set of node ids, only those nodes keep
         their gradients: every other node's gradient is complete when the
         reverse walk reaches it (all its consumers come later on the tape),
@@ -139,6 +147,7 @@ class Graph:
             raise ContractError("backward root does not belong to this graph")
         if root.data.size != 1:
             raise ContractError("backward root must be scalar")
+        counters.bump("backward")
 
         retain = self.retain
         grads = Gradients(self.nodes, retain)
@@ -206,8 +215,7 @@ class Tensor:
 
         Plain arrays and scalars act as constants: they take part in the
         forward value but receive no gradient. A float64 array is used as it
-        is, not copied, whatever its layout (the q, k and v weights are
-        column views of a block's fused weight).
+        is, not copied, whatever its layout.
         """
         if isinstance(other, Tensor):
             if other.graph is not None and other.graph is not self.graph:
@@ -467,26 +475,6 @@ class Tensor:
 
     # -- operator sugar --------------------------------------------------------
 
-    def __add__(self, other):
-        return self.add(other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return self.add(other.scale(-1.0))
-        return self.add(-_as_f64(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.scale(other)
-        return self.mul(other)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
         return self.matmul(other)
 
@@ -519,70 +507,86 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return g._record("concat", tuple(t.node_id for t in tensors), out, backward)
 
 
-def attention_arrays(q, k, v, scale: float, keep_scores: bool = False):
-    """Scaled dot-product attention on ndarrays ``[B, H, N, d_h]``.
+def attention_arrays(qkv, heads: int, scale: float, keep_scores: bool = False):
+    """Multi-head scaled dot-product attention on ndarrays.
 
-    softmax(q @ k^T * scale) @ v over the last axis, with the scores
-    scaled and softmaxed in place. Returns (out, kept, p, kt): kept is a
-    copy of the scaled scores when ``keep_scores`` is set (else None), p the
-    attention probabilities and kt the contiguous k^T (both saved for the
-    backward). The scores and the output are checked for NaN/Inf under the
+    ``qkv`` [B, N, 3d] holds q, k and v side by side, each of them ``heads``
+    heads of d_h = d / heads columns. Per head, softmax(q @ k^T * scale) @
+    v over the last axis, with the scores scaled and softmaxed in place;
+    the heads are merged back into [B, N, d]. Returns (out, kept, p, v, q,
+    kt): out the merged heads, kept a copy of the CLS row of the scaled
+    scores [B, H, 1, N] when ``keep_scores`` is set (else None), p the
+    attention probabilities [B, H, N, N], v the values [B, H, N, d_h], and
+    q and the contiguous k^T, which the tape's backward reads with p and v.
+    The scores and the per-head output are checked for NaN/Inf under the
     name of the op they come from, matmul. The scaled scores are checked,
     as ``scale``, only when ``|scale|`` > 1 (or it is NaN): finite scores
     times a scale of at most 1 in magnitude are finite. The probabilities
     are not checked: a max-subtracted softmax of finite rows is finite.
     """
-    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    b, n, d3 = qkv.shape
+    split = qkv.reshape(b, n, 3, heads, d3 // (3 * heads))
+    q = np.ascontiguousarray(split[:, :, 0].transpose(0, 2, 1, 3))
+    kt = np.ascontiguousarray(split[:, :, 1].transpose(0, 2, 3, 1))
+    v = np.ascontiguousarray(split[:, :, 2].transpose(0, 2, 1, 3))
     s = check_finite(np.matmul(q, kt), "matmul")
     s *= scale
     if not abs(scale) <= 1.0:
         check_finite(s, "scale")
-    kept = s.copy() if keep_scores else None
-    rows = s.reshape(-1, s.shape[-1])
+    kept = s[:, :, :1].copy() if keep_scores else None
+    rows = s.reshape(-1, n)
     kernels.softmax_rows(rows, 1.0, rows)
     out = check_finite(np.matmul(s, v), "matmul")
-    return out, kept, s, kt
+    out = np.ascontiguousarray(out.transpose(0, 2, 1, 3)).reshape(b, n, d3 // 3)
+    return out, kept, s, v, q, kt
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              keep_scores: bool = False) -> tuple[Tensor, np.ndarray | None, np.ndarray]:
-    """Scaled dot-product attention as one tape node with parents q, k, v.
+def attention(qkv: Tensor, heads: int, scale: float, keep_scores: bool = False
+              ) -> tuple[Tensor, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Multi-head scaled dot-product attention as one tape node with parent
+    ``qkv`` [B, N, 3d].
 
-    The forward is attention_arrays; returns the output tensor, the kept
-    scores (or None) and the attention probabilities, which the node's
-    backward reads too, so treat them as read-only. The backward runs the
-    arithmetic of the transpose, matmul, scale, softmax and matmul
-    primitives in the same order, with the softmax gradient and the scale
-    done in place:
-    dv = p^T g, dp = g v^T, dp = softmax_grad(p, dp) * scale, dq = dp kt^T,
-    dk = (q^T dp)^T. dp and the softmax gradient's g * p are work arrays in
-    ``graph.scratch``, which every attention node of the graph reuses
-    during a walk: one pair per score shape instead of two fresh [B, H, N,
-    N] arrays per layer, which the allocator would otherwise return to the
-    system and fault in again once the walk drops the gradients above them.
+    The forward is attention_arrays, whose checks stand for the node's;
+    returns the merged heads [B, N, d] as a tensor, the kept CLS score row
+    (or None), the attention probabilities and the values, which the
+    node's backward reads too, so treat them as read-only. The backward
+    runs the arithmetic of the primitives that split qkv into heads, then
+    transpose, matmul, scale, softmax, matmul and merge, in the same order,
+    with the softmax gradient and the scale done in place:
+    g = per-head grad, dv = p^T g, dp = g v^T, dp = softmax_grad(p, dp) *
+    scale, dq = dp kt^T, dk = (q^T dp)^T, with dq, dk and dv written into
+    one [B, N, 3, H, d_h] array, the gradient of qkv. dp and the softmax
+    gradient's g * p are work arrays in ``graph.scratch``, which every
+    attention node of the graph reuses during a walk: one pair per score
+    shape instead of two fresh [B, H, N, N] arrays per layer, which the
+    allocator would otherwise return to the system and fault in again once
+    the walk drops the gradients above them.
     """
-    g = q._require_graph()
-    if k.graph is not g or v.graph is not g:
-        raise ContractError("attention operands belong to different graphs")
-    if q.ndim != 4 or k.shape != q.shape or v.shape[:3] != q.shape[:3]:
+    g = qkv._require_graph()
+    if qkv.ndim != 3 or heads < 1 or qkv.shape[-1] % (3 * heads):
         raise DimensionError(
-            f"attention needs q, k [B, H, N, d] and v [B, H, N, d_v], got "
-            f"{q.shape}, {k.shape}, {v.shape}")
+            f"attention needs qkv [B, N, 3d] with d divisible by {heads} heads, "
+            f"got {qkv.shape}")
     scale = float(scale)
-    out, kept, p, kt = attention_arrays(q.data, k.data, v.data, scale, keep_scores)
+    out, kept, p, v, q, kt = attention_arrays(qkv.data, heads, scale, keep_scores)
 
-    def backward(grad, _q=q.data, _kt=kt, _v=v.data, _p=p, _scale=scale, _scratch=g.scratch):
-        dv = np.matmul(np.swapaxes(_p, -1, -2), grad)
+    def backward(grad, _q=q, _kt=kt, _v=v, _p=p, _scale=scale, _scratch=g.scratch):
+        b, h, n, dh = _q.shape
+        gh = np.ascontiguousarray(grad.reshape(b, n, h, dh).transpose(0, 2, 1, 3))
+        dqkv = np.empty((b, n, 3, h, dh))
+        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)   # [B, H, N, d_h] views
+        np.matmul(np.swapaxes(_p, -1, -2), gh, out=dv)
         work = _scratch.get(_p.shape)
         if work is None:
             work = _scratch[_p.shape] = (np.empty(_p.shape), np.empty(_p.shape))
         dp, gp = work
-        np.matmul(grad, np.swapaxes(_v, -1, -2), out=dp)
+        np.matmul(gh, np.swapaxes(_v, -1, -2), out=dp)
         rows = dp.reshape(-1, dp.shape[-1])
         kernels.softmax_rows_grad(_p.reshape(rows.shape), rows, 1.0, rows, gp.reshape(rows.shape))
         dp *= _scale
-        dq = np.matmul(dp, np.swapaxes(_kt, -1, -2))
-        dk = np.ascontiguousarray(np.swapaxes(np.matmul(np.swapaxes(_q, -1, -2), dp), -1, -2))
-        return dq, dk, dv
+        np.matmul(dp, np.swapaxes(_kt, -1, -2), out=dq)
+        dk[...] = np.swapaxes(np.matmul(np.swapaxes(_q, -1, -2), dp), -1, -2)
+        return (dqkv.reshape(b, n, 3 * h * dh),)
 
-    return g._record("attention", (q.node_id, k.node_id, v.node_id), out, backward), kept, p
+    node = g._append("attention", (qkv.node_id,), out, backward)
+    return node, kept, p, v

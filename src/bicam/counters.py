@@ -1,8 +1,9 @@
 """Thread-local call counters for cost-contract checks.
 
-The model bumps these on every forward/backward; tests use them to prove
-an attribution costs exactly one forward and one backward pass. Counters
-are thread-local so models stay shareable across threads.
+The model bumps "forward" on every forward and the autodiff graph bumps
+"backward" on every backward walk; tests use them to prove an attribution
+costs exactly one forward and one backward pass. Counters are thread-local
+so models stay shareable across threads.
 """
 
 import threading

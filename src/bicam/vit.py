@@ -4,27 +4,26 @@ The model is a standard pre-norm ViT: patch embedding, learned positional
 embeddings, a [CLS] token (plus an optional distillation token), L
 transformer blocks, and a classifier head on the final [CLS] state.
 
-Attribution needs three things recorded per captured layer: the pre-softmax
-attention logits (already scaled by 1/sqrt(head_dim), i.e. exactly what the
-softmax consumes), the per-head value projections, and the concatenated
-per-head CLS attention output *before* the block's output projection,
-together with its gradient after a class-score backward pass.
+Attribution needs three things recorded per captured layer: the CLS row of
+the pre-softmax attention logits (already scaled by 1/sqrt(head_dim), i.e.
+exactly what the softmax consumes), the per-head value projections, and
+the concatenated per-head CLS attention output *before* the block's output
+projection, together with its gradient after a class-score backward pass.
 
 The forward body is written once, against a small ops interface with two
 backends: _TapeOps records an autodiff tape (for gradients), _ArrayOps
 runs the same ops on plain ndarrays (for predictions, which need none).
-Each block's scaled dot-product attention is one op, ``attention`` (one
-tape node); it hands back a copy of the scaled scores for captured layers
-and the probabilities it softmaxed in place, which captures keep as they
-are (attention rollout reads them). Every affine map is one op,
-``linear``, and a block's q, k and v projections are one op, ``qkv``. On
-the tape they are built from the matmul and add primitives (plus reshape
-and transpose to split heads), one node per primitive. Off the tape,
-``qkv`` is one product on the block's fused [Wq|Wk|Wv]: 6L + 2 products
-per forward instead of the tape's 8L + 2, with bit-equal results. The
-tape checks every node for NaN/Inf; off the tape only the 3L + 4 values a
-non-finite can hide behind are checked (see _ArrayOps for which and why),
-and a failing check re-runs the body on the tape to name the op.
+Every affine map is one op, ``linear`` (a matmul and an add node on the
+tape); a block's q, k and v projections are one linear on its fused
+[Wq|Wk|Wv] weight and bias, built once at load, so a forward runs 6L + 2
+products on either backend. Each block's multi-head attention is one op,
+``attention`` (one tape node): it takes that fused projection, splits and
+merges the heads itself, and hands back the CLS score row for captured
+layers, the probabilities it softmaxed in place and the values, which
+captures keep as they are (attention rollout reads the probabilities).
+The tape checks every node for NaN/Inf; off the tape only the 3L + 4
+values a non-finite can hide behind are checked (see _ArrayOps for which
+and why), and a failing check re-runs the body on the tape to name the op.
 """
 
 from __future__ import annotations
@@ -121,6 +120,11 @@ def tensor_count(config: ViTConfig) -> int:
     return 8 + 16 * config.num_layers + (1 if config.distillation_token else 0)
 
 
+def _qkv_parts(name: str) -> list[str]:
+    """The q, k and v tensor names of a fused ``blocks.{i}.attn.qkv.*`` name."""
+    return [name.replace(".qkv.", f".{p}.") for p in "qkv"]
+
+
 def expected_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape map for every weight tensor, in canonical order."""
     d, f, c = config.embed_dim, config.ffn_dim, config.num_classes
@@ -155,9 +159,11 @@ class ViTWeights:
     """Named, finite weight tensors whose shapes are pinned by a ViTConfig.
 
     Each block's q, k and v projections live in one fused weight [d, 3d]
-    and one fused bias [3d], ``qkv[block]``; their entries in ``tensors``
-    are column views of those, so a weight updated in place (training,
-    tests) is seen by both.
+    and one fused bias [3d], named ``blocks.{i}.attn.qkv.weight`` and
+    ``.bias`` in ``arrays``; their entries in ``tensors`` are column views
+    of those, so a weight updated in place (training, tests) is seen by
+    both. ``tensors`` holds the per-name tensors of the weight file,
+    ``arrays`` those plus the fused ones.
     """
 
     def __init__(self, config: ViTConfig, tensors: dict[str, np.ndarray]):
@@ -177,20 +183,20 @@ class ViTWeights:
                 raise ParameterError(f"weight {name!r} has non-finite values")
             store[name] = arr
         d = config.embed_dim
-        self.qkv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        fused: dict[str, np.ndarray] = {}
         for i in range(config.num_layers):
-            names = [f"blocks.{i}.attn.{p}" for p in "qkv"]
-            w = np.concatenate([store[f"{m}.weight"] for m in names], axis=1)
-            bias = np.concatenate([store[f"{m}.bias"] for m in names])
-            for j, m in enumerate(names):
-                store[f"{m}.weight"] = w[:, j * d:(j + 1) * d]
-                store[f"{m}.bias"] = bias[j * d:(j + 1) * d]
-            self.qkv[f"blocks.{i}"] = (w, bias)
+            for kind in ("weight", "bias"):
+                name = f"blocks.{i}.attn.qkv.{kind}"
+                parts = _qkv_parts(name)
+                whole = fused[name] = np.concatenate([store[m] for m in parts], axis=-1)
+                for j, m in enumerate(parts):
+                    store[m] = whole[..., j * d:(j + 1) * d]
         self.config = config
         self.tensors = store
+        self.arrays = {**store, **fused}
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
+        return self.arrays[name]
 
     def checksum(self) -> str:
         h = hashlib.sha256()
@@ -230,8 +236,8 @@ class LayerCapture:
     """Per-layer record used by attribution (layer index is 1-based)."""
 
     layer: int
-    attn_logits: np.ndarray   # [B, H, N, N], pre-softmax, scaled by 1/sqrt(d_h)
-    values: np.ndarray        # [B, H, N, d_h]
+    attn_logits: np.ndarray   # [B, H, 1, N], CLS row, pre-softmax, scaled by 1/sqrt(d_h)
+    values: np.ndarray        # [B, H, N, d_h] (the forward's own, not a copy)
     cls_out: np.ndarray       # [B, d], concat of per-head CLS attention output
     cls_out_grad: np.ndarray | None = None   # [B, d] after backward_class
     # [B, H, N, N], the forward's own softmax of attn_logits (not a copy)
@@ -267,7 +273,8 @@ class _TapeOps:
 
     Weights enter as constant ndarrays, which the primitives accept as
     operands and send no gradient to, unless weight gradients are asked for;
-    then every weight is a leaf listed in weight_nodes.
+    then every weight is a leaf listed in weight_nodes, and a fused q|k|v
+    weight or bias is the concat of its q, k and v leaves.
     """
 
     def __init__(self, weights: ViTWeights, weight_grads: bool):
@@ -284,6 +291,8 @@ class _TapeOps:
         (the special tokens feed concat, which takes only tape operands)."""
         if not (leaf or self._weight_grads):
             return self._weights[name]
+        if ".qkv." in name:
+            return concat([self.weight(part) for part in _qkv_parts(name)], axis=-1)
         t = self.graph.leaf(self._weights[name])
         if self._weight_grads:
             self.weight_nodes[name] = t.node_id
@@ -306,16 +315,6 @@ class _TapeOps:
     def linear(self, t: Tensor, name: str) -> Tensor:
         return t.matmul(self.weight(f"{name}.weight")).add(self.weight(f"{name}.bias"))
 
-    def qkv(self, h: Tensor, block: str, heads: int) -> tuple[Tensor, Tensor, Tensor]:
-        """The q, k and v projections of ``h`` [B, N, d], each split into
-        heads [B, H, N, d_h]: three linears, one after the other."""
-        b, n, d = h.shape
-
-        def split(t):
-            return t.reshape((b, n, heads, d // heads)).transpose((0, 2, 1, 3))
-
-        return tuple(split(self.linear(h, f"{block}.attn.{p}")) for p in "qkv")
-
     add = staticmethod(Tensor.add)
     reshape = staticmethod(Tensor.reshape)
     transpose = staticmethod(Tensor.transpose)
@@ -334,10 +333,7 @@ class _ArrayOps:
     _TapeOps op built from them) compute forward, with the same kernels and
     the same (C-contiguous) memory layout, so results are bit-equal to the
     taped forward. ``linear`` adds the bias, and ``layernorm`` scales and
-    shifts, in place. ``qkv`` runs one product on the block's fused
-    [Wq|Wk|Wv] and splits it into heads with one contiguous copy: bit-equal
-    as long as BLAS computes each output column from its own weight column
-    alone, which tests pin on the tiny and the 56x56 model shapes.
+    shifts, in place.
 
     NaN/Inf checks run only where a non-finite can hide: the input, the
     attention scores (softmax turns -inf into 0) and output (in
@@ -354,11 +350,10 @@ class _ArrayOps:
     def __init__(self, weights: ViTWeights):
         self.graph = Graph()  # stays empty
         self.weight_nodes: dict[str, int] = {}
-        self._tensors = weights.tensors
-        self._qkv = weights.qkv
+        self._arrays = weights.arrays
 
     def weight(self, name: str, leaf: bool = False) -> np.ndarray:
-        return self._tensors[name]
+        return self._arrays[name]
 
     @staticmethod
     def input(img: np.ndarray) -> np.ndarray:
@@ -381,18 +376,9 @@ class _ArrayOps:
         return Tensor(a)
 
     def linear(self, t, name: str):
-        out = np.matmul(t, self._tensors[f"{name}.weight"])
-        out += self._tensors[f"{name}.bias"]
+        out = np.matmul(t, self._arrays[f"{name}.weight"])
+        out += self._arrays[f"{name}.bias"]
         return out
-
-    def qkv(self, h, block: str, heads: int):
-        w, bias = self._qkv[block]
-        out = np.matmul(h, w)
-        out += bias
-        b, n, d3 = out.shape
-        q, k, v = np.ascontiguousarray(
-            out.reshape(b, n, 3, heads, d3 // (3 * heads)).transpose(2, 0, 3, 1, 4))
-        return q, k, v
 
     @staticmethod
     def add(a, b):
@@ -417,10 +403,10 @@ class _ArrayOps:
         return np.ascontiguousarray(a[tuple(idx)])
 
     @staticmethod
-    def attention(q, k, v, scale: float, keep_scores: bool):
-        out, kept, p, _ = attention_arrays(q, k, v, scale, keep_scores)
-        # an uncaptured layer's p is freed before the next layer allocates its own
-        return out, kept, p if keep_scores else None
+    def attention(qkv, heads: int, scale: float, keep_scores: bool):
+        out, kept, p, v, _, _ = attention_arrays(qkv, heads, scale, keep_scores)
+        # an uncaptured layer's p and v are freed before the next layer allocates its own
+        return (out, kept, p, v) if keep_scores else (out, None, None, None)
 
     @staticmethod
     def gelu(a):
@@ -538,10 +524,9 @@ class VisionTransformer:
             pre = f"blocks.{layer - 1}"
             try:
                 h = o.layernorm(x, W(f"{pre}.ln1.gain"), W(f"{pre}.ln1.bias"), LAYERNORM_EPS)
-                q, k, v = o.qkv(h, pre, nh)
                 captured = layer >= first_captured
-                heads, scores, probs = o.attention(q, k, v, 1.0 / math.sqrt(dh), captured)
-                merged = o.reshape(o.transpose(heads, (0, 2, 1, 3)), (b, n, d))
+                merged, scores, probs, values = o.attention(
+                    o.linear(h, f"{pre}.attn.qkv"), nh, 1.0 / math.sqrt(dh), captured)
                 if cls_out_offsets and layer in cls_out_offsets:
                     pad = np.zeros((b, n, d))
                     pad[:, 0, :] = cls_out_offsets[layer]
@@ -551,7 +536,7 @@ class VisionTransformer:
                         layer=layer,
                         attn_logits=scores,
                         attn_probs=probs,
-                        values=o.array(v).copy(),
+                        values=values,
                         cls_out=o.array(merged)[:, 0, :].copy(),
                         merged_node=o.node(merged),
                     ))
@@ -588,7 +573,6 @@ class VisionTransformer:
             raise StateError("forward ran without a tape; backward_class needs tape=True")
         if not result.captures:
             raise StateError("backward_class requires a forward run with capture=True")
-        counters.bump("backward")
         y = result.logits.narrow(-1, c, 1).sum()
         result.graph.retain = {result.image_node, *(cap.merged_node for cap in result.captures)}
         result.graph.backward(y)
@@ -601,7 +585,6 @@ class VisionTransformer:
         one gradient the backward keeps)."""
         res = self.forward(image, capture=False)
         loss = cross_entropy(res.logits, labels)
-        counters.bump("backward")
         res.graph.retain = {res.image_node}
         res.graph.backward(loss)
         grad = res.graph.gradients[res.image_node]

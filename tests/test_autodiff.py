@@ -347,93 +347,106 @@ def test_gradients_are_stored_only_for_nodes_feeding_the_root():
 
 
 def _attention_inputs(shape, seed):
+    """A fused q|k|v input [B, N, 3d] for heads of ``shape`` [B, H, N, d_h],
+    and the weights [B, N, d] of a scalar loss on the merged output."""
+    b, h, n, dh = shape
     rng = np.random.default_rng(seed)
-    q, k, v, w = (rng.standard_normal(shape) for _ in range(4))
-    return q, k, v, w
+    return rng.standard_normal((b, n, 3 * h * dh)), rng.standard_normal((b, n, h * dh))
 
 
-def _attention_chain(q, k, v, scale):
-    """The five primitives the fused node replaces: transpose, matmul,
-    scale, softmax, matmul."""
+def _attention_chain(qkv, heads, scale):
+    """The primitives the fused node replaces: narrow, reshape and transpose
+    to split q, k and v into heads; transpose, matmul, scale, softmax and
+    matmul; transpose and reshape to merge the heads."""
+    b, n, d3 = qkv.shape
+    d = d3 // 3
+
+    def split(i):
+        t = qkv.narrow(-1, i * d, d).reshape((b, n, heads, d // heads))
+        return t.transpose((0, 2, 1, 3))
+
+    q, k, v = (split(i) for i in range(3))
     scores = q.matmul(k.transpose((0, 1, 3, 2))).scale(scale)
-    return scores.softmax(1.0).matmul(v), scores
+    out = scores.softmax(1.0).matmul(v).transpose((0, 2, 1, 3)).reshape((b, n, d))
+    return out, scores, v
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 17, 8), (2, 2, 17, 8), (1, 4, 197, 8)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_attention_is_bit_equal_to_the_primitive_chain(shape):
-    q0, k0, v0, w = _attention_inputs(shape, seed=shape[1] * 100 + shape[2])
-    scale = 1.0 / math.sqrt(shape[-1])
+    x0, w = _attention_inputs(shape, seed=shape[1] * 100 + shape[2])
+    heads, scale = shape[1], 1.0 / math.sqrt(shape[-1])
 
     ref = Graph()
-    rq, rk, rv = leaf(ref, q0), leaf(ref, k0), leaf(ref, v0)
-    ref_out, ref_scores = _attention_chain(rq, rk, rv, scale)
+    rx = leaf(ref, x0)
+    ref_out, ref_scores, ref_v = _attention_chain(rx, heads, scale)
     ref.backward(ref_out.mul(w).sum())
 
     g = Graph()
-    q, k, v = leaf(g, q0), leaf(g, k0), leaf(g, v0)
-    out, kept, _ = attention(q, k, v, scale, keep_scores=True)
+    x = leaf(g, x0)
+    out, kept, _, v = attention(x, heads, scale, keep_scores=True)
     g.backward(out.mul(w).sum())
-    assert len(g.nodes) == 3 + 3              # three leaves, attention, mul, sum
+    assert len(g.nodes) == 1 + 3              # the leaf, attention, mul, sum
+    assert g.nodes[out.node_id].parents == (x.node_id,)
     assert bit_equal(out.data, ref_out.data)
-    assert bit_equal(kept, ref_scores.data)
-    for t, rt in ((q, rq), (k, rk), (v, rv)):
-        assert bit_equal(g.grad(t), ref.grad(rt))
+    assert bit_equal(kept, ref_scores.data[:, :, :1])
+    assert bit_equal(v, ref_v.data)
+    assert bit_equal(g.grad(x), ref.grad(rx))
 
-    a_out, a_kept, _, _ = attention_arrays(q0, k0, v0, scale, True)
-    assert bit_equal(a_out, ref_out.data) and bit_equal(a_kept, ref_scores.data)
-    assert attention(q, k, v, scale)[1] is None
-    assert attention_arrays(q0, k0, v0, scale)[1] is None
+    a_out, a_kept, _, a_v, _, _ = attention_arrays(x0, heads, scale, True)
+    assert bit_equal(a_out, ref_out.data) and bit_equal(a_kept, ref_scores.data[:, :, :1])
+    assert bit_equal(a_v, ref_v.data)
+    assert attention(x, heads, scale)[1] is None
+    assert attention_arrays(x0, heads, scale)[1] is None
 
 
 def test_attention_nodes_share_work_arrays_during_a_walk():
-    q0, k0, v0, w = _attention_inputs((2, 2, 17, 8), seed=9)
-    scale = 0.5
+    x0, w = _attention_inputs((2, 2, 17, 8), seed=9)
+    heads, scale = 2, 0.5
 
     ref = Graph()
-    rq, rk, rv = leaf(ref, q0), leaf(ref, k0), leaf(ref, v0)
-    first, _ = _attention_chain(rq, rk, rv, scale)
-    second, _ = _attention_chain(first, rk, first, scale)
+    rx = leaf(ref, x0)
+    first = _attention_chain(rx, heads, scale)[0]
+    second = _attention_chain(concat([first, first, first]), heads, scale)[0]
     ref.backward(second.mul(w).sum())
 
     g = Graph()
-    q, k, v = leaf(g, q0), leaf(g, k0), leaf(g, v0)
-    first = attention(q, k, v, scale)[0]
-    second = attention(first, k, first, scale)[0]   # same score shape
+    x = leaf(g, x0)
+    first = attention(x, heads, scale)[0]
+    second = attention(concat([first, first, first]), heads, scale)[0]  # same score shape
     root = second.mul(w).sum()
     for _ in range(2):                                 # a second walk reuses nothing stale
         g.backward(root)
         assert g.scratch == {}
-        for t, rt in ((q, rq), (k, rk), (v, rv)):
-            assert bit_equal(g.grad(t), ref.grad(rt))
+        assert bit_equal(g.grad(x), ref.grad(rx))
 
 
 def test_attention_gradients_match_finite_differences():
-    q0, k0, v0, w = _attention_inputs((1, 2, 5, 3), seed=7)
-    scale = 0.7
+    x0, w = _attention_inputs((1, 2, 5, 3), seed=7)
+    heads, scale = 2, 0.7
 
-    def loss(q, k, v):
-        return float((attention_arrays(q, k, v, scale)[0] * w).sum())
+    def loss(x):
+        return float((attention_arrays(x, heads, scale)[0] * w).sum())
 
     g = Graph()
-    q, k, v = leaf(g, q0), leaf(g, k0), leaf(g, v0)
-    out = attention(q, k, v, scale)[0]
+    x = leaf(g, x0)
+    out = attention(x, heads, scale)[0]
     g.backward(out.mul(w).sum())
-    assert grad_rel_error(g.grad(q), finite_difference(lambda x: loss(x, k0, v0), q0)) < 1e-7
-    assert grad_rel_error(g.grad(k), finite_difference(lambda x: loss(q0, x, v0), k0)) < 1e-7
-    assert grad_rel_error(g.grad(v), finite_difference(lambda x: loss(q0, k0, x), v0)) < 1e-7
+    assert grad_rel_error(g.grad(x), finite_difference(loss, x0)) < 1e-7
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_attention_checks_operands():
     g = Graph()
-    q = leaf(g, np.zeros((1, 1, 3, 2)))
+    x = leaf(g, np.zeros((1, 3, 6)))
     with pytest.raises(DimensionError):
-        attention(q, leaf(g, np.zeros((1, 1, 4, 2))), q, 1.0)
-    with pytest.raises(ContractError):
-        attention(q, leaf(Graph(), np.zeros((1, 1, 3, 2))), q, 1.0)
+        attention(leaf(g, np.zeros((1, 1, 3, 6))), 1, 1.0)   # not [B, N, 3d]
+    with pytest.raises(DimensionError):
+        attention(x, 4, 1.0)                               # d = 2 is not 4 heads
+    with pytest.raises(DimensionError):
+        attention(x, 0, 1.0)
     with pytest.raises(NumericError, match="^non-finite values produced by scale$"):
-        attention(q.add(1e150), q.add(1e150), q, 1e10)   # scores 2e300, then inf
+        attention(x.add(1e150), 1, 1e10)   # scores 2e300, then inf
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -441,13 +454,12 @@ def test_attention_checks_operands():
 def test_attention_checks_a_scale_that_can_overflow(scale):
     # finite q and k give finite scores of 2e10; the scaled-score check is
     # skipped only for a scale of at most 1 in magnitude
-    x = np.full((1, 1, 3, 2), 1e5)
+    x = np.full((1, 3, 6), 1e5)
     with pytest.raises(NumericError, match="^non-finite values produced by scale$"):
-        attention_arrays(x, x, x, scale)
+        attention_arrays(x, 1, scale)
     g = Graph()
-    q = leaf(g, x)
     with pytest.raises(NumericError, match="^non-finite values produced by scale$"):
-        attention(q, q, q, scale)
+        attention(leaf(g, x), 1, scale)
 
 
 def test_retained_backward_keeps_only_the_retained_gradients():
