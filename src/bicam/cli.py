@@ -373,11 +373,19 @@ def cmd_eval_faith(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _non_negative_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
 
 
 def _add_common_model_args(sp, attribution: bool = True):
@@ -392,7 +400,7 @@ def _add_common_model_args(sp, attribution: bool = True):
 
 
 def _add_driver_args(sp):
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    sp.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     sp.add_argument("--skip-errors", action="store_true",
                     help="skip failing items instead of aborting")
     sp.add_argument("--seed", type=_non_negative_int, default=0)

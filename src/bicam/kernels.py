@@ -1,7 +1,7 @@
 """Hot numeric kernels on plain float64 ndarrays, in numpy.
 
-Everything here is free of graph bookkeeping; the autodiff layer and the
-attribution code call these names. Matrix products are deliberately
+Everything here is free of graph bookkeeping; the model's stages and their
+backwards, attention and the attribution code call these names. Matrix products are deliberately
 absent: BLAS already owns those.
 
 The two softmax kernels take an optional ``out`` array, which may be one

@@ -10,20 +10,26 @@ exactly what the softmax consumes), the per-head value projections, and
 the concatenated per-head CLS attention output *before* the block's output
 projection, together with its gradient after a class-score backward pass.
 
-The forward body is written once, against a small ops interface with two
-backends: _TapeOps records an autodiff tape (for gradients), _ArrayOps
-runs the same ops on plain ndarrays (for predictions, which need none).
-Every affine map is one op, ``linear`` (a matmul and an add node on the
-tape); a block's q, k and v projections are one linear on its fused
-[Wq|Wk|Wv] weight and bias, built once at load, so a forward runs 6L + 2
-products on either backend. Each block's multi-head attention is one op,
-``attention`` (one tape node): it takes that fused projection, splits and
-merges the heads itself, and hands back the CLS score row for captured
-layers, the probabilities it softmaxed in place and the values, which
-captures keep as they are (attention rollout reads the probabilities).
-The tape checks every node for NaN/Inf; off the tape only the 3L + 4
-values a non-finite can hide behind are checked (see _ArrayOps for which
-and why), and a failing check re-runs the body on the tape to name the op.
+The forward body is written once, on plain ndarrays, as four kinds of
+stage: the embedding, each block's attention half (x -> merged heads) and
+MLP half ((x, merged) -> next x), and the head. A block's q, k and v
+projections are one product on its fused [Wq|Wk|Wv] weight, built once at
+load, so a forward runs 6L + 2 products. When a tape is asked for, each
+stage records one autodiff node whose backward is the stage's hand-chained
+VJP (vector-Jacobian product) on the same kernels, so a taped forward
+records 2L + 3 nodes: the image leaf and the stages (plus one leaf per
+weight tensor when weight gradients are asked for).
+
+Every forward checks the 3L + 4 values a NaN/Inf can hide behind: the
+input, the embedding's output, each block's attention scores and output
+(in attention_arrays) and block output, ln_f before its non-CLS rows are
+dropped, and the logits. Weights are finite, and every other op turns a
+non-finite input element into a non-finite output on the way to one of
+those: a matmul row (BLAS makes inf * 0 a NaN), an add, a layer norm row
+and gelu; a finite input to a scale of at most 1, a softmax or gelu gives
+a finite output. A failing check does not name the op: forward re-runs the
+body with every op checked, which raises the NumericError that names the
+stage and the op.
 """
 
 from __future__ import annotations
@@ -31,11 +37,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import counters, kernels
-from .autodiff import Graph, Tensor, attention, attention_arrays, check_finite, concat
+from .autodiff import Graph, Tensor, attention_arrays, attention_grad, check_finite
 from .errors import (DimensionError, NumericError, ParameterError, StateError)
 
 LAYERNORM_EPS = 1e-6
@@ -155,6 +162,31 @@ def expected_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+# A block's weights, in the order of BlockWeights' array fields
+_BLOCK_ARRAYS = ("ln1.gain", "ln1.bias", "attn.qkv.weight", "attn.qkv.bias",
+                 "attn.out.weight", "attn.out.bias", "ln2.gain", "ln2.bias",
+                 "ffn.fc1.weight", "ffn.fc1.bias", "ffn.fc2.weight", "ffn.fc2.bias")
+
+
+class BlockWeights(NamedTuple):
+    """One block's weights: the arrays ``ViTWeights.arrays`` holds under
+    ``prefix`` (``blocks.{i}.``), with q, k and v as the fused qkv ones."""
+
+    prefix: str
+    ln1_gain: np.ndarray
+    ln1_bias: np.ndarray
+    qkv_weight: np.ndarray
+    qkv_bias: np.ndarray
+    out_weight: np.ndarray
+    out_bias: np.ndarray
+    ln2_gain: np.ndarray
+    ln2_bias: np.ndarray
+    fc1_weight: np.ndarray
+    fc1_bias: np.ndarray
+    fc2_weight: np.ndarray
+    fc2_bias: np.ndarray
+
+
 class ViTWeights:
     """Named, finite weight tensors whose shapes are pinned by a ViTConfig.
 
@@ -163,7 +195,8 @@ class ViTWeights:
     ``.bias`` in ``arrays``; their entries in ``tensors`` are column views
     of those, so a weight updated in place (training, tests) is seen by
     both. ``tensors`` holds the per-name tensors of the weight file,
-    ``arrays`` those plus the fused ones.
+    ``arrays`` those plus the fused ones, and ``blocks`` one BlockWeights
+    per block, built once from ``arrays`` (the same arrays, not copies).
     """
 
     def __init__(self, config: ViTConfig, tensors: dict[str, np.ndarray]):
@@ -194,6 +227,9 @@ class ViTWeights:
         self.config = config
         self.tensors = store
         self.arrays = {**store, **fused}
+        self.blocks = [
+            BlockWeights(f"blocks.{i}.", *(self.arrays[f"blocks.{i}.{a}"] for a in _BLOCK_ARRAYS))
+            for i in range(config.num_layers)]
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
@@ -255,8 +291,194 @@ class ForwardResult:
     input_shape: tuple[int, ...]
 
 
+# The weight tensors each stage sends gradients to under weight_grads, in
+# the order its backward returns them after its inputs' gradients; a
+# block's are its prefix plus these
+_EMBED_PARAMS = ("patch_embed.weight", "patch_embed.bias", "pos_embed")
+_ATTN_PARAMS = ("ln1.gain", "ln1.bias", *_qkv_parts("attn.qkv.weight"),
+                *_qkv_parts("attn.qkv.bias"))
+_MLP_PARAMS = ("attn.out.weight", "attn.out.bias", "ln2.gain", "ln2.bias",
+               "ffn.fc1.weight", "ffn.fc1.bias", "ffn.fc2.weight", "ffn.fc2.bias")
+_HEAD_PARAMS = ("ln_f.gain", "ln_f.bias", "head.weight", "head.bias")
+
+
+def _unchecked(out, op):
+    return out
+
+
+def _check_stage(out):
+    return check_finite(out, "the forward")
+
+
+def _linear(x, weight, bias, check):
+    out = check(np.matmul(x, weight), "matmul")
+    out += bias
+    return check(out, "add")
+
+
+def _linear_grads(x, grad):
+    """Gradients of the weight and bias of ``x @ weight + bias`` from the
+    output gradient, summed over a leading batch axis."""
+    gw, gb = np.matmul(np.swapaxes(x, -1, -2), grad), grad.sum(axis=0)
+    return (gw.sum(axis=0), gb.sum(axis=0)) if grad.ndim == 3 else (gw, gb)
+
+
+def _layernorm(x, gain, bias, check, taped):
+    """Layer norm over the last axis: (out, xhat, inv_std). Off the tape the
+    gain and bias are applied to xhat in place, on it xhat is kept."""
+    xhat, inv_std = kernels.layernorm_rows(x.reshape(-1, x.shape[-1]), LAYERNORM_EPS)
+    out = np.multiply(xhat, gain, out=None if taped else xhat)
+    out += bias
+    return check(out.reshape(x.shape), "layernorm"), xhat, inv_std
+
+
+def _layernorm_grads(grad, xhat, inv_std, gain):
+    """(grad as rows, input gradient) of a layer norm; the gain's gradient is
+    (rows * xhat).sum(axis=0) and the bias's rows.sum(axis=0)."""
+    rows = np.ascontiguousarray(grad.reshape(xhat.shape))
+    return rows, kernels.layernorm_rows_grad(xhat, inv_std, rows * gain).reshape(grad.shape)
+
+
+def _split_qkv(grad):
+    return [np.ascontiguousarray(part) for part in np.split(grad, 3, axis=-1)]
+
+
+class _Stages:
+    """The stages of one forward on ``weights``; ``check(out, op)`` runs
+    after every op. Each stage returns its outputs and, when ``taped``,
+    a backward: output gradient -> (inputs' gradients, then with
+    ``weight_grads`` the gradients of its weights, in the order of its
+    _*_PARAMS names), else None."""
+
+    def __init__(self, weights, check, taped: bool, weight_grads: bool, scratch: dict):
+        self.weights, self.check = weights, check
+        self.taped, self.weight_grads, self.scratch = taped, weight_grads, scratch
+
+    def embedding(self, img):
+        cfg, w, check = self.weights.config, self.weights.arrays, self.check
+        b, d, p = img.shape[0], cfg.embed_dim, cfg.patch_size
+        gh, gw, ns = cfg.grid_height, cfg.grid_width, cfg.num_special_tokens
+        patches = np.ascontiguousarray(
+            img.reshape(b, 3, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5)
+        ).reshape(b, gh * gw, 3 * p * p)
+        tok = _linear(patches, w["patch_embed.weight"], w["patch_embed.bias"], check)
+        specials = [np.broadcast_to(w[name].reshape(1, 1, d), (b, 1, d))
+                    for name in ("cls_token", "dist_token")[:ns]]
+        x = np.concatenate(specials + [tok], axis=1)
+        x += w["pos_embed"]
+        x = check(x, "add")
+        if not self.taped:
+            return x, None
+        weight_grads, pe_weight, shape = self.weight_grads, w["patch_embed.weight"], img.shape
+        patches = patches if weight_grads else None
+
+        def backward(g):
+            dtok = np.ascontiguousarray(g[:, ns:])
+            dpatches = np.matmul(dtok, pe_weight.T).reshape(b, gh, gw, 3, p, p)
+            dimg = np.ascontiguousarray(dpatches.transpose(0, 3, 1, 4, 2, 5)).reshape(shape)
+            if not weight_grads:
+                return (dimg,)
+            specials = [np.ascontiguousarray(g[:, i:i + 1]).sum(axis=0).reshape(d)
+                        for i in range(ns)]
+            return (dimg, *specials, *_linear_grads(patches, dtok), g.sum(axis=0))
+
+        return x, backward
+
+    def attention(self, blk: BlockWeights, x, captured: bool, offset):
+        """ln1, the fused q|k|v product and attention: (merged heads, CLS
+        score row, probabilities, values, backward); ``offset`` is a [B, d]
+        term added to the merged CLS row, or None."""
+        cfg, check = self.weights.config, self.check
+        h, xhat, inv_std = _layernorm(x, blk.ln1_gain, blk.ln1_bias, check, self.taped)
+        scale = 1.0 / math.sqrt(cfg.head_dim)
+        merged, kept, p, v, q, kt = attention_arrays(
+            _linear(h, blk.qkv_weight, blk.qkv_bias, check), cfg.num_heads, scale, captured)
+        if offset is not None:
+            pad = np.zeros(merged.shape)
+            pad[:, 0, :] = offset
+            merged = check(merged + pad, "add")
+        if not self.taped:
+            return merged, kept, p, v, None
+        weight_grads, scratch = self.weight_grads, self.scratch
+        h = h if weight_grads else None
+
+        def backward(g):
+            dqkv = attention_grad(g, q, kt, v, p, scale, scratch)
+            rows, dx = _layernorm_grads(np.matmul(dqkv, blk.qkv_weight.T), xhat, inv_std,
+                                        blk.ln1_gain)
+            if not weight_grads:
+                return (dx,)
+            dw, db = _linear_grads(h, dqkv)
+            return (dx, (rows * xhat).sum(axis=0), rows.sum(axis=0),
+                    *_split_qkv(dw), *_split_qkv(db))
+
+        return merged, kept, p, v, backward
+
+    def mlp(self, blk: BlockWeights, x, merged):
+        """The output projection, its residual add, ln2, the MLP and its
+        residual add: (next x, backward)."""
+        check = self.check
+        x1 = check(x + _linear(merged, blk.out_weight, blk.out_bias, check), "add")
+        h2, xhat, inv_std = _layernorm(x1, blk.ln2_gain, blk.ln2_bias, check, self.taped)
+        a1 = _linear(h2, blk.fc1_weight, blk.fc1_bias, check)
+        f = check(kernels.gelu(a1), "gelu")
+        x2 = check(x1 + _linear(f, blk.fc2_weight, blk.fc2_bias, check), "add")
+        if not self.taped:
+            return x2, None
+        weight_grads = self.weight_grads
+        merged, h2, f = (merged, h2, f) if weight_grads else (None, None, None)
+
+        def backward(g):
+            da1 = kernels.gelu_grad(a1, np.ascontiguousarray(np.matmul(g, blk.fc2_weight.T)))
+            rows, dln2 = _layernorm_grads(np.matmul(da1, blk.fc1_weight.T), xhat, inv_std,
+                                          blk.ln2_gain)
+            dx1 = g + dln2   # the residual's gradient first, then ln2's
+            dmerged = np.matmul(dx1, blk.out_weight.T)
+            if not weight_grads:
+                return dx1, dmerged
+            return (dx1, dmerged, *_linear_grads(merged, dx1), (rows * xhat).sum(axis=0),
+                    rows.sum(axis=0), *_linear_grads(h2, da1), *_linear_grads(f, g))
+
+        return x2, backward
+
+    def head(self, x):
+        """ln_f, the CLS row and the classifier: (logits, backward)."""
+        w, check = self.weights.arrays, self.check
+        xf, xhat, inv_std = _layernorm(x, w["ln_f.gain"], w["ln_f.bias"], check, self.taped)
+        cls_state = np.ascontiguousarray(_check_stage(xf)[:, 0])
+        logits = _linear(cls_state, w["head.weight"], w["head.bias"], check)
+        if not self.taped:
+            return logits, None
+        weight_grads, gain, head_weight = self.weight_grads, w["ln_f.gain"], w["head.weight"]
+
+        def backward(g):
+            dxf = np.zeros(x.shape)
+            dxf[:, 0] = np.matmul(g, head_weight.T)
+            rows, dx = _layernorm_grads(dxf, xhat, inv_std, gain)
+            if not weight_grads:
+                return (dx,)
+            return (dx, (rows * xhat).sum(axis=0), rows.sum(axis=0),
+                    *_linear_grads(cls_state, g))
+
+        return logits, backward
+
+
+def class_score(logits: Tensor, class_index: int) -> Tensor:
+    """The summed logit of one class over the batch, as one tape node."""
+    c = int(class_index)
+
+    def backward(grad):
+        seed = np.zeros(logits.shape)
+        seed[:, c] = grad
+        return (seed,)
+
+    return logits.graph._append("class_score", (logits.node_id,),
+                                np.asarray(logits.data[:, c].sum()), backward)
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of logits [B, C] against integer labels [B]."""
+    """Mean cross-entropy of logits [B, C] against integer labels [B], as one
+    tape node: -mean over rows of the log-softmax at each label."""
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     b, c = logits.shape
     if labels.shape != (b,):
@@ -265,164 +487,17 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ParameterError("label out of range")
     onehot = np.zeros((b, c))
     onehot[np.arange(b), labels] = 1.0
-    return logits.log_softmax().mul(onehot).sum().scale(-1.0 / b)
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp = check_finite(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)), "log_softmax")
+    k = -1.0 / b
+    loss = np.asarray(check_finite(np.asarray((logp * onehot).sum()), "sum") * k)
+    softmax = np.exp(logp)
 
+    def backward(grad):
+        g = np.broadcast_to(grad * k, (b, c)) * onehot
+        return (g - softmax * g.sum(axis=-1, keepdims=True),)
 
-class _TapeOps:
-    """Forward ops that record a tape: the Tensor primitives themselves.
-
-    Weights enter as constant ndarrays, which the primitives accept as
-    operands and send no gradient to, unless weight gradients are asked for;
-    then every weight is a leaf listed in weight_nodes, and a fused q|k|v
-    weight or bias is the concat of its q, k and v leaves.
-    """
-
-    def __init__(self, weights: ViTWeights, weight_grads: bool):
-        self.graph = Graph()
-        self.weight_nodes: dict[str, int] = {}
-        self._weights = weights
-        self._weight_grads = weight_grads
-
-    def input(self, img: np.ndarray) -> Tensor:
-        return self.graph.leaf(img)
-
-    def weight(self, name: str, leaf: bool = False) -> Tensor | np.ndarray:
-        """``leaf`` asks for a tape operand even without weight gradients
-        (the special tokens feed concat, which takes only tape operands)."""
-        if not (leaf or self._weight_grads):
-            return self._weights[name]
-        if ".qkv." in name:
-            return concat([self.weight(part) for part in _qkv_parts(name)], axis=-1)
-        t = self.graph.leaf(self._weights[name])
-        if self._weight_grads:
-            self.weight_nodes[name] = t.node_id
-        return t
-
-    @staticmethod
-    def array(t: Tensor) -> np.ndarray:
-        return t.data
-
-    @staticmethod
-    def node(t: Tensor) -> int:
-        return t.node_id
-
-    @staticmethod
-    def tensor(t: Tensor) -> Tensor:
-        return t
-
-    check = tensor   # every node was checked when it was recorded
-
-    def linear(self, t: Tensor, name: str) -> Tensor:
-        return t.matmul(self.weight(f"{name}.weight")).add(self.weight(f"{name}.bias"))
-
-    add = staticmethod(Tensor.add)
-    reshape = staticmethod(Tensor.reshape)
-    transpose = staticmethod(Tensor.transpose)
-    broadcast_to = staticmethod(Tensor.broadcast_to)
-    narrow = staticmethod(Tensor.narrow)
-    attention = staticmethod(attention)
-    gelu = staticmethod(Tensor.gelu)
-    layernorm = staticmethod(Tensor.layernorm)
-    concat = staticmethod(concat)
-
-
-class _ArrayOps:
-    """Forward ops on plain ndarrays: no tape, no closures, no weight leaves.
-
-    Each op computes what the Tensor primitives of the same name (or the
-    _TapeOps op built from them) compute forward, with the same kernels and
-    the same (C-contiguous) memory layout, so results are bit-equal to the
-    taped forward. ``linear`` adds the bias, and ``layernorm`` scales and
-    shifts, in place.
-
-    NaN/Inf checks run only where a non-finite can hide: the input, the
-    attention scores (softmax turns -inf into 0) and output (in
-    attention_arrays), and what the body passes to ``check``: each stage's
-    output, ln_f before ``narrow`` drops its non-CLS rows, and the logits.
-    Weights are finite, and every other op turns a non-finite input element
-    into a non-finite output on the way to one of those: a matmul row (BLAS
-    makes inf * 0 a NaN), an add, a layer norm row and gelu; a finite input
-    to a scale of at most 1, a softmax or gelu gives a finite output. A
-    failing check does not name the op; forward re-runs the body on the
-    tape, which does.
-    """
-
-    def __init__(self, weights: ViTWeights):
-        self.graph = Graph()  # stays empty
-        self.weight_nodes: dict[str, int] = {}
-        self._arrays = weights.arrays
-
-    def weight(self, name: str, leaf: bool = False) -> np.ndarray:
-        return self._arrays[name]
-
-    @staticmethod
-    def input(img: np.ndarray) -> np.ndarray:
-        return check_finite(np.ascontiguousarray(img), "leaf")
-
-    @staticmethod
-    def check(a: np.ndarray) -> np.ndarray:
-        return check_finite(a, "the tape-free forward")
-
-    @staticmethod
-    def array(a: np.ndarray) -> np.ndarray:
-        return a
-
-    @staticmethod
-    def node(a: np.ndarray) -> int:
-        return -1
-
-    @staticmethod
-    def tensor(a: np.ndarray) -> Tensor:
-        return Tensor(a)
-
-    def linear(self, t, name: str):
-        out = np.matmul(t, self._arrays[f"{name}.weight"])
-        out += self._arrays[f"{name}.bias"]
-        return out
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def reshape(a, shape):
-        return a.reshape(shape)
-
-    @staticmethod
-    def transpose(a, axes):
-        return np.ascontiguousarray(a.transpose(axes))
-
-    @staticmethod
-    def broadcast_to(a, shape):
-        return np.ascontiguousarray(np.broadcast_to(a, shape))
-
-    @staticmethod
-    def narrow(a, axis: int, start: int, length: int):
-        idx = [slice(None)] * a.ndim
-        idx[axis] = slice(start, start + length)
-        return np.ascontiguousarray(a[tuple(idx)])
-
-    @staticmethod
-    def attention(qkv, heads: int, scale: float, keep_scores: bool):
-        out, kept, p, v, _, _ = attention_arrays(qkv, heads, scale, keep_scores)
-        # an uncaptured layer's p and v are freed before the next layer allocates its own
-        return (out, kept, p, v) if keep_scores else (out, None, None, None)
-
-    @staticmethod
-    def gelu(a):
-        return kernels.gelu(a)
-
-    @staticmethod
-    def layernorm(a, gain, bias, eps: float):
-        # a is the residual stream, a fresh C-contiguous sum
-        xhat, _ = kernels.layernorm_rows(a.reshape(-1, a.shape[-1]), float(eps))
-        xhat *= gain
-        xhat += bias
-        return xhat.reshape(a.shape)
-
-    @staticmethod
-    def concat(arrays, axis: int):
-        return np.concatenate(arrays, axis=axis)
+    return logits.graph._append("cross_entropy", (logits.node_id,), loss, backward)
 
 
 class VisionTransformer:
@@ -452,20 +527,22 @@ class VisionTransformer:
         maps a 1-based layer index to a [B, d] perturbation added to that
         layer's CLS attention output (a probe point for sensitivity checks).
 
-        With tape off the same body runs on plain ndarrays: the logits and
-        captures are bit-equal to the taped run's, the logits are a detached
-        Tensor, the graph is empty, image_node and every merged_node are -1,
-        and backward_class refuses the result.
+        With tape on, the graph holds the image leaf and one node per
+        stage, and every merged_node is the node of its block's attention
+        half. With tape off the same body records nothing: the logits are a
+        detached Tensor, the graph is empty, image_node and every
+        merged_node are -1, and backward_class refuses the result. The
+        logits and captures are the same bits either way.
 
-        On the tape, weights are constants by default: no weight or bias
-        leaf is recorded, weight_nodes is empty, and a backward computes no
-        weight gradient. weight_grads=True records every weight as a leaf
-        and maps its name to its node in weight_nodes, so a backward also
-        fills the weight gradients (for training). It has no effect with
-        tape off.
+        On the tape, weights are constants by default: weight_nodes is empty,
+        and a backward computes no weight gradient. weight_grads=True
+        records every weight tensor as a leaf, maps its name to its node in
+        weight_nodes and makes it a parent of the stage that reads it, so a
+        backward also fills the weight gradients (for training). It has no
+        effect with tape off.
 
         A non-finite value raises NumericError naming the stage and the op
-        that made it, with tape on or off (see _ArrayOps).
+        that made it, with tape on or off (see the module docstring).
         """
         cfg = self.config
         img = np.asarray(image, dtype=np.float64)
@@ -482,81 +559,72 @@ class VisionTransformer:
         first_captured = cfg.num_layers + 1 - (window if capture else 0)
 
         counters.bump("forward")
-        args = (img, input_shape, first_captured, cls_out_offsets)
-        if tape:
-            return self._run(_TapeOps(self.weights, weight_grads), *args)
+        args = (img, input_shape, first_captured, cls_out_offsets or {})
         try:
-            return self._run(_ArrayOps(self.weights), *args)
+            return self._run(*args, tape, weight_grads, _unchecked)
         except NumericError:
-            self._run(_TapeOps(self.weights, False), *args)  # raises the named error
+            self._run(*args, False, False, check_finite)  # raises the named error
             raise
 
-    def _run(self, o, img: np.ndarray, input_shape: tuple[int, ...],
-             first_captured: int, cls_out_offsets) -> ForwardResult:
-        """The forward body on ops ``o``, capturing layers first_captured..L."""
-        cfg = self.config
-        W = o.weight
+    def _run(self, img: np.ndarray, input_shape: tuple[int, ...], first_captured: int,
+             cls_out_offsets, tape: bool, weight_grads: bool, check) -> ForwardResult:
+        """The forward body, capturing layers first_captured..L, with
+        ``check(out, op)`` after every op."""
+        graph = Graph()
+        stages = _Stages(self.weights, check, tape, tape and weight_grads, graph.scratch)
+        weight_nodes: dict[str, int] = {}
+        if stages.weight_grads:
+            weight_nodes = {name: graph.leaf(arr).node_id
+                            for name, arr in self.weights.tensors.items()}
 
-        b = img.shape[0]
-        p, d = cfg.patch_size, cfg.embed_dim
-        gh, gw = cfg.grid_height, cfg.grid_width
-        nh, dh, n = cfg.num_heads, cfg.head_dim, cfg.num_tokens
+        def record(op, parents, out, backward, prefix="", params=()) -> int:
+            """Append one node, whose weights are ``prefix`` + ``params``; -1
+            off the tape."""
+            if not tape:
+                return -1
+            if weight_nodes:
+                parents += tuple(weight_nodes[prefix + name] for name in params)
+            return graph._append(op, parents, out, backward).node_id
 
-        def special(name: str):  # one learned token, repeated over the batch
-            return o.broadcast_to(o.reshape(W(name, leaf=True), (1, 1, d)), (b, 1, d))
-
-        x_img = o.input(img)
+        img = check_finite(np.ascontiguousarray(img), "leaf")
+        image_node = record("leaf", (), img, None)
         try:
-            patches = o.reshape(o.transpose(o.reshape(x_img, (b, 3, gh, p, gw, p)),
-                                            (0, 2, 4, 1, 3, 5)),
-                                (b, gh * gw, 3 * p * p))
-            tok = o.linear(patches, "patch_embed")
-            specials = [special("cls_token")]
-            if cfg.distillation_token:
-                specials.append(special("dist_token"))
-            x = o.concat(specials + [tok], axis=1)
-            x = o.check(o.add(x, W("pos_embed")))
+            x, backward = stages.embedding(img)
+            specials = ("cls_token", "dist_token")[:self.config.num_special_tokens]
+            x_node = record("embedding", (image_node,), _check_stage(x), backward,
+                            params=specials + _EMBED_PARAMS)
         except NumericError as e:
             raise NumericError(f"patch embedding: {e}") from None
 
         captures: list[LayerCapture] = []
-        for layer in range(1, cfg.num_layers + 1):
-            pre = f"blocks.{layer - 1}"
+        for layer, blk in enumerate(self.weights.blocks, 1):
             try:
-                h = o.layernorm(x, W(f"{pre}.ln1.gain"), W(f"{pre}.ln1.bias"), LAYERNORM_EPS)
                 captured = layer >= first_captured
-                merged, scores, probs, values = o.attention(
-                    o.linear(h, f"{pre}.attn.qkv"), nh, 1.0 / math.sqrt(dh), captured)
-                if cls_out_offsets and layer in cls_out_offsets:
-                    pad = np.zeros((b, n, d))
-                    pad[:, 0, :] = cls_out_offsets[layer]
-                    merged = o.add(merged, pad)
+                merged, scores, probs, values, backward = stages.attention(
+                    blk, x, captured, cls_out_offsets.get(layer))
+                merged_node = record("attention", (x_node,), merged, backward,
+                                     blk.prefix, _ATTN_PARAMS)
                 if captured:
                     captures.append(LayerCapture(
-                        layer=layer,
-                        attn_logits=scores,
-                        attn_probs=probs,
-                        values=values,
-                        cls_out=o.array(merged)[:, 0, :].copy(),
-                        merged_node=o.node(merged),
-                    ))
-                x = o.add(x, o.linear(merged, f"{pre}.attn.out"))
-                h2 = o.layernorm(x, W(f"{pre}.ln2.gain"), W(f"{pre}.ln2.bias"), LAYERNORM_EPS)
-                f = o.gelu(o.linear(h2, f"{pre}.ffn.fc1"))
-                x = o.check(o.add(x, o.linear(f, f"{pre}.ffn.fc2")))
+                        layer=layer, attn_logits=scores, attn_probs=probs, values=values,
+                        cls_out=merged[:, 0, :].copy(), merged_node=merged_node))
+                x, backward = stages.mlp(blk, x, merged)
+                x_node = record("mlp", (x_node, merged_node), _check_stage(x), backward,
+                                blk.prefix, _MLP_PARAMS)
             except NumericError as e:
                 raise NumericError(f"block {layer}: {e}") from None
 
         try:
-            xf = o.check(o.layernorm(x, W("ln_f.gain"), W("ln_f.bias"), LAYERNORM_EPS))
-            cls_state = o.reshape(o.narrow(xf, 1, 0, 1), (b, d))
-            logits = o.check(o.linear(cls_state, "head"))
+            logits, backward = stages.head(x)
+            head_node = record("head", (x_node,), _check_stage(logits), backward,
+                               params=_HEAD_PARAMS)
         except NumericError as e:
             raise NumericError(f"classifier head: {e}") from None
 
-        return ForwardResult(logits=o.tensor(logits), captures=captures, graph=o.graph,
-                             image_node=o.node(x_img), weight_nodes=o.weight_nodes,
-                             input_shape=input_shape)
+        return ForwardResult(
+            logits=Tensor(logits, graph, head_node) if tape else Tensor(logits),
+            captures=captures, graph=graph, image_node=image_node,
+            weight_nodes=weight_nodes, input_shape=input_shape)
 
     # -- gradients ------------------------------------------------------------
 
@@ -573,9 +641,8 @@ class VisionTransformer:
             raise StateError("forward ran without a tape; backward_class needs tape=True")
         if not result.captures:
             raise StateError("backward_class requires a forward run with capture=True")
-        y = result.logits.narrow(-1, c, 1).sum()
         result.graph.retain = {result.image_node, *(cap.merged_node for cap in result.captures)}
-        result.graph.backward(y)
+        result.graph.backward(class_score(result.logits, c))
         for cap in result.captures:
             cap.cls_out_grad = result.graph.gradients[cap.merged_node][:, 0, :].copy()
         return result

@@ -334,6 +334,34 @@ def test_negative_seed_is_a_usage_error(tmp_path, model_file, image_dir, argv, c
     assert "must be >= 0" in capsys.readouterr().err
 
 
+JOBS_RUNS = [(command, jobs, via) for command in ("attack", "pnr-detect", "eval-loc", "eval-faith")
+             for jobs in ("0", "-3") for via in ("flag", "config")]
+
+
+@pytest.mark.parametrize("command, jobs, via", JOBS_RUNS,
+                         ids=[" ".join(run) for run in JOBS_RUNS])
+def test_jobs_below_one_is_a_usage_error(tmp_path, model_file, image_dir, command, jobs, via,
+                                         monkeypatch, capsys):
+    passes = []   # every thread's passes, pool threads' too
+    monkeypatch.setattr(counters, "bump", passes.append)
+    args = {"attack": ["--images", image_dir, "--out", tmp_path / "adv"],
+            "pnr-detect": ["--clean", image_dir, "--adv", image_dir,
+                           "--out-prefix", tmp_path / "d"],
+            "eval-loc": ["--data", image_dir, "--out-prefix", tmp_path / "l"],
+            "eval-faith": ["--images", image_dir, "--out-prefix", tmp_path / "f"]}[command]
+    if via == "flag":
+        option = [f"--jobs={jobs}"]
+    else:
+        (tmp_path / "run.cfg").write_text(f"jobs={jobs}\n")
+        option = ["--config", tmp_path / "run.cfg"]
+    with pytest.raises(SystemExit) as e:
+        run([command, "--model", model_file, *args, *option])
+    assert e.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert passes == []
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if via == "config" else [])
+
+
 @pytest.mark.parametrize("line, code", [
     ("seeds=1.5", 2), ("window=2.5", 2), ("skip_errors=no", 3), ("skip_errors=1", 3)])
 def test_config_values_get_the_flag_checks(tmp_path, model_file, image_dir, line, code):
