@@ -43,7 +43,7 @@ import numpy as np
 
 from . import counters, kernels
 from .autodiff import Graph, Tensor, attention_arrays, attention_grad, check_finite
-from .errors import (DimensionError, NumericError, ParameterError, StateError)
+from .errors import ContractError, DimensionError, NumericError, ParameterError, StateError
 
 LAYERNORM_EPS = 1e-6
 INIT_STD = 0.02
@@ -340,6 +340,7 @@ def _layernorm_grads(grad, xhat, inv_std, gain):
 
 
 def _split_qkv(grad):
+    """The q, k and v parts of a fused q|k|v gradient, as separate arrays."""
     return [np.ascontiguousarray(part) for part in np.split(grad, 3, axis=-1)]
 
 
@@ -463,17 +464,23 @@ class _Stages:
         return logits, backward
 
 
+def _root(op: str, logits: Tensor, value, backward) -> Tensor:
+    """A scalar backward root with the one parent ``logits``."""
+    if logits.graph is None:
+        raise ContractError(f"{op} requires logits recorded on a tape")
+    return logits.graph._append(op, (logits.node_id,), np.asarray(value), backward)
+
+
 def class_score(logits: Tensor, class_index: int) -> Tensor:
     """The summed logit of one class over the batch, as one tape node."""
-    c = int(class_index)
+    c, shape = int(class_index), logits.shape   # not logits: its graph holds this closure
 
     def backward(grad):
-        seed = np.zeros(logits.shape)
+        seed = np.zeros(shape)
         seed[:, c] = grad
         return (seed,)
 
-    return logits.graph._append("class_score", (logits.node_id,),
-                                np.asarray(logits.data[:, c].sum()), backward)
+    return _root("class_score", logits, logits.data[:, c].sum(), backward)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -490,14 +497,14 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     logp = check_finite(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)), "log_softmax")
     k = -1.0 / b
-    loss = np.asarray(check_finite(np.asarray((logp * onehot).sum()), "sum") * k)
+    loss = check_finite(np.asarray((logp * onehot).sum()), "sum") * k
     softmax = np.exp(logp)
 
     def backward(grad):
         g = np.broadcast_to(grad * k, (b, c)) * onehot
         return (g - softmax * g.sum(axis=-1, keepdims=True),)
 
-    return logits.graph._append("cross_entropy", (logits.node_id,), loss, backward)
+    return _root("cross_entropy", logits, loss, backward)
 
 
 class VisionTransformer:

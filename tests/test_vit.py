@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -155,6 +157,11 @@ def test_backward_class_refuses_tape_free_result(tiny_model):
     res = tiny_model.forward(np.zeros((1, 3, 16, 16)), capture=True, tape=False)
     with pytest.raises(StateError, match="forward ran without a tape"):
         tiny_model.backward_class(res, 0)
+    # and neither backward root takes detached logits
+    with pytest.raises(ContractError, match="requires logits recorded on a tape"):
+        class_score(res.logits, 0)
+    with pytest.raises(ContractError, match="requires logits recorded on a tape"):
+        cross_entropy(res.logits, [0])
 
 
 def test_forward_is_pure(tiny_model):
@@ -501,6 +508,26 @@ def test_train_step_keeps_only_the_weight_gradients(toy_config, distillation, mo
     full = _keep_all(again.graph, cross_entropy(again.logits, labels))
     for name, nid in again.weight_nodes.items():
         assert bit_equal(opt.grads[name], full[nid])
+
+
+def test_graphs_are_freed_without_the_cycle_collector(tiny_model):
+    # a node's backward must not hold its graph (say, through a Tensor):
+    # the saved activations would then live until a gc pass
+    img = np.random.default_rng(25).random((1, 3, 16, 16))
+    roots = [lambda res: tiny_model.backward_class(res, 1),
+             lambda res: res.graph.backward(cross_entropy(res.logits, [1])),
+             lambda res: res.graph.backward(class_score(res.logits, 0))]
+    gc.disable()
+    try:
+        for weight_grads in (False, True):
+            for run in roots:
+                res = tiny_model.forward(img, capture=True, weight_grads=weight_grads)
+                run(res)
+                graph = weakref.ref(res.graph)
+                del res
+                assert graph() is None
+    finally:
+        gc.enable()
 
 
 def test_retained_backward_class_peak_memory_is_lower(tiny_model):
