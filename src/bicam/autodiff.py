@@ -247,6 +247,7 @@ def attention_grad(grad, q, kt, v, p, scale: float, scratch: dict) -> np.ndarray
         work = scratch[p.shape] = (np.empty(p.shape), np.empty(p.shape))
     dp, gp = work
     np.matmul(gh, np.swapaxes(v, -1, -2), out=dp)
+    gh = None   # freed before the dq and dk products
     rows = dp.reshape(-1, dp.shape[-1])
     kernels.softmax_rows_grad(p.reshape(rows.shape), rows, 1.0, rows, gp.reshape(rows.shape))
     dp *= scale

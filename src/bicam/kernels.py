@@ -57,9 +57,24 @@ def gelu(x):
 
 
 def gelu_grad(x, g):
-    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return g * (cdf + x * pdf)
+    """Backward of gelu: g * (cdf(x) + x * pdf(x)), in two arrays.
+
+    The steps of ``g * (0.5 * (1 + erf(x * c1)) + x * (exp(-0.5 * x * x) * c2))``
+    (c1 = 1/sqrt(2), c2 = 1/sqrt(2 pi)), in that order and in place; a
+    product or sum with its operands swapped gives the same bits.
+    """
+    out = np.multiply(x, _INV_SQRT2)
+    _erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    pdf = np.multiply(x, -0.5)
+    pdf *= x
+    np.exp(pdf, out=pdf)
+    pdf *= _INV_SQRT2PI
+    pdf *= x
+    out += pdf
+    out *= g
+    return out
 
 
 # Row means are np.add.reduce(...) / d: the sum-then-divide ndarray.mean
@@ -81,8 +96,12 @@ def layernorm_rows_grad(xhat, inv_std, dxhat):
     """Backward of row standardization; dxhat is the grad wrt xhat."""
     d = xhat.shape[1]
     m1 = np.add.reduce(dxhat, axis=1, keepdims=True) / d
-    m2 = np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / d
-    return (dxhat - m1 - xhat * m2) * inv_std[:, None]
+    tmp = np.multiply(dxhat, xhat)
+    m2 = np.add.reduce(tmp, axis=1, keepdims=True) / d
+    out = np.subtract(dxhat, m1)   # (dxhat - m1 - xhat * m2) * inv_std, in two arrays
+    out -= np.multiply(xhat, m2, out=tmp)
+    out *= inv_std[:, None]
+    return out
 
 
 def upsample_bilinear(grid, out_h, out_w):

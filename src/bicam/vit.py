@@ -162,29 +162,13 @@ def expected_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-# A block's weights, in the order of BlockWeights' array fields
-_BLOCK_ARRAYS = ("ln1.gain", "ln1.bias", "attn.qkv.weight", "attn.qkv.bias",
-                 "attn.out.weight", "attn.out.bias", "ln2.gain", "ln2.bias",
-                 "ffn.fc1.weight", "ffn.fc1.bias", "ffn.fc2.weight", "ffn.fc2.bias")
-
-
 class BlockWeights(NamedTuple):
-    """One block's weights: the arrays ``ViTWeights.arrays`` holds under
-    ``prefix`` (``blocks.{i}.``), with q, k and v as the fused qkv ones."""
+    """One block's weights: ``arrays`` maps each name ``ViTWeights.arrays``
+    holds under ``prefix`` (``blocks.{i}.``), with the prefix dropped, to
+    its array there (the fused attn.qkv ones among them)."""
 
     prefix: str
-    ln1_gain: np.ndarray
-    ln1_bias: np.ndarray
-    qkv_weight: np.ndarray
-    qkv_bias: np.ndarray
-    out_weight: np.ndarray
-    out_bias: np.ndarray
-    ln2_gain: np.ndarray
-    ln2_bias: np.ndarray
-    fc1_weight: np.ndarray
-    fc1_bias: np.ndarray
-    fc2_weight: np.ndarray
-    fc2_bias: np.ndarray
+    arrays: dict[str, np.ndarray]
 
 
 class ViTWeights:
@@ -227,9 +211,12 @@ class ViTWeights:
         self.config = config
         self.tensors = store
         self.arrays = {**store, **fused}
-        self.blocks = [
-            BlockWeights(f"blocks.{i}.", *(self.arrays[f"blocks.{i}.{a}"] for a in _BLOCK_ARRAYS))
-            for i in range(config.num_layers)]
+        self.blocks = []
+        for i in range(config.num_layers):
+            prefix = f"blocks.{i}."
+            self.blocks.append(BlockWeights(prefix, {
+                name[len(prefix):]: arr for name, arr in self.arrays.items()
+                if name.startswith(prefix)}))
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
@@ -291,17 +278,6 @@ class ForwardResult:
     input_shape: tuple[int, ...]
 
 
-# The weight tensors each stage sends gradients to under weight_grads, in
-# the order its backward returns them after its inputs' gradients; a
-# block's are its prefix plus these
-_EMBED_PARAMS = ("patch_embed.weight", "patch_embed.bias", "pos_embed")
-_ATTN_PARAMS = ("ln1.gain", "ln1.bias", *_qkv_parts("attn.qkv.weight"),
-                *_qkv_parts("attn.qkv.bias"))
-_MLP_PARAMS = ("attn.out.weight", "attn.out.bias", "ln2.gain", "ln2.bias",
-               "ffn.fc1.weight", "ffn.fc1.bias", "ffn.fc2.weight", "ffn.fc2.bias")
-_HEAD_PARAMS = ("ln_f.gain", "ln_f.bias", "head.weight", "head.bias")
-
-
 def _unchecked(out, op):
     return out
 
@@ -347,9 +323,10 @@ def _split_qkv(grad):
 class _Stages:
     """The stages of one forward on ``weights``; ``check(out, op)`` runs
     after every op. Each stage returns its outputs and, when ``taped``,
-    a backward: output gradient -> (inputs' gradients, then with
-    ``weight_grads`` the gradients of its weights, in the order of its
-    _*_PARAMS names), else None."""
+    a (backward, names) pair, else None: backward maps the output gradient
+    to its inputs' gradients followed, under ``weight_grads``, by the
+    gradients of the weights in ``names`` (a block's without its prefix),
+    in that order, so each stage writes the two side by side."""
 
     def __init__(self, weights, check, taped: bool, weight_grads: bool, scratch: dict):
         self.weights, self.check = weights, check
@@ -372,6 +349,8 @@ class _Stages:
             return x, None
         weight_grads, pe_weight, shape = self.weight_grads, w["patch_embed.weight"], img.shape
         patches = patches if weight_grads else None
+        names = ("cls_token", "dist_token")[:ns] + (
+            "patch_embed.weight", "patch_embed.bias", "pos_embed")
 
         def backward(g):
             dtok = np.ascontiguousarray(g[:, ns:])
@@ -383,67 +362,80 @@ class _Stages:
                         for i in range(ns)]
             return (dimg, *specials, *_linear_grads(patches, dtok), g.sum(axis=0))
 
-        return x, backward
+        return x, (backward, names)
 
     def attention(self, blk: BlockWeights, x, captured: bool, offset):
-        """ln1, the fused q|k|v product and attention: (merged heads, CLS
-        score row, probabilities, values, backward); ``offset`` is a [B, d]
-        term added to the merged CLS row, or None."""
-        cfg, check = self.weights.config, self.check
-        h, xhat, inv_std = _layernorm(x, blk.ln1_gain, blk.ln1_bias, check, self.taped)
+        """ln1, the fused q|k|v product and attention: (merged heads, then
+        for a captured layer its CLS score row, probabilities and values,
+        else None three times, then the backward pair); ``offset`` is a
+        [B, d] term added to the merged CLS row, or None."""
+        cfg, check, w = self.weights.config, self.check, blk.arrays
+        h, xhat, inv_std = _layernorm(x, w["ln1.gain"], w["ln1.bias"], check, self.taped)
         scale = 1.0 / math.sqrt(cfg.head_dim)
+        qkv_weight, gain = w["attn.qkv.weight"], w["ln1.gain"]
         merged, kept, p, v, q, kt = attention_arrays(
-            _linear(h, blk.qkv_weight, blk.qkv_bias, check), cfg.num_heads, scale, captured)
+            _linear(h, qkv_weight, w["attn.qkv.bias"], check), cfg.num_heads, scale, captured)
         if offset is not None:
             pad = np.zeros(merged.shape)
             pad[:, 0, :] = offset
             merged = check(merged + pad, "add")
         if not self.taped:
-            return merged, kept, p, v, None
+            # an uncaptured layer's p and v are freed before the next layer allocates its own
+            return (merged, kept, p, v, None) if captured else (merged, None, None, None, None)
         weight_grads, scratch = self.weight_grads, self.scratch
         h = h if weight_grads else None
+        names = ("ln1.gain", "ln1.bias", "attn.q.weight", "attn.k.weight", "attn.v.weight",
+                 "attn.q.bias", "attn.k.bias", "attn.v.bias")
 
         def backward(g):
             dqkv = attention_grad(g, q, kt, v, p, scale, scratch)
-            rows, dx = _layernorm_grads(np.matmul(dqkv, blk.qkv_weight.T), xhat, inv_std,
-                                        blk.ln1_gain)
+            dh = np.matmul(dqkv, qkv_weight.T)
+            if not weight_grads:
+                dqkv = None   # freed before the layer norm's backward, the walk's peak
+            rows, dx = _layernorm_grads(dh, xhat, inv_std, gain)
             if not weight_grads:
                 return (dx,)
             dw, db = _linear_grads(h, dqkv)
             return (dx, (rows * xhat).sum(axis=0), rows.sum(axis=0),
                     *_split_qkv(dw), *_split_qkv(db))
 
-        return merged, kept, p, v, backward
+        return merged, kept, p, v, (backward, names)
 
     def mlp(self, blk: BlockWeights, x, merged):
         """The output projection, its residual add, ln2, the MLP and its
-        residual add: (next x, backward)."""
-        check = self.check
-        x1 = check(x + _linear(merged, blk.out_weight, blk.out_bias, check), "add")
-        h2, xhat, inv_std = _layernorm(x1, blk.ln2_gain, blk.ln2_bias, check, self.taped)
-        a1 = _linear(h2, blk.fc1_weight, blk.fc1_bias, check)
+        residual add: (next x, backward pair)."""
+        check, w = self.check, blk.arrays
+        out_weight, gain, fc1_weight, fc2_weight = (
+            w["attn.out.weight"], w["ln2.gain"], w["ffn.fc1.weight"], w["ffn.fc2.weight"])
+        x1 = check(x + _linear(merged, out_weight, w["attn.out.bias"], check), "add")
+        h2, xhat, inv_std = _layernorm(x1, gain, w["ln2.bias"], check, self.taped)
+        a1 = _linear(h2, fc1_weight, w["ffn.fc1.bias"], check)
         f = check(kernels.gelu(a1), "gelu")
-        x2 = check(x1 + _linear(f, blk.fc2_weight, blk.fc2_bias, check), "add")
+        x2 = check(x1 + _linear(f, fc2_weight, w["ffn.fc2.bias"], check), "add")
         if not self.taped:
             return x2, None
         weight_grads = self.weight_grads
         merged, h2, f = (merged, h2, f) if weight_grads else (None, None, None)
+        names = ("attn.out.weight", "attn.out.bias", "ln2.gain", "ln2.bias",
+                 "ffn.fc1.weight", "ffn.fc1.bias", "ffn.fc2.weight", "ffn.fc2.bias")
 
         def backward(g):
-            da1 = kernels.gelu_grad(a1, np.ascontiguousarray(np.matmul(g, blk.fc2_weight.T)))
-            rows, dln2 = _layernorm_grads(np.matmul(da1, blk.fc1_weight.T), xhat, inv_std,
-                                          blk.ln2_gain)
+            da1 = kernels.gelu_grad(a1, np.matmul(g, fc2_weight.T))
+            dh2 = np.matmul(da1, fc1_weight.T)
+            if not weight_grads:
+                da1 = None   # freed before the layer norm's backward
+            rows, dln2 = _layernorm_grads(dh2, xhat, inv_std, gain)
             dx1 = g + dln2   # the residual's gradient first, then ln2's
-            dmerged = np.matmul(dx1, blk.out_weight.T)
+            dmerged = np.matmul(dx1, out_weight.T)
             if not weight_grads:
                 return dx1, dmerged
             return (dx1, dmerged, *_linear_grads(merged, dx1), (rows * xhat).sum(axis=0),
                     rows.sum(axis=0), *_linear_grads(h2, da1), *_linear_grads(f, g))
 
-        return x2, backward
+        return x2, (backward, names)
 
     def head(self, x):
-        """ln_f, the CLS row and the classifier: (logits, backward)."""
+        """ln_f, the CLS row and the classifier: (logits, backward pair)."""
         w, check = self.weights.arrays, self.check
         xf, xhat, inv_std = _layernorm(x, w["ln_f.gain"], w["ln_f.bias"], check, self.taped)
         cls_state = np.ascontiguousarray(_check_stage(xf)[:, 0])
@@ -451,9 +443,11 @@ class _Stages:
         if not self.taped:
             return logits, None
         weight_grads, gain, head_weight = self.weight_grads, w["ln_f.gain"], w["head.weight"]
+        shape, cls_state = x.shape, cls_state if weight_grads else None
+        names = ("ln_f.gain", "ln_f.bias", "head.weight", "head.bias")
 
         def backward(g):
-            dxf = np.zeros(x.shape)
+            dxf = np.zeros(shape)
             dxf[:, 0] = np.matmul(g, head_weight.T)
             rows, dx = _layernorm_grads(dxf, xhat, inv_std, gain)
             if not weight_grads:
@@ -461,7 +455,7 @@ class _Stages:
             return (dx, (rows * xhat).sum(axis=0), rows.sum(axis=0),
                     *_linear_grads(cls_state, g))
 
-        return logits, backward
+        return logits, (backward, names)
 
 
 def _root(op: str, logits: Tensor, value, backward) -> Tensor:
@@ -474,6 +468,8 @@ def _root(op: str, logits: Tensor, value, backward) -> Tensor:
 def class_score(logits: Tensor, class_index: int) -> Tensor:
     """The summed logit of one class over the batch, as one tape node."""
     c, shape = int(class_index), logits.shape   # not logits: its graph holds this closure
+    if not 0 <= c < shape[-1]:
+        raise ParameterError(f"class index {c} out of range")
 
     def backward(grad):
         seed = np.zeros(shape)
@@ -584,22 +580,22 @@ class VisionTransformer:
             weight_nodes = {name: graph.leaf(arr).node_id
                             for name, arr in self.weights.tensors.items()}
 
-        def record(op, parents, out, backward, prefix="", params=()) -> int:
-            """Append one node, whose weights are ``prefix`` + ``params``; -1
-            off the tape."""
+        def record(op, parents, out, step, prefix="") -> int:
+            """Append one node for a stage's (backward, names) ``step``, whose
+            weights ``prefix`` + names are extra parents under weight_grads;
+            -1 off the tape."""
             if not tape:
                 return -1
+            backward, names = step
             if weight_nodes:
-                parents += tuple(weight_nodes[prefix + name] for name in params)
+                parents += tuple(weight_nodes[prefix + name] for name in names)
             return graph._append(op, parents, out, backward).node_id
 
         img = check_finite(np.ascontiguousarray(img), "leaf")
-        image_node = record("leaf", (), img, None)
+        image_node = record("leaf", (), img, (None, ()))
         try:
-            x, backward = stages.embedding(img)
-            specials = ("cls_token", "dist_token")[:self.config.num_special_tokens]
-            x_node = record("embedding", (image_node,), _check_stage(x), backward,
-                            params=specials + _EMBED_PARAMS)
+            x, step = stages.embedding(img)
+            x_node = record("embedding", (image_node,), _check_stage(x), step)
         except NumericError as e:
             raise NumericError(f"patch embedding: {e}") from None
 
@@ -607,24 +603,21 @@ class VisionTransformer:
         for layer, blk in enumerate(self.weights.blocks, 1):
             try:
                 captured = layer >= first_captured
-                merged, scores, probs, values, backward = stages.attention(
+                merged, scores, probs, values, step = stages.attention(
                     blk, x, captured, cls_out_offsets.get(layer))
-                merged_node = record("attention", (x_node,), merged, backward,
-                                     blk.prefix, _ATTN_PARAMS)
+                merged_node = record("attention", (x_node,), merged, step, blk.prefix)
                 if captured:
                     captures.append(LayerCapture(
                         layer=layer, attn_logits=scores, attn_probs=probs, values=values,
                         cls_out=merged[:, 0, :].copy(), merged_node=merged_node))
-                x, backward = stages.mlp(blk, x, merged)
-                x_node = record("mlp", (x_node, merged_node), _check_stage(x), backward,
-                                blk.prefix, _MLP_PARAMS)
+                x, step = stages.mlp(blk, x, merged)
+                x_node = record("mlp", (x_node, merged_node), _check_stage(x), step, blk.prefix)
             except NumericError as e:
                 raise NumericError(f"block {layer}: {e}") from None
 
         try:
-            logits, backward = stages.head(x)
-            head_node = record("head", (x_node,), _check_stage(logits), backward,
-                               params=_HEAD_PARAMS)
+            logits, step = stages.head(x)
+            head_node = record("head", (x_node,), _check_stage(logits), step)
         except NumericError as e:
             raise NumericError(f"classifier head: {e}") from None
 
@@ -641,15 +634,13 @@ class VisionTransformer:
         The graph keeps the gradients of the image and of every captured
         layer's merged node; reading any other node's raises ContractError.
         """
-        c = int(class_index)
-        if not 0 <= c < self.config.num_classes:
-            raise ParameterError(f"class index {c} out of range")
         if not result.graph.nodes:
             raise StateError("forward ran without a tape; backward_class needs tape=True")
         if not result.captures:
             raise StateError("backward_class requires a forward run with capture=True")
+        root = class_score(result.logits, class_index)
         result.graph.retain = {result.image_node, *(cap.merged_node for cap in result.captures)}
-        result.graph.backward(class_score(result.logits, c))
+        result.graph.backward(root)
         for cap in result.captures:
             cap.cls_out_grad = result.graph.gradients[cap.merged_node][:, 0, :].copy()
         return result

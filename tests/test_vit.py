@@ -208,6 +208,10 @@ def test_backward_class_requires_capture(tiny_model):
     res = tiny_model.forward(img, capture=True)
     with pytest.raises(ParameterError):
         tiny_model.backward_class(res, 99)
+    # class_score, a public root, checks the range itself: no wrap-around
+    for c in (-1, tiny_model.config.num_classes):
+        with pytest.raises(ParameterError, match="out of range"):
+            class_score(res.logits, c)
 
 
 def test_cls_out_grad_matches_finite_differences(tiny_model, tiny_config):
@@ -546,10 +550,7 @@ def test_retained_backward_class_peak_memory_is_lower(tiny_model):
     traced(lambda res: tiny_model.backward_class(res, 0))  # warm up lazy imports
     retained = traced(lambda res: tiny_model.backward_class(res, 0))
     keep_all = traced(lambda res: res.graph.backward(class_score(res.logits, 0)))
-    # the stage tape stores 2L + 3 gradients, not one per op, so keeping them
-    # all costs less than it did; the peak's fixed part (the attention work
-    # arrays, the gelu backward's temporaries) weighs more beside it
-    assert retained[1] <= 0.9 * keep_all[1], (retained, keep_all)
+    assert retained[1] <= 0.8 * keep_all[1], (retained, keep_all)
     assert retained[0] <= 0.6 * keep_all[0], (retained, keep_all)
 
 
