@@ -115,9 +115,11 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _sub_seeds(seed: int, n: int) -> list[int]:
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [int(c.generate_state(1)[0]) for c in children]
+def _sub_seed(seed: int, k: int) -> int:
+    """Item k's seed: the first state word of child k of
+    ``SeedSequence(seed).spawn(n)`` for any n > k, made without the k
+    children before it."""
+    return int(np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(1)[0])
 
 
 def _list_images(directory: str) -> list[Path]:
@@ -201,7 +203,7 @@ def _report_table(report, rows=REPORT_ROWS) -> str:
 def cmd_init_model(args) -> int:
     cfg = ViTConfig(
         image_height=args.image_size,
-        image_width=args.image_width or args.image_size,
+        image_width=args.image_size if args.image_width is None else args.image_width,
         patch_size=args.patch_size, num_layers=args.layers,
         num_heads=args.heads, embed_dim=args.embed_dim, ffn_dim=args.ffn_dim,
         num_classes=args.classes, distillation_token=args.distillation,
@@ -254,7 +256,6 @@ def cmd_attack(args) -> int:
     files = _list_images(args.images)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = _sub_seeds(args.seed, len(files))
 
     def one(i_path):
         i, path = i_path
@@ -264,7 +265,8 @@ def cmd_attack(args) -> int:
         label = (int(np.argmax(logits[0])) if args.class_index is None
                  else int(args.class_index))
         before = float(kernels.softmax_rows(logits, 1.0)[0, label])
-        adv = run_attack(model, image[None], label, dataclasses.replace(cfg, seed=seeds[i]))[0]
+        item_cfg = dataclasses.replace(cfg, seed=_sub_seed(args.seed, i))
+        adv = run_attack(model, image[None], label, item_cfg)[0]
         netpbm.write_ppm(str(out_dir / path.name), adv)
         after = float(model.predict_proba(adv[None])[0, label])
         return before, after
@@ -341,7 +343,6 @@ def cmd_eval_faith(args) -> int:
     _check_class_index(model, args)
     files = _list_images(args.images)
     patch = model.config.patch_size
-    seeds = _sub_seeds(args.seed, len(files) * args.seeds)
 
     def one(i_path):
         i, path = i_path
@@ -350,7 +351,7 @@ def cmd_eval_faith(args) -> int:
         rep = faithfulness(prob_fn, image, amap.patch_scores[0], patch)
         rand = [random_order_faithfulness(
                     prob_fn, image, amap.patch_scores[0].shape, patch,
-                    seeds[i * args.seeds + s]).faithfulness
+                    _sub_seed(args.seed, i * args.seeds + s)).faithfulness
                 for s in range(args.seeds)]
         return path.stem, rep, float(np.mean(rand)) if rand else float("nan")
 

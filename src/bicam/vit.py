@@ -17,8 +17,8 @@ projections are one product on its fused [Wq|Wk|Wv] weight, built once at
 load, so a forward runs 6L + 2 products. When a tape is asked for, each
 stage records one autodiff node whose backward is the stage's hand-chained
 VJP (vector-Jacobian product) on the same kernels, so a taped forward
-records 2L + 3 nodes: the image leaf and the stages (plus one leaf per
-weight tensor when weight gradients are asked for).
+records 2L + 3 nodes: the image leaf and the stages. Weights are never
+nodes; a backward asked for weight gradients stores them by name.
 
 Every forward checks the 3L + 4 values a NaN/Inf can hide behind: the
 input, the embedding's output, each block's attention scores and output
@@ -128,7 +128,8 @@ def tensor_count(config: ViTConfig) -> int:
 
 
 def _qkv_parts(name: str) -> list[str]:
-    """The q, k and v tensor names of a fused ``blocks.{i}.attn.qkv.*`` name."""
+    """The q, k and v tensor names of a fused ``attn.qkv.*`` name, with the
+    block prefix it has, if any."""
     return [name.replace(".qkv.", f".{p}.") for p in "qkv"]
 
 
@@ -163,9 +164,9 @@ def expected_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
 
 
 class BlockWeights(NamedTuple):
-    """One block's weights: ``arrays`` maps each name ``ViTWeights.arrays``
+    """One block's weights: ``arrays`` maps each name ``ViTWeights.tensors``
     holds under ``prefix`` (``blocks.{i}.``), with the prefix dropped, to
-    its array there (the fused attn.qkv ones among them)."""
+    its array there, plus the fused ``attn.qkv.weight`` and ``.bias``."""
 
     prefix: str
     arrays: dict[str, np.ndarray]
@@ -174,13 +175,14 @@ class BlockWeights(NamedTuple):
 class ViTWeights:
     """Named, finite weight tensors whose shapes are pinned by a ViTConfig.
 
-    Each block's q, k and v projections live in one fused weight [d, 3d]
-    and one fused bias [3d], named ``blocks.{i}.attn.qkv.weight`` and
-    ``.bias`` in ``arrays``; their entries in ``tensors`` are column views
-    of those, so a weight updated in place (training, tests) is seen by
-    both. ``tensors`` holds the per-name tensors of the weight file,
-    ``arrays`` those plus the fused ones, and ``blocks`` one BlockWeights
-    per block, built once from ``arrays`` (the same arrays, not copies).
+    ``tensors`` holds the per-name tensors of the weight file, and
+    ``blocks`` one BlockWeights per block, built once (the same arrays, not
+    copies). Each block's q, k and v projections live in one fused weight
+    [d, 3d] and one fused bias [3d], kept in its BlockWeights as
+    ``attn.qkv.weight`` and ``.bias``; their entries in ``tensors`` are
+    column views of those, so a weight updated in place (training, tests)
+    is seen by both. The forward reads weights as constants: they are never
+    nodes of a tape (see ``VisionTransformer.forward``).
     """
 
     def __init__(self, config: ViTConfig, tensors: dict[str, np.ndarray]):
@@ -200,26 +202,23 @@ class ViTWeights:
                 raise ParameterError(f"weight {name!r} has non-finite values")
             store[name] = arr
         d = config.embed_dim
-        fused: dict[str, np.ndarray] = {}
-        for i in range(config.num_layers):
-            for kind in ("weight", "bias"):
-                name = f"blocks.{i}.attn.qkv.{kind}"
-                parts = _qkv_parts(name)
-                whole = fused[name] = np.concatenate([store[m] for m in parts], axis=-1)
-                for j, m in enumerate(parts):
-                    store[m] = whole[..., j * d:(j + 1) * d]
         self.config = config
         self.tensors = store
-        self.arrays = {**store, **fused}
         self.blocks = []
         for i in range(config.num_layers):
             prefix = f"blocks.{i}."
-            self.blocks.append(BlockWeights(prefix, {
-                name[len(prefix):]: arr for name, arr in self.arrays.items()
-                if name.startswith(prefix)}))
+            arrays = {name[len(prefix):]: arr for name, arr in store.items()
+                      if name.startswith(prefix)}
+            for kind in ("weight", "bias"):
+                parts = _qkv_parts(f"attn.qkv.{kind}")
+                whole = arrays[f"attn.qkv.{kind}"] = np.concatenate(
+                    [arrays[m] for m in parts], axis=-1)
+                for j, m in enumerate(parts):
+                    arrays[m] = store[prefix + m] = whole[..., j * d:(j + 1) * d]
+            self.blocks.append(BlockWeights(prefix, arrays))
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
+        return self.tensors[name]
 
     def checksum(self) -> str:
         h = hashlib.sha256()
@@ -274,7 +273,8 @@ class ForwardResult:
     captures: list[LayerCapture]
     graph: Graph
     image_node: int
-    weight_nodes: dict[str, int]
+    # tensor name -> gradient, filled by a backward; None without weight_grads
+    weight_grads: dict[str, np.ndarray] | None
     input_shape: tuple[int, ...]
 
 
@@ -308,67 +308,67 @@ def _layernorm(x, gain, bias, check, taped):
     return check(out.reshape(x.shape), "layernorm"), xhat, inv_std
 
 
-def _layernorm_grads(grad, xhat, inv_std, gain):
-    """(grad as rows, input gradient) of a layer norm; the gain's gradient is
-    (rows * xhat).sum(axis=0) and the bias's rows.sum(axis=0)."""
+def _layernorm_grads(grad, xhat, inv_std, gain, grads, name):
+    """The input gradient of a layer norm; with a ``grads`` dict, the
+    gradients of its ``name``.gain and ``name``.bias are stored there."""
     rows = np.ascontiguousarray(grad.reshape(xhat.shape))
-    return rows, kernels.layernorm_rows_grad(xhat, inv_std, rows * gain).reshape(grad.shape)
-
-
-def _split_qkv(grad):
-    """The q, k and v parts of a fused q|k|v gradient, as separate arrays."""
-    return [np.ascontiguousarray(part) for part in np.split(grad, 3, axis=-1)]
+    dx = kernels.layernorm_rows_grad(xhat, inv_std, rows * gain).reshape(grad.shape)
+    if grads is not None:
+        grads[name + ".gain"], grads[name + ".bias"] = (rows * xhat).sum(axis=0), rows.sum(axis=0)
+    return dx
 
 
 class _Stages:
     """The stages of one forward on ``weights``; ``check(out, op)`` runs
-    after every op. Each stage returns its outputs and, when ``taped``,
-    a (backward, names) pair, else None: backward maps the output gradient
-    to its inputs' gradients followed, under ``weight_grads``, by the
-    gradients of the weights in ``names`` (a block's without its prefix),
-    in that order, so each stage writes the two side by side."""
+    after every op. Each stage returns its outputs and, when ``taped``, its
+    backward, else None. Weights are constants on the tape, so a backward
+    maps the output gradient to one gradient per tape parent (the stage's
+    inputs), as Graph asks. When ``grads`` is a dict, a backward also stores
+    there the gradient of every weight its stage read, under the weight's
+    name in ``ViTWeights.tensors`` (q, k and v as the column thirds of the
+    fused gradient)."""
 
-    def __init__(self, weights, check, taped: bool, weight_grads: bool, scratch: dict):
+    def __init__(self, weights, check, taped: bool, grads: dict | None, scratch: dict):
         self.weights, self.check = weights, check
-        self.taped, self.weight_grads, self.scratch = taped, weight_grads, scratch
+        self.taped, self.grads, self.scratch = taped, grads, scratch
 
     def embedding(self, img):
-        cfg, w, check = self.weights.config, self.weights.arrays, self.check
+        cfg, w, check = self.weights.config, self.weights.tensors, self.check
         b, d, p = img.shape[0], cfg.embed_dim, cfg.patch_size
         gh, gw, ns = cfg.grid_height, cfg.grid_width, cfg.num_special_tokens
         patches = np.ascontiguousarray(
             img.reshape(b, 3, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5)
         ).reshape(b, gh * gw, 3 * p * p)
         tok = _linear(patches, w["patch_embed.weight"], w["patch_embed.bias"], check)
-        specials = [np.broadcast_to(w[name].reshape(1, 1, d), (b, 1, d))
-                    for name in ("cls_token", "dist_token")[:ns]]
-        x = np.concatenate(specials + [tok], axis=1)
+        specials = ("cls_token", "dist_token")[:ns]
+        x = np.concatenate([np.broadcast_to(w[name].reshape(1, 1, d), (b, 1, d))
+                            for name in specials] + [tok], axis=1)
         x += w["pos_embed"]
         x = check(x, "add")
         if not self.taped:
             return x, None
-        weight_grads, pe_weight, shape = self.weight_grads, w["patch_embed.weight"], img.shape
-        patches = patches if weight_grads else None
-        names = ("cls_token", "dist_token")[:ns] + (
-            "patch_embed.weight", "patch_embed.bias", "pos_embed")
+        grads, pe_weight, shape = self.grads, w["patch_embed.weight"], img.shape
+        patches = patches if grads is not None else None
 
         def backward(g):
             dtok = np.ascontiguousarray(g[:, ns:])
             dpatches = np.matmul(dtok, pe_weight.T).reshape(b, gh, gw, 3, p, p)
             dimg = np.ascontiguousarray(dpatches.transpose(0, 3, 1, 4, 2, 5)).reshape(shape)
-            if not weight_grads:
-                return (dimg,)
-            specials = [np.ascontiguousarray(g[:, i:i + 1]).sum(axis=0).reshape(d)
-                        for i in range(ns)]
-            return (dimg, *specials, *_linear_grads(patches, dtok), g.sum(axis=0))
+            if grads is not None:
+                for i, name in enumerate(specials):
+                    grads[name] = np.ascontiguousarray(g[:, i:i + 1]).sum(axis=0).reshape(d)
+                grads["patch_embed.weight"], grads["patch_embed.bias"] = (
+                    _linear_grads(patches, dtok))
+                grads["pos_embed"] = g.sum(axis=0)
+            return (dimg,)
 
-        return x, (backward, names)
+        return x, backward
 
     def attention(self, blk: BlockWeights, x, captured: bool, offset):
         """ln1, the fused q|k|v product and attention: (merged heads, then
         for a captured layer its CLS score row, probabilities and values,
-        else None three times, then the backward pair); ``offset`` is a
-        [B, d] term added to the merged CLS row, or None."""
+        else None three times, then the backward); ``offset`` is a [B, d]
+        term added to the merged CLS row, or None."""
         cfg, check, w = self.weights.config, self.check, blk.arrays
         h, xhat, inv_std = _layernorm(x, w["ln1.gain"], w["ln1.bias"], check, self.taped)
         scale = 1.0 / math.sqrt(cfg.head_dim)
@@ -382,28 +382,25 @@ class _Stages:
         if not self.taped:
             # an uncaptured layer's p and v are freed before the next layer allocates its own
             return (merged, kept, p, v, None) if captured else (merged, None, None, None, None)
-        weight_grads, scratch = self.weight_grads, self.scratch
-        h = h if weight_grads else None
-        names = ("ln1.gain", "ln1.bias", "attn.q.weight", "attn.k.weight", "attn.v.weight",
-                 "attn.q.bias", "attn.k.bias", "attn.v.bias")
+        grads, scratch, prefix = self.grads, self.scratch, blk.prefix
+        h = h if grads is not None else None
 
         def backward(g):
             dqkv = attention_grad(g, q, kt, v, p, scale, scratch)
             dh = np.matmul(dqkv, qkv_weight.T)
-            if not weight_grads:
-                dqkv = None   # freed before the layer norm's backward, the walk's peak
-            rows, dx = _layernorm_grads(dh, xhat, inv_std, gain)
-            if not weight_grads:
-                return (dx,)
-            dw, db = _linear_grads(h, dqkv)
-            return (dx, (rows * xhat).sum(axis=0), rows.sum(axis=0),
-                    *_split_qkv(dw), *_split_qkv(db))
+            if grads is not None:
+                for kind, fused in zip(("weight", "bias"), _linear_grads(h, dqkv)):
+                    for name, part in zip(_qkv_parts(f"{prefix}attn.qkv.{kind}"),
+                                          np.split(fused, 3, axis=-1)):
+                        grads[name] = np.ascontiguousarray(part)
+            dqkv = None   # freed before the layer norm's backward, the walk's peak
+            return (_layernorm_grads(dh, xhat, inv_std, gain, grads, prefix + "ln1"),)
 
-        return merged, kept, p, v, (backward, names)
+        return merged, kept, p, v, backward
 
     def mlp(self, blk: BlockWeights, x, merged):
         """The output projection, its residual add, ln2, the MLP and its
-        residual add: (next x, backward pair)."""
+        residual add: (next x, backward)."""
         check, w = self.check, blk.arrays
         out_weight, gain, fc1_weight, fc2_weight = (
             w["attn.out.weight"], w["ln2.gain"], w["ffn.fc1.weight"], w["ffn.fc2.weight"])
@@ -414,48 +411,46 @@ class _Stages:
         x2 = check(x1 + _linear(f, fc2_weight, w["ffn.fc2.bias"], check), "add")
         if not self.taped:
             return x2, None
-        weight_grads = self.weight_grads
-        merged, h2, f = (merged, h2, f) if weight_grads else (None, None, None)
-        names = ("attn.out.weight", "attn.out.bias", "ln2.gain", "ln2.bias",
-                 "ffn.fc1.weight", "ffn.fc1.bias", "ffn.fc2.weight", "ffn.fc2.bias")
+        grads, prefix = self.grads, blk.prefix
+        merged, h2, f = (merged, h2, f) if grads is not None else (None, None, None)
 
         def backward(g):
             da1 = kernels.gelu_grad(a1, np.matmul(g, fc2_weight.T))
             dh2 = np.matmul(da1, fc1_weight.T)
-            if not weight_grads:
-                da1 = None   # freed before the layer norm's backward
-            rows, dln2 = _layernorm_grads(dh2, xhat, inv_std, gain)
+            if grads is not None:
+                grads[prefix + "ffn.fc1.weight"], grads[prefix + "ffn.fc1.bias"] = (
+                    _linear_grads(h2, da1))
+                grads[prefix + "ffn.fc2.weight"], grads[prefix + "ffn.fc2.bias"] = (
+                    _linear_grads(f, g))
+            da1 = None   # freed before the layer norm's backward
+            dln2 = _layernorm_grads(dh2, xhat, inv_std, gain, grads, prefix + "ln2")
             dx1 = g + dln2   # the residual's gradient first, then ln2's
-            dmerged = np.matmul(dx1, out_weight.T)
-            if not weight_grads:
-                return dx1, dmerged
-            return (dx1, dmerged, *_linear_grads(merged, dx1), (rows * xhat).sum(axis=0),
-                    rows.sum(axis=0), *_linear_grads(h2, da1), *_linear_grads(f, g))
+            if grads is not None:
+                grads[prefix + "attn.out.weight"], grads[prefix + "attn.out.bias"] = (
+                    _linear_grads(merged, dx1))
+            return dx1, np.matmul(dx1, out_weight.T)
 
-        return x2, (backward, names)
+        return x2, backward
 
     def head(self, x):
-        """ln_f, the CLS row and the classifier: (logits, backward pair)."""
-        w, check = self.weights.arrays, self.check
+        """ln_f, the CLS row and the classifier: (logits, backward)."""
+        w, check = self.weights.tensors, self.check
         xf, xhat, inv_std = _layernorm(x, w["ln_f.gain"], w["ln_f.bias"], check, self.taped)
         cls_state = np.ascontiguousarray(_check_stage(xf)[:, 0])
         logits = _linear(cls_state, w["head.weight"], w["head.bias"], check)
         if not self.taped:
             return logits, None
-        weight_grads, gain, head_weight = self.weight_grads, w["ln_f.gain"], w["head.weight"]
-        shape, cls_state = x.shape, cls_state if weight_grads else None
-        names = ("ln_f.gain", "ln_f.bias", "head.weight", "head.bias")
+        grads, gain, head_weight = self.grads, w["ln_f.gain"], w["head.weight"]
+        shape, cls_state = x.shape, cls_state if grads is not None else None
 
         def backward(g):
             dxf = np.zeros(shape)
             dxf[:, 0] = np.matmul(g, head_weight.T)
-            rows, dx = _layernorm_grads(dxf, xhat, inv_std, gain)
-            if not weight_grads:
-                return (dx,)
-            return (dx, (rows * xhat).sum(axis=0), rows.sum(axis=0),
-                    *_linear_grads(cls_state, g))
+            if grads is not None:
+                grads["head.weight"], grads["head.bias"] = _linear_grads(cls_state, g)
+            return (_layernorm_grads(dxf, xhat, inv_std, gain, grads, "ln_f"),)
 
-        return logits, (backward, names)
+        return logits, backward
 
 
 def _root(op: str, logits: Tensor, value, backward) -> Tensor:
@@ -537,12 +532,14 @@ class VisionTransformer:
         merged_node are -1, and backward_class refuses the result. The
         logits and captures are the same bits either way.
 
-        On the tape, weights are constants by default: weight_nodes is empty,
-        and a backward computes no weight gradient. weight_grads=True
-        records every weight tensor as a leaf, maps its name to its node in
-        weight_nodes and makes it a parent of the stage that reads it, so a
-        backward also fills the weight gradients (for training). It has no
-        effect with tape off.
+        Weights are never tape nodes: each stage's backward returns one
+        gradient per tape parent. By default the result's weight_grads is
+        None, and a backward computes no weight gradient. With
+        weight_grads=True it is a dict that a backward fills with the
+        gradient of every weight tensor, under its name in
+        ``ViTWeights.tensors`` (for training); every weight is read by
+        exactly one stage, which stores its gradient once. It has no effect
+        with tape off.
 
         A non-finite value raises NumericError naming the stage and the op
         that made it, with tape on or off (see the module docstring).
@@ -574,28 +571,18 @@ class VisionTransformer:
         """The forward body, capturing layers first_captured..L, with
         ``check(out, op)`` after every op."""
         graph = Graph()
-        stages = _Stages(self.weights, check, tape, tape and weight_grads, graph.scratch)
-        weight_nodes: dict[str, int] = {}
-        if stages.weight_grads:
-            weight_nodes = {name: graph.leaf(arr).node_id
-                            for name, arr in self.weights.tensors.items()}
+        grads = {} if tape and weight_grads else None
+        stages = _Stages(self.weights, check, tape, grads, graph.scratch)
 
-        def record(op, parents, out, step, prefix="") -> int:
-            """Append one node for a stage's (backward, names) ``step``, whose
-            weights ``prefix`` + names are extra parents under weight_grads;
-            -1 off the tape."""
-            if not tape:
-                return -1
-            backward, names = step
-            if weight_nodes:
-                parents += tuple(weight_nodes[prefix + name] for name in names)
-            return graph._append(op, parents, out, backward).node_id
+        def record(op, parents, out, backward) -> int:
+            """Append one node with ``backward``; -1 off the tape."""
+            return graph._append(op, parents, out, backward).node_id if tape else -1
 
         img = check_finite(np.ascontiguousarray(img), "leaf")
-        image_node = record("leaf", (), img, (None, ()))
+        image_node = record("leaf", (), img, None)
         try:
-            x, step = stages.embedding(img)
-            x_node = record("embedding", (image_node,), _check_stage(x), step)
+            x, backward = stages.embedding(img)
+            x_node = record("embedding", (image_node,), _check_stage(x), backward)
         except NumericError as e:
             raise NumericError(f"patch embedding: {e}") from None
 
@@ -603,28 +590,28 @@ class VisionTransformer:
         for layer, blk in enumerate(self.weights.blocks, 1):
             try:
                 captured = layer >= first_captured
-                merged, scores, probs, values, step = stages.attention(
+                merged, scores, probs, values, backward = stages.attention(
                     blk, x, captured, cls_out_offsets.get(layer))
-                merged_node = record("attention", (x_node,), merged, step, blk.prefix)
+                merged_node = record("attention", (x_node,), merged, backward)
                 if captured:
                     captures.append(LayerCapture(
                         layer=layer, attn_logits=scores, attn_probs=probs, values=values,
                         cls_out=merged[:, 0, :].copy(), merged_node=merged_node))
-                x, step = stages.mlp(blk, x, merged)
-                x_node = record("mlp", (x_node, merged_node), _check_stage(x), step, blk.prefix)
+                x, backward = stages.mlp(blk, x, merged)
+                x_node = record("mlp", (x_node, merged_node), _check_stage(x), backward)
             except NumericError as e:
                 raise NumericError(f"block {layer}: {e}") from None
 
         try:
-            logits, step = stages.head(x)
-            head_node = record("head", (x_node,), _check_stage(logits), step)
+            logits, backward = stages.head(x)
+            head_node = record("head", (x_node,), _check_stage(logits), backward)
         except NumericError as e:
             raise NumericError(f"classifier head: {e}") from None
 
         return ForwardResult(
             logits=Tensor(logits, graph, head_node) if tape else Tensor(logits),
             captures=captures, graph=graph, image_node=image_node,
-            weight_nodes=weight_nodes, input_shape=input_shape)
+            weight_grads=grads, input_shape=input_shape)
 
     # -- gradients ------------------------------------------------------------
 

@@ -139,7 +139,7 @@ def _softmax_case(temperature):
 
 def _layernorm_case(x):
     out, xhat, inv_std = vit._layernorm(x, G0, H0, vit._unchecked, taped=True)
-    return out, lambda g: vit._layernorm_grads(g, xhat, inv_std, G0)[1]
+    return out, lambda g: vit._layernorm_grads(g, xhat, inv_std, G0, None, "ln")
 
 
 RNG = np.random.default_rng(7)
@@ -171,11 +171,13 @@ def test_layernorm_gain_bias_gradients():
         return float((vit._layernorm(x0, gain, bias, vit._unchecked, False)[0] * c).sum())
 
     _, xhat, inv_std = vit._layernorm(x0, gain0, bias0, vit._unchecked, True)
-    rows, _ = vit._layernorm_grads(c, xhat, inv_std, gain0)
+    grads = {}
+    vit._layernorm_grads(c, xhat, inv_std, gain0, grads, "ln")
+    assert set(grads) == {"ln.gain", "ln.bias"}
     fd_gain = finite_difference(lambda v: f(v, bias0), gain0)
     fd_bias = finite_difference(lambda v: f(gain0, v), bias0)
-    assert grad_rel_error((rows * xhat).sum(axis=0), fd_gain) < 1e-5
-    assert grad_rel_error(rows.sum(axis=0), fd_bias) < 1e-5
+    assert grad_rel_error(grads["ln.gain"], fd_gain) < 1e-5
+    assert grad_rel_error(grads["ln.bias"], fd_bias) < 1e-5
 
 
 def test_matmul_gradient_matches_finite_differences():

@@ -9,7 +9,7 @@ import pytest
 
 from bicam import counters, netpbm, weightfile
 from bicam.attribution import bicam
-from bicam.cli import load_config_file, main, read_grid_csv
+from bicam.cli import _sub_seed, load_config_file, main, read_grid_csv
 from bicam.detection import read_records, roc_analysis
 from bicam.errors import DataFormatError
 from bicam.toytrain import make_pattern_dataset
@@ -47,6 +47,27 @@ def test_init_model_deterministic(tmp_path, capsys):
     checks = [line for line in first.splitlines() if line.startswith("checksum=")]
     assert checks == [line for line in second.splitlines() if line.startswith("checksum=")]
     assert (tmp_path / "a.bw").read_bytes() == (tmp_path / "b.bw").read_bytes()
+
+
+@pytest.mark.parametrize("width", ["0", "-4"])
+def test_non_positive_image_width_is_a_usage_error(tmp_path, width, capsys):
+    # 0 is a width, not "unset": it must not fall back to a square image
+    assert run(["init-model", "--out", tmp_path / "m.bw", "--image-width", width]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"usage error: image_width must be a positive integer, got {width}")
+    assert list(tmp_path.iterdir()) == []
+    assert run(["init-model", "--out", tmp_path / "m.bw", "--image-width", 8]) == 0
+    cfg = weightfile.load_model(str(tmp_path / "m.bw")).config
+    assert (cfg.image_height, cfg.image_width) == (16, 8)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
+def test_item_seeds_are_the_spawned_children(seed):
+    # each item's seed is derived on its own, and equals the one a spawn of
+    # every item's child gives
+    children = np.random.SeedSequence(seed).spawn(40)
+    for k in (0, 1, 2, 17, 39):
+        assert _sub_seed(seed, k) == int(children[k].generate_state(1)[0])
 
 
 def test_init_model_round_trip(tmp_path):

@@ -132,7 +132,7 @@ def test_tape_free_forward_is_bit_equal_to_tape(tiny_model, tiny_config, probe):
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.cls_out, b.cls_out)
         assert a.merged_node == -1 and b.merged_node >= 0
-    assert not plain.graph.nodes and not plain.weight_nodes
+    assert not plain.graph.nodes
 
 
 def test_predict_logits_records_no_tape(tiny_model, monkeypatch):
@@ -314,23 +314,27 @@ def test_weights_rejects_config_mismatch(tiny_config):
 
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["cls", "distillation"])
-def test_weights_are_tape_leaves_only_when_weight_grads_are_asked(tiny_config, distillation):
+def test_weight_grads_are_filled_only_when_asked(tiny_config, distillation):
     cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
     model = new_model(cfg, seed=1)
     img = np.random.default_rng(20).random((1, 3, 16, 16))
     shapes = expected_shapes(cfg)
 
     plain = model.forward(img)
-    leaves = [nid for nid, n in enumerate(plain.graph.nodes) if n.op == "leaf"]
-    assert leaves == [plain.image_node]   # the image only
-    assert not plain.weight_nodes
+    assert plain.weight_grads is None
+    assert model.forward(img, tape=False, weight_grads=True).weight_grads is None
 
     full = model.forward(img, weight_grads=True)
-    assert set(full.weight_nodes) == set(shapes)
-    for name, nid in full.weight_nodes.items():
-        node = full.graph.nodes[nid]
-        assert node.op == "leaf" and node.shape == shapes[name]
-    assert sum(n.op == "leaf" for n in full.graph.nodes) == 1 + len(shapes)
+    assert full.weight_grads == {}   # filled by the backward, not the forward
+    full.graph.backward(cross_entropy(full.logits, [1]))
+    assert list(full.weight_grads) != list(shapes)   # stored in walk order, by name
+    assert set(full.weight_grads) == set(shapes)
+    for name, grad in full.weight_grads.items():
+        assert grad.shape == shapes[name] and grad.flags.c_contiguous, name
+    # the weights are no tape node: the image is the one leaf either way
+    for res in (plain, full):
+        leaves = [nid for nid, n in enumerate(res.graph.nodes) if n.op == "leaf"]
+        assert leaves == [res.image_node]
 
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["cls", "distillation"])
@@ -421,12 +425,16 @@ def test_train_step_counts_one_forward_and_one_backward(toy_config):
     assert counters.snapshot() == {"forward": 1, "backward": 1}
 
 
-@pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
-def test_attention_is_one_tape_node_per_block(tiny_config, distillation):
+@pytest.mark.parametrize("distillation, weight_grads",
+                         [(False, False), (True, False), (False, True), (True, True)],
+                         ids=["plain", "distillation", "plain-weight_grads",
+                              "distillation-weight_grads"])
+def test_attention_is_one_tape_node_per_block(tiny_config, distillation, weight_grads):
     cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
-    res = new_model(cfg, seed=0).forward(np.random.default_rng(0).random((1, 3, 16, 16)))
+    res = new_model(cfg, seed=0).forward(np.random.default_rng(0).random((1, 3, 16, 16)),
+                                         weight_grads=weight_grads)
     ops = [node.op for node in res.graph.nodes]
-    # the image leaf, then one node per stage: 2L + 3
+    # the image leaf, then one node per stage: 2L + 3, with or without weight gradients
     assert ops == ["leaf", "embedding", *["attention", "mlp"] * cfg.num_layers, "head"]
     assert len(ops) == 2 * cfg.num_layers + 3
 
@@ -504,14 +512,18 @@ def test_train_step_keeps_only_the_weight_gradients(toy_config, distillation, mo
     results = _capture_forwards(model, monkeypatch)
     train_step(model, opt, images, labels)
     (res,) = results
-    assert set(res.graph.gradients) == set(res.weight_nodes.values())
+    assert len(res.graph.gradients) == 0   # the weight gradients are not tape gradients
     with pytest.raises(ContractError, match="not retained"):
         res.graph.grad(res.logits)
+    assert opt.grads is res.weight_grads
+    assert set(opt.grads) == set(expected_shapes(cfg))
 
     again = model.forward(images, weight_grads=True)
     full = _keep_all(again.graph, cross_entropy(again.logits, labels))
-    for name, nid in again.weight_nodes.items():
-        assert bit_equal(opt.grads[name], full[nid])
+    assert set(full) >= set(range(again.logits.node_id + 1))
+    assert set(again.weight_grads) == set(opt.grads)
+    for name, grad in again.weight_grads.items():
+        assert bit_equal(opt.grads[name], grad), name
 
 
 def test_graphs_are_freed_without_the_cycle_collector(tiny_model):
@@ -586,8 +598,10 @@ def test_fused_qkv_forward_is_bit_equal_to_tape(tiny_config, shape):
 
 
 def test_tape_free_forward_reads_weights_updated_in_place(tiny_config):
-    # on all three paths: off the tape, on it, and with weight leaves
-    paths = [dict(tape=False), dict(tape=True), dict(tape=True, weight_grads=True)]
+    # on every path: off the tape, on it, and either with weight gradients
+    # asked for (which has no effect off the tape)
+    paths = [dict(tape=False), dict(tape=True), dict(tape=True, weight_grads=True),
+             dict(tape=False, weight_grads=True)]
     model = new_model(tiny_config, seed=6)
     img = np.random.default_rng(16).random((1, 3, 16, 16))
     before = [model.forward(img, **kw).logits.data for kw in paths]
