@@ -116,31 +116,35 @@ def bicam(model: VisionTransformer, image: np.ndarray, class_index: int,
 def rollout_chain(head_mean_attn, keep_steps: bool = False):
     """Multiply head-averaged attention matrices through the layers.
 
-    Each [B, N, N] matrix gets the identity added and its rows renormalized
-    before being left-multiplied onto the running product, so the result
-    stays row-stochastic. With keep_steps, also returns the per-layer
-    normalized matrices (for stochasticity checks).
+    Each layer's [B, N, N] matrix gets the identity added and its rows
+    renormalized, and the product runs from the last layer down: the
+    running product is right-multiplied by each layer below it, so it stays
+    row-stochastic. The last layer may be given as its CLS row alone,
+    [B, 1, N] (the identity's first row is added to it): the product is
+    then that one row, at O(L N^2) instead of O(L N^3). With keep_steps,
+    also returns the per-layer normalized matrices in layer order (for
+    stochasticity checks).
     """
     mats = list(head_mean_attn)
-    b, n = mats[0].shape[0], mats[0].shape[-1]
-    rollout = np.tile(np.eye(n), (b, 1, 1))
+    n = mats[0].shape[-1]
     eye = np.eye(n)
     steps = []
-    for attn in mats:
-        attn = attn + eye
+    rollout = None
+    for attn in reversed(mats):
+        attn = attn + eye[:attn.shape[-2]]
         attn = attn / attn.sum(axis=2, keepdims=True)
         if keep_steps:
             steps.append(attn)
-        rollout = np.matmul(attn, rollout)
-    return (rollout, steps) if keep_steps else rollout
+        rollout = attn if rollout is None else np.matmul(rollout, attn)
+    return (rollout, steps[::-1]) if keep_steps else rollout
 
 
 def attention_rollout(model: VisionTransformer, image: np.ndarray,
                       interpolation: str = "bilinear") -> AttributionMap:
     """Class-agnostic rollout baseline: per layer, average the post-softmax
-    attention (the forward's own probabilities) over heads, add identity,
-    row-normalize, and multiply through all layers; the CLS row gives
-    unsigned patch scores."""
+    attention (the forward's own probabilities, the last layer's CLS row
+    alone) over heads, add identity, row-normalize, and multiply through
+    all layers; the CLS row of the product gives unsigned patch scores."""
     cfg = model.config
     res = model.forward(image, capture=True, layer_window=cfg.num_layers, tape=False)
     rollout = rollout_chain(cap.attn_probs.mean(axis=1) for cap in res.captures)

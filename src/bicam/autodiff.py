@@ -17,9 +17,10 @@ raises ContractError. Gradient arrays may share memory with each other and
 may be read-only views, so treat them as read-only.
 
 ``attention_arrays`` is multi-head scaled dot-product attention on the
-fused q|k|v projection [B, N, 3d], and ``attention_grad`` its backward,
-whose two score-sized work arrays live in ``graph.scratch``, shared by
-every attention backward during one walk.
+fused q|k|v projection [B, N, 3d], for every query row or for the CLS
+token's alone, and ``attention_grad`` its backward, whose two score-sized
+work arrays live in ``graph.scratch``, shared during one walk by every
+attention backward over all query rows.
 
 Leaves are checked for NaN/Inf on the way in, and ``check_finite`` is the
 one check every forward runs (a finite forward pass is an invariant rather
@@ -186,17 +187,21 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, node_id={self.node_id})"
 
 
-def attention_arrays(qkv, heads: int, scale: float, keep_scores: bool = False):
+def attention_arrays(qkv, heads: int, scale: float, keep_scores: bool = False,
+                     cls_only: bool = False):
     """Multi-head scaled dot-product attention on ndarrays.
 
     ``qkv`` [B, N, 3d] holds q, k and v side by side, each of them ``heads``
     heads of d_h = d / heads columns. Per head, softmax(q @ k^T * scale) @
     v over the last axis, with the scores scaled and softmaxed in place;
-    the heads are merged back into [B, N, d]. Returns (out, kept, p, v, q,
-    kt): out the merged heads, kept a copy of the CLS row of the scaled
-    scores [B, H, 1, N] when ``keep_scores`` is set (else None), p the
-    attention probabilities [B, H, N, N], v the values [B, H, N, d_h], and
-    q and the contiguous k^T, which ``attention_grad`` reads with p and v.
+    the heads are merged back into [B, M, d]. The queries are every token
+    (M = N), or with ``cls_only`` the CLS token's alone (M = 1): its q row
+    attends to the keys and values of every token, and the other q rows
+    are not read. Returns (out, kept, p, v, q, kt): out the merged heads,
+    kept a copy of the CLS row of the scaled scores [B, H, 1, N] when
+    ``keep_scores`` is set (else None), p the attention probabilities
+    [B, H, M, N], v the values [B, H, N, d_h], and q [B, H, M, d_h] and
+    the contiguous k^T, which ``attention_grad`` reads with p and v.
     The scores and the per-head output are checked for NaN/Inf under the
     name of the op they come from, matmul. The scaled scores are checked,
     as ``scale``, only when ``|scale|`` > 1 (or it is NaN): finite scores
@@ -208,8 +213,9 @@ def attention_arrays(qkv, heads: int, scale: float, keep_scores: bool = False):
             f"attention needs qkv [B, N, 3d] with d divisible by {heads} heads, "
             f"got {qkv.shape}")
     b, n, d3 = qkv.shape
+    m = 1 if cls_only else n
     split = qkv.reshape(b, n, 3, heads, d3 // (3 * heads))
-    q = np.ascontiguousarray(split[:, :, 0].transpose(0, 2, 1, 3))
+    q = np.ascontiguousarray(split[:, :m, 0].transpose(0, 2, 1, 3))
     kt = np.ascontiguousarray(split[:, :, 1].transpose(0, 2, 3, 1))
     v = np.ascontiguousarray(split[:, :, 2].transpose(0, 2, 1, 3))
     s = check_finite(np.matmul(q, kt), "matmul")
@@ -220,37 +226,45 @@ def attention_arrays(qkv, heads: int, scale: float, keep_scores: bool = False):
     rows = s.reshape(-1, n)
     kernels.softmax_rows(rows, 1.0, rows)
     out = check_finite(np.matmul(s, v), "matmul")
-    out = np.ascontiguousarray(out.transpose(0, 2, 1, 3)).reshape(b, n, d3 // 3)
+    out = np.ascontiguousarray(out.transpose(0, 2, 1, 3)).reshape(b, m, d3 // 3)
     return out, kept, s, v, q, kt
 
 
 def attention_grad(grad, q, kt, v, p, scale: float, scratch: dict) -> np.ndarray:
     """Backward of attention_arrays: the gradient of ``qkv`` [B, N, 3d] from
-    the gradient ``grad`` [B, N, d] of the merged heads and the q, k^T, v
+    the gradient ``grad`` [B, M, d] of the merged heads and the q, k^T, v
     and p its forward returned.
 
     g = per-head grad, dv = p^T g, dp = g v^T, dp = softmax_grad(p, dp) *
-    scale, dq = dp kt^T, dk = (q^T dp)^T, with dq, dk and dv written into
-    one [B, N, 3, H, d_h] array. dp and the softmax gradient's g * p are
-    work arrays kept in ``scratch`` under p's shape, so every attention
-    backward of a walk reuses one pair instead of two fresh [B, H, N, N]
-    arrays per layer, which the allocator would otherwise return to the
-    system and fault in again once the walk drops the gradients above them.
+    scale, dq = dp kt^T, dk = dp^T q, with dq, dk and dv written into
+    one [B, N, 3, H, d_h] array; with M = 1 (``cls_only``) dq fills the CLS
+    row, and the q columns of the other rows, which the forward did not
+    read, are zero. dp and the softmax gradient's g * p are work arrays;
+    with M = N they are kept in ``scratch`` under p's shape, so every such
+    attention backward of a walk reuses one pair instead of two fresh
+    [B, H, N, N] arrays per layer, which the allocator would otherwise
+    return to the system and fault in again once the walk drops the
+    gradients above them. dqkv is allocated after the softmax gradient,
+    whose broadcast subtraction numpy runs through a buffer of up to the
+    scores' size, so the two are never held at once.
     """
-    b, h, n, dh = q.shape
-    gh = np.ascontiguousarray(grad.reshape(b, n, h, dh).transpose(0, 2, 1, 3))
-    dqkv = np.empty((b, n, 3, h, dh))
-    dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)   # [B, H, N, d_h] views
-    np.matmul(np.swapaxes(p, -1, -2), gh, out=dv)
+    b, h, m, dh = q.shape
+    n = v.shape[2]
+    gh = grad.reshape(b, m, h, dh).transpose(0, 2, 1, 3)
     work = scratch.get(p.shape)
     if work is None:
-        work = scratch[p.shape] = (np.empty(p.shape), np.empty(p.shape))
+        work = (np.empty(p.shape), np.empty(p.shape))
+        if m == n:   # a CLS-row pair serves one layer: not kept for the walk
+            scratch[p.shape] = work
     dp, gp = work
     np.matmul(gh, np.swapaxes(v, -1, -2), out=dp)
-    gh = None   # freed before the dq and dk products
-    rows = dp.reshape(-1, dp.shape[-1])
+    rows = dp.reshape(-1, n)
     kernels.softmax_rows_grad(p.reshape(rows.shape), rows, 1.0, rows, gp.reshape(rows.shape))
     dp *= scale
-    np.matmul(dp, np.swapaxes(kt, -1, -2), out=dq)
-    dk[...] = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), dp), -1, -2)
+    dqkv = np.empty((b, n, 3, h, dh))
+    dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)   # [B, H, N, d_h] views
+    dq[:, :, m:] = 0.0
+    np.matmul(np.swapaxes(p, -1, -2), gh, out=dv)
+    np.matmul(dp, np.swapaxes(kt, -1, -2), out=dq[:, :, :m])
+    np.matmul(np.swapaxes(dp, -1, -2), q, out=dk)
     return dqkv.reshape(b, n, 3 * h * dh)

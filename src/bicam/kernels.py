@@ -4,11 +4,11 @@ Everything here is free of graph bookkeeping; the model's stages and their
 backwards, attention and the attribution code call these names. Matrix products are deliberately
 absent: BLAS already owns those.
 
-The two softmax kernels take an optional ``out`` array, which may be one
-of the inputs: with it they work in place, without it they allocate one
-result array and reuse it for their temporaries. Either way the
-arithmetic is the same, so the results are the same bits. Callers pass
-``out`` positionally.
+The two softmax kernels and the layer norm gradient take an optional
+``out`` array, which may be one of the inputs: with it they work in place,
+without it they allocate their result (the softmax kernels reuse it for
+their temporaries). Either way the arithmetic is the same, so the results are
+the same bits. Callers pass ``out`` positionally.
 """
 
 import math
@@ -92,13 +92,14 @@ def layernorm_rows(x, eps):
     return xc, inv_std
 
 
-def layernorm_rows_grad(xhat, inv_std, dxhat):
-    """Backward of row standardization; dxhat is the grad wrt xhat."""
+def layernorm_rows_grad(xhat, inv_std, dxhat, out=None):
+    """Backward of row standardization; dxhat is the grad wrt xhat.
+    ``out`` may be ``dxhat`` itself."""
     d = xhat.shape[1]
     m1 = np.add.reduce(dxhat, axis=1, keepdims=True) / d
     tmp = np.multiply(dxhat, xhat)
     m2 = np.add.reduce(tmp, axis=1, keepdims=True) / d
-    out = np.subtract(dxhat, m1)   # (dxhat - m1 - xhat * m2) * inv_std, in two arrays
+    out = np.subtract(dxhat, m1, out=out)   # (dxhat - m1 - xhat * m2) * inv_std, in two arrays
     out -= np.multiply(xhat, m2, out=tmp)
     out *= inv_std[:, None]
     return out

@@ -20,16 +20,26 @@ VJP (vector-Jacobian product) on the same kernels, so a taped forward
 records 2L + 3 nodes: the image leaf and the stages. Weights are never
 nodes; a backward asked for weight gradients stores them by name.
 
+The logits read only the final CLS state, so the last block computes only
+the CLS row after its ln1 and q|k|v product (which cover every token, as
+the CLS query attends to every key and value): its scores are [B, H, 1, N]
+and its merged heads, block output and ln_f one row, [B, 1, d]. Its
+backward walks back that one row, and the residual's gradient reaches the
+block's input as that row, with zeros in the rows no op read. Every other
+block runs every token's row.
+
 Every forward checks the 3L + 4 values a NaN/Inf can hide behind: the
 input, the embedding's output, each block's attention scores and output
-(in attention_arrays) and block output, ln_f before its non-CLS rows are
-dropped, and the logits. Weights are finite, and every other op turns a
-non-finite input element into a non-finite output on the way to one of
-those: a matmul row (BLAS makes inf * 0 a NaN), an add, a layer norm row
-and gelu; a finite input to a scale of at most 1, a softmax or gelu gives
-a finite output. A failing check does not name the op: forward re-runs the
-body with every op checked, which raises the NumericError that names the
-stage and the op.
+(in attention_arrays) and block output, ln_f's output, and the logits.
+Weights are finite, and every other op turns a non-finite input element
+into a non-finite output on the way to one of those: a matmul row (BLAS
+makes inf * 0 a NaN), an add, a layer norm row and gelu; a finite input to
+a scale of at most 1, a softmax or gelu gives a finite output. A failing
+check does not name the op: forward re-runs the body with every op
+checked, which raises the NumericError that names the stage and the op.
+The last block's q of a non-CLS row is the one value computed (in the
+q|k|v product) and read by no op: a non-finite one is no error, though a
+re-run for another failure checks it with the rest of that product.
 """
 
 from __future__ import annotations
@@ -262,7 +272,8 @@ class LayerCapture:
     values: np.ndarray        # [B, H, N, d_h] (the forward's own, not a copy)
     cls_out: np.ndarray       # [B, d], concat of per-head CLS attention output
     cls_out_grad: np.ndarray | None = None   # [B, d] after backward_class
-    # [B, H, N, N], the forward's own softmax of attn_logits (not a copy)
+    # the forward's own attention probabilities (not a copy): [B, H, N, N],
+    # or for the last layer its CLS row alone, [B, H, 1, N]
     attn_probs: np.ndarray | None = field(default=None, repr=False)
     merged_node: int = field(default=-1, repr=False)
 
@@ -312,7 +323,8 @@ def _layernorm_grads(grad, xhat, inv_std, gain, grads, name):
     """The input gradient of a layer norm; with a ``grads`` dict, the
     gradients of its ``name``.gain and ``name``.bias are stored there."""
     rows = np.ascontiguousarray(grad.reshape(xhat.shape))
-    dx = kernels.layernorm_rows_grad(xhat, inv_std, rows * gain).reshape(grad.shape)
+    dxhat = rows * gain
+    dx = kernels.layernorm_rows_grad(xhat, inv_std, dxhat, dxhat).reshape(grad.shape)
     if grads is not None:
         grads[name + ".gain"], grads[name + ".bias"] = (rows * xhat).sum(axis=0), rows.sum(axis=0)
     return dx
@@ -364,17 +376,20 @@ class _Stages:
 
         return x, backward
 
-    def attention(self, blk: BlockWeights, x, captured: bool, offset):
+    def attention(self, blk: BlockWeights, x, captured: bool, offset, cls_only: bool):
         """ln1, the fused q|k|v product and attention: (merged heads, then
         for a captured layer its CLS score row, probabilities and values,
         else None three times, then the backward); ``offset`` is a [B, d]
-        term added to the merged CLS row, or None."""
+        term added to the merged CLS row, or None. ln1 and the product
+        cover every token; with ``cls_only`` only the CLS token queries,
+        so the merged heads are its row alone, [B, 1, d]."""
         cfg, check, w = self.weights.config, self.check, blk.arrays
         h, xhat, inv_std = _layernorm(x, w["ln1.gain"], w["ln1.bias"], check, self.taped)
         scale = 1.0 / math.sqrt(cfg.head_dim)
         qkv_weight, gain = w["attn.qkv.weight"], w["ln1.gain"]
         merged, kept, p, v, q, kt = attention_arrays(
-            _linear(h, qkv_weight, w["attn.qkv.bias"], check), cfg.num_heads, scale, captured)
+            _linear(h, qkv_weight, w["attn.qkv.bias"], check), cfg.num_heads, scale, captured,
+            cls_only)
         if offset is not None:
             pad = np.zeros(merged.shape)
             pad[:, 0, :] = offset
@@ -400,11 +415,13 @@ class _Stages:
 
     def mlp(self, blk: BlockWeights, x, merged):
         """The output projection, its residual add, ln2, the MLP and its
-        residual add: (next x, backward)."""
+        residual add, on the rows of ``merged`` (every token, or the CLS
+        token's alone): (next x, backward)."""
         check, w = self.check, blk.arrays
         out_weight, gain, fc1_weight, fc2_weight = (
             w["attn.out.weight"], w["ln2.gain"], w["ffn.fc1.weight"], w["ffn.fc2.weight"])
-        x1 = check(x + _linear(merged, out_weight, w["attn.out.bias"], check), "add")
+        rows, shape = merged.shape[1], x.shape
+        x1 = check(x[:, :rows] + _linear(merged, out_weight, w["attn.out.bias"], check), "add")
         h2, xhat, inv_std = _layernorm(x1, gain, w["ln2.bias"], check, self.taped)
         a1 = _linear(h2, fc1_weight, w["ffn.fc1.bias"], check)
         f = check(kernels.gelu(a1), "gelu")
@@ -428,24 +445,28 @@ class _Stages:
             if grads is not None:
                 grads[prefix + "attn.out.weight"], grads[prefix + "attn.out.bias"] = (
                     _linear_grads(merged, dx1))
-            return dx1, np.matmul(dx1, out_weight.T)
+            if rows == shape[1]:
+                return dx1, np.matmul(dx1, out_weight.T)
+            dx = np.zeros(shape)   # the residual read the CLS row alone
+            dx[:, :rows] = dx1
+            return dx, np.matmul(dx1, out_weight.T)
 
         return x2, backward
 
     def head(self, x):
-        """ln_f, the CLS row and the classifier: (logits, backward)."""
+        """ln_f and the classifier on the final CLS state ``x`` [B, 1, d]:
+        (logits, backward)."""
         w, check = self.weights.tensors, self.check
         xf, xhat, inv_std = _layernorm(x, w["ln_f.gain"], w["ln_f.bias"], check, self.taped)
-        cls_state = np.ascontiguousarray(_check_stage(xf)[:, 0])
+        cls_state = _check_stage(xf)[:, 0]
         logits = _linear(cls_state, w["head.weight"], w["head.bias"], check)
         if not self.taped:
             return logits, None
         grads, gain, head_weight = self.grads, w["ln_f.gain"], w["head.weight"]
-        shape, cls_state = x.shape, cls_state if grads is not None else None
+        cls_state = cls_state if grads is not None else None
 
         def backward(g):
-            dxf = np.zeros(shape)
-            dxf[:, 0] = np.matmul(g, head_weight.T)
+            dxf = np.matmul(g, head_weight.T)[:, None]
             if grads is not None:
                 grads["head.weight"], grads["head.bias"] = _linear_grads(cls_state, g)
             return (_layernorm_grads(dxf, xhat, inv_std, gain, grads, "ln_f"),)
@@ -591,7 +612,7 @@ class VisionTransformer:
             try:
                 captured = layer >= first_captured
                 merged, scores, probs, values, backward = stages.attention(
-                    blk, x, captured, cls_out_offsets.get(layer))
+                    blk, x, captured, cls_out_offsets.get(layer), layer == self.config.num_layers)
                 merged_node = record("attention", (x_node,), merged, backward)
                 if captured:
                     captures.append(LayerCapture(

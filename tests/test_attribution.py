@@ -287,6 +287,19 @@ def test_rollout_rows_stay_stochastic_random():
     assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-10
 
 
+def test_rollout_chain_takes_the_last_layer_as_its_cls_row():
+    rng = np.random.default_rng(21)
+    mats = [rng.random((2, 7, 7)) for _ in range(5)]
+    mats = [m / m.sum(axis=-1, keepdims=True) for m in mats]
+    full, full_steps = rollout_chain(mats, keep_steps=True)
+    row, steps = rollout_chain(mats[:-1] + [mats[-1][:, :1]], keep_steps=True)
+    assert row.shape == (2, 1, 7)
+    assert np.abs(row - full[:, :1]).max() < 1e-14
+    assert len(steps) == 5 and steps[-1].shape == (2, 1, 7)
+    for s, ref in zip(steps, full_steps):
+        assert np.array_equal(s, ref[:, :s.shape[1]])
+
+
 def test_attention_rollout_end_to_end(tiny_model, rnd_image):
     amap = attention_rollout(tiny_model, rnd_image)
     assert amap.class_index is None

@@ -454,15 +454,18 @@ def test_attention_nodes_share_work_arrays_during_a_walk():
 
 
 def test_attention_gradients_match_finite_differences():
-    x0, w = _attention_inputs((1, 2, 5, 3), seed=7)
+    # for every query row, and for the CLS row alone
+    x0, w_all = _attention_inputs((1, 2, 5, 3), seed=7)
     heads, scale = 2, 0.7
+    for cls_only in (False, True):
+        w = w_all[:, :1] if cls_only else w_all
 
-    def loss(x):
-        return float((attention_arrays(x, heads, scale)[0] * w).sum())
+        def loss(x):
+            return float((attention_arrays(x, heads, scale, False, cls_only)[0] * w).sum())
 
-    _, _, p, v, q, kt = attention_arrays(x0, heads, scale)
-    grad = attention_grad(w, q, kt, v, p, scale, {})
-    assert grad_rel_error(grad, finite_difference(loss, x0)) < 1e-7
+        _, _, p, v, q, kt = attention_arrays(x0, heads, scale, False, cls_only)
+        grad = attention_grad(w, q, kt, v, p, scale, {})
+        assert grad_rel_error(grad, finite_difference(loss, x0)) < 1e-7
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -117,6 +117,32 @@ def test_rollout_command(tmp_path, model_file, image_dir):
     assert (scores >= 0).all()
 
 
+def test_rollout_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a 56x56/6-layer model (N = 197 tokens): a chain of full [N, N]
+    # products wrote different last digits at 1 and 2 BLAS threads, the
+    # chain of one CLS row does not
+    model, image = tmp_path / "m.bw", tmp_path / "img.ppm"
+    assert run(["init-model", "--out", model, "--seed", 0, "--image-size", 56,
+                "--patch-size", 4, "--layers", 6, "--heads", 4, "--embed-dim", 32,
+                "--ffn-dim", 64, "--classes", 10]) == 0
+    netpbm.write_ppm(str(image), np.random.default_rng(0).random((3, 56, 56)))
+    script = "import sys\nfrom bicam.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(weightfile.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script, "rollout", "--model", str(model),
+                               "--image", str(image), "--out-prefix", str(out / "roll")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert set(written[0]) == {"roll.patches.csv", "roll.heatmap.csv", "roll.ppm"}
+    assert written[0] == written[1]
+
+
 def test_attack_command_and_quantized_ball(tmp_path, model_file, image_dir, capsys):
     out_dir = tmp_path / "adv"
     assert run(["attack", "--model", model_file, "--images", image_dir,

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
-from bicam import autodiff, counters, vit
+from bicam import autodiff, counters, kernels, vit
 from bicam.autodiff import Graph
 from bicam.errors import (ContractError, DimensionError, NumericError, ParameterError,
                           StateError)
@@ -597,6 +598,98 @@ def test_fused_qkv_forward_is_bit_equal_to_tape(tiny_config, shape):
             assert bit_equal(getattr(a, name), getattr(b, name)), (a.layer, name)
 
 
+def _full_rows_forward(weights, img):
+    """A plain-numpy forward that runs every token's row through every block:
+    (logits, per layer (CLS score row [B, H, 1, N], values [B, H, N, d_h],
+    CLS attention output [B, d]))."""
+    cfg, t = weights.config, weights.tensors
+    b, p, d, h = img.shape[0], cfg.patch_size, cfg.embed_dim, cfg.num_heads
+    gh, gw, dh = cfg.grid_height, cfg.grid_width, cfg.head_dim
+
+    def layernorm(x, name):
+        mean = x.mean(axis=-1, keepdims=True)
+        var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
+        xhat = (x - mean) / np.sqrt(var + vit.LAYERNORM_EPS)
+        return xhat * t[name + ".gain"] + t[name + ".bias"]
+
+    def heads(x):
+        return x.reshape(b, -1, h, dh).transpose(0, 2, 1, 3)
+
+    patches = img.reshape(b, 3, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5).reshape(b, gh * gw, -1)
+    specials = [np.broadcast_to(t[name], (b, 1, d)) for name in ("cls_token", "dist_token")
+                if name in t]
+    x = np.concatenate(specials + [patches @ t["patch_embed.weight"] + t["patch_embed.bias"]],
+                       axis=1) + t["pos_embed"]
+    layers = []
+    for i in range(cfg.num_layers):
+        w = {name[len(f"blocks.{i}."):]: arr for name, arr in t.items()
+             if name.startswith(f"blocks.{i}.")}
+        y = layernorm(x, f"blocks.{i}.ln1")
+        q, k, v = (heads(y @ w[f"attn.{m}.weight"] + w[f"attn.{m}.bias"]) for m in "qkv")
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        merged = (probs @ v).transpose(0, 2, 1, 3).reshape(b, -1, d)
+        layers.append((scores[:, :, :1], v, merged[:, 0]))
+        x = x + merged @ w["attn.out.weight"] + w["attn.out.bias"]
+        a1 = layernorm(x, f"blocks.{i}.ln2") @ w["ffn.fc1.weight"] + w["ffn.fc1.bias"]
+        f = 0.5 * a1 * (1.0 + erf(a1 / np.sqrt(2.0)))
+        x = x + f @ w["ffn.fc2.weight"] + w["ffn.fc2.bias"]
+    logits = layernorm(x, "ln_f")[:, 0] @ t["head.weight"] + t["head.bias"]
+    return logits, layers
+
+
+def _rel_error(a, ref):
+    return float(np.abs(a - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("shape", ["tiny", "distillation", "56x56"])
+def test_forward_matches_a_full_rows_reference(tiny_config, shape):
+    # after the last block's keys and values only the CLS row is computed;
+    # a forward that carries every row to the end gives the same outputs
+    cfg = {"tiny": tiny_config, "56x56": ViTConfig(**SHAPE_56),
+           "distillation": dataclasses.replace(tiny_config, distillation_token=True)}[shape]
+    model = new_model(cfg, seed=8)
+    img = np.random.default_rng(19).random((2, 3, cfg.image_height, cfg.image_width))
+    ref_logits, ref_layers = _full_rows_forward(model.weights, img)
+    for tape in (True, False):
+        res = model.forward(img, capture=True, layer_window=cfg.num_layers, tape=tape)
+        assert _rel_error(res.logits.data, ref_logits) < 1e-12
+        for cap, (scores, values, cls_out) in zip(res.captures, ref_layers, strict=True):
+            assert _rel_error(cap.attn_logits, scores) < 1e-12
+            assert _rel_error(cap.values, values) < 1e-12
+            assert _rel_error(cap.cls_out, cls_out) < 1e-12
+
+
+@pytest.mark.parametrize("shape", ["tiny", "56x56"])
+def test_softmax_elements_per_forward_and_backward(tiny_config, shape, monkeypatch):
+    # every block but the last softmaxes [N, N] scores per head, the last
+    # its CLS row alone: (L - 1) H N^2 + H N elements, forward and backward
+    cfg = tiny_config if shape == "tiny" else ViTConfig(**SHAPE_56)
+    model = new_model(cfg, seed=9)
+    counted = {"softmax_rows": 0, "softmax_rows_grad": 0}
+    for name in counted:
+        kernel = getattr(kernels, name)
+
+        def counting(*args, kernel=kernel, name=name):
+            counted[name] += args[0].size
+            return kernel(*args)
+
+        monkeypatch.setattr(kernels, name, counting)
+    n, h, layers = cfg.num_tokens, cfg.num_heads, cfg.num_layers
+    want = (layers - 1) * h * n * n + h * n
+    img = np.random.default_rng(20).random((1, 3, cfg.image_height, cfg.image_width))
+    for tape in (True, False):
+        counted.update(softmax_rows=0, softmax_rows_grad=0)
+        res = model.forward(img, capture=True, layer_window=layers, tape=tape)
+        assert counted == {"softmax_rows": want, "softmax_rows_grad": 0}
+        assert [cap.attn_probs.shape for cap in res.captures] == (
+            [(1, h, n, n)] * (layers - 1) + [(1, h, 1, n)])
+        if tape:
+            model.backward_class(res, 1)
+            assert counted == {"softmax_rows": want, "softmax_rows_grad": want}
+
+
 def test_tape_free_forward_reads_weights_updated_in_place(tiny_config):
     # on every path: off the tape, on it, and either with weight gradients
     # asked for (which has no effect off the tape)
@@ -681,17 +774,34 @@ def _neg_inf_scores(t):
     t["blocks.0.attn.k.weight"][0] = -1e308
 
 
-def _ln_f_overflow_off_cls(t):
-    # the blocks add nothing, so ln_f sees the embedding: a CLS row of +-1
-    # (|xhat| < 1 times a gain of 1e308 stays finite) and one patch row with
-    # a single spike (xhat ~ 3.9 overflows); narrow then drops that row
+def _blocks_add_nothing(t):
+    # zero attention and MLP outputs: every layer norm sees the embedding,
+    # whose patch rows are 0 (the patch embedding and pos_embed are zeroed)
     for i in range(4):
         for name in ("attn.out.weight", "attn.out.bias", "ffn.fc2.weight", "ffn.fc2.bias"):
             t[f"blocks.{i}.{name}"][...] = 0.0
     t["patch_embed.weight"][...] = 0.0
     t["pos_embed"][...] = 0.0
+
+
+def _ln_f_overflow_in_cls(t):
+    # a CLS row with a single spike: its xhat ~ 3.9 times ln_f's gain of
+    # 1e308 overflows in the one row the head reads
+    _blocks_add_nothing(t)
+    t["cls_token"][...] = 0.0
+    t["cls_token"][0] = 3.0
+    t["ln_f.gain"][...] = 1e308
+
+
+def _overflow_off_cls_after_last_kv(t):
+    # a CLS row of +-1 (|xhat| < 1 times a gain of 1e308 stays finite) and
+    # one patch row with a single spike (xhat ~ 3.9 overflows): the last
+    # block's ln2 and ln_f would overflow in that row, which no op after
+    # the last block's keys and values computes
+    _blocks_add_nothing(t)
     t["pos_embed"][5, 0] = 3.0
     t["cls_token"][...] = np.resize([1.0, -1.0], t["cls_token"].shape)
+    t["blocks.3.ln2.gain"][...] = 1e308
     t["ln_f.gain"][...] = 1e308
 
 
@@ -707,8 +817,9 @@ def _ln1_overflow_into_zero_rows(t):
 
 HIDDEN = {
     "neg_inf_scores": (_neg_inf_scores, "block 1: non-finite values produced by matmul"),
-    "ln_f_off_cls_row": (_ln_f_overflow_off_cls,
-                         "classifier head: non-finite values produced by layernorm"),
+    "ln_f_cls_row": (_ln_f_overflow_in_cls,
+                     "classifier head: non-finite values produced by layernorm"),
+    "off_cls_rows_after_last_kv": (_overflow_off_cls_after_last_kv, None),
     "ln1_into_zero_weight_rows": (_ln1_overflow_into_zero_rows,
                                   "block 2: non-finite values produced by layernorm"),
 }
@@ -726,13 +837,18 @@ def _forward_outcome(model, img, tape):
 @pytest.mark.parametrize("case", list(HIDDEN))
 def test_numeric_error_text_is_the_same_where_a_non_finite_can_hide(tiny_config, case):
     # the tape-free forward checks only some values; these cases make a
-    # non-finite value that no later op would carry to the logits unchecked
+    # non-finite value that no later op would carry to the logits unchecked,
+    # or (message None) one in a row that no op reads, which is no error
     edit, message = HIDDEN[case]
     tensors = {k: v.copy() for k, v in init_weights(tiny_config, seed=0).tensors.items()}
     edit(tensors)
     model = VisionTransformer(tiny_config, ViTWeights(tiny_config, tensors))
     img = np.random.default_rng(0).random((1, 3, 16, 16))
-    assert [_forward_outcome(model, img, tape) for tape in (True, False)] == [message] * 2
+    taped, plain = (_forward_outcome(model, img, tape) for tape in (True, False))
+    if message is None:
+        assert np.isfinite(taped).all() and bit_equal(taped, plain)
+    else:
+        assert [taped, plain] == [message] * 2
 
 
 _SCALED_NAMES = [name for name in expected_shapes(ViTConfig(num_classes=3, **TINY))
