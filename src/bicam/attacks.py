@@ -69,11 +69,12 @@ def pgd_attack(model, image: np.ndarray, true_class: int, cfg: AttackConfig,
     if cfg.random_start and eps > 0:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         x = _project(img + rng.uniform(-eps, eps, img.shape), img, eps)
-    trajectory = [x.copy()]
+    trajectory = [x] if keep_trajectory else None   # each iterate is a fresh array
     for _ in range(cfg.num_steps):
         _, grad = model.loss_and_input_grad(x, true_class)
         x = _project(x + cfg.step_size * np.sign(grad), img, eps)
-        trajectory.append(x.copy())
+        if keep_trajectory:
+            trajectory.append(x)
     return (x, trajectory) if keep_trajectory else x
 
 
@@ -85,13 +86,14 @@ def mifgsm_attack(model, image: np.ndarray, true_class: int, cfg: AttackConfig,
     eps = float(cfg.epsilon)
     x = img.copy()
     momentum = np.zeros_like(img)
-    trajectory = [x.copy()]
+    trajectory = [x] if keep_trajectory else None   # each iterate is a fresh array
     for _ in range(cfg.num_steps):
         _, grad = model.loss_and_input_grad(x, true_class)
         l1 = np.abs(grad).sum()
         momentum = cfg.momentum_decay * momentum + (grad / l1 if l1 > 0 else grad)
         x = _project(x + cfg.step_size * np.sign(momentum), img, eps)
-        trajectory.append(x.copy())
+        if keep_trajectory:
+            trajectory.append(x)
     return (x, trajectory) if keep_trajectory else x
 
 

@@ -18,9 +18,13 @@ may be read-only views, so treat them as read-only.
 
 ``attention_arrays`` is multi-head scaled dot-product attention on the
 fused q|k|v projection [B, N, 3d], for every query row or for the CLS
-token's alone, and ``attention_grad`` its backward, whose two score-sized
-work arrays live in ``graph.scratch``, shared during one walk by every
-attention backward over all query rows.
+token's alone, and ``attention_grad`` its backward. As in FlashAttention
+(Dao et al. 2022), the forward leaves the softmax unnormalized and divides
+the head outputs by the row sums, and the backward takes the softmax
+gradient's row term from the outputs, so a block passes over its scores
+six times forward and five times backward. The backward's one
+score-sized work array lives in ``graph.scratch``, shared during one walk
+by every attention backward over all query rows.
 
 Leaves are checked for NaN/Inf on the way in, and ``check_finite`` is the
 one check every forward runs (a finite forward pass is an invariant rather
@@ -31,10 +35,11 @@ detached arrays are plain numpy and freely shareable.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from . import counters, kernels
+from . import counters
 from .errors import ContractError, DimensionError, NumericError
 
 
@@ -187,84 +192,115 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, node_id={self.node_id})"
 
 
+class AttentionSaved(NamedTuple):
+    """What ``attention_grad`` reads of one ``attention_arrays`` call."""
+
+    q: np.ndarray     # [B, H, M, d_h], a view of qkv's query columns
+    k: np.ndarray     # [B, H, N, d_h], a view of qkv's key columns
+    vx: np.ndarray    # [B, H, N, d_h + 1], the values, then a column of ones
+    e: np.ndarray     # [B, H, M, N], exp(scores - row max): not normalized
+    l: np.ndarray     # [B, H, M], the row sums of e
+    out: np.ndarray   # [B, M, d], the merged heads
+
+
 def attention_arrays(qkv, heads: int, scale: float, keep_scores: bool = False,
                      cls_only: bool = False):
     """Multi-head scaled dot-product attention on ndarrays.
 
     ``qkv`` [B, N, 3d] holds q, k and v side by side, each of them ``heads``
     heads of d_h = d / heads columns. Per head, softmax(q @ k^T * scale) @
-    v over the last axis, with the scores scaled and softmaxed in place;
-    the heads are merged back into [B, M, d]. The queries are every token
-    (M = N), or with ``cls_only`` the CLS token's alone (M = 1): its q row
-    attends to the keys and values of every token, and the other q rows
-    are not read. Returns (out, kept, p, v, q, kt): out the merged heads,
-    kept a copy of the CLS row of the scaled scores [B, H, 1, N] when
-    ``keep_scores`` is set (else None), p the attention probabilities
-    [B, H, M, N], v the values [B, H, N, d_h], and q [B, H, M, d_h] and
-    the contiguous k^T, which ``attention_grad`` reads with p and v.
-    The scores and the per-head output are checked for NaN/Inf under the
-    name of the op they come from, matmul. The scaled scores are checked,
-    as ``scale``, only when ``|scale|`` > 1 (or it is NaN): finite scores
-    times a scale of at most 1 in magnitude are finite. The probabilities
-    are not checked: a max-subtracted softmax of finite rows is finite.
+    v over the last axis, with the heads merged back into [B, M, d]. The
+    queries are every token (M = N), or with ``cls_only`` the CLS token's
+    alone (M = 1): its q row attends to the keys and values of every token,
+    and the other q rows are not read. Returns (out, kept, saved): out the
+    merged heads, kept a copy of the CLS row of the scaled scores
+    [B, H, 1, N] when ``keep_scores`` is set (else None), and saved the
+    AttentionSaved that ``attention_grad`` reads.
+
+    The scale goes into k^T, so the scores come scaled out of their product.
+    The softmax is not normalized on the scores: e = exp(scores - row max)
+    is made in place, and one product of e with the values and a column of
+    ones gives e v and the row sums l; the output is (e v) / l. So one pass
+    over the score array makes it and five use it: the finite check, the
+    row max, the subtraction, the exp and the product. The probabilities
+    are e / l (see ``LayerCapture``).
+
+    The scaled scores and the merged output are checked for NaN/Inf. A
+    failing score check recomputes the unscaled product to tell which op
+    made the non-finite value: matmul if the unscaled product has one, else
+    scale. The output's check names matmul: l >= 1 (the row max gives a
+    term exp(0)), so a finite e v gives a finite output.
     """
     if qkv.ndim != 3 or heads < 1 or qkv.shape[-1] % (3 * heads):
         raise DimensionError(
             f"attention needs qkv [B, N, 3d] with d divisible by {heads} heads, "
             f"got {qkv.shape}")
     b, n, d3 = qkv.shape
+    dh = d3 // (3 * heads)
     m = 1 if cls_only else n
-    split = qkv.reshape(b, n, 3, heads, d3 // (3 * heads))
-    q = np.ascontiguousarray(split[:, :m, 0].transpose(0, 2, 1, 3))
-    kt = np.ascontiguousarray(split[:, :, 1].transpose(0, 2, 3, 1))
-    v = np.ascontiguousarray(split[:, :, 2].transpose(0, 2, 1, 3))
-    s = check_finite(np.matmul(q, kt), "matmul")
-    s *= scale
-    if not abs(scale) <= 1.0:
-        check_finite(s, "scale")
+    split = qkv.reshape(b, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)   # [3, B, H, N, d_h]
+    q = split[0, :, :, :m]
+    kt = np.ascontiguousarray(split[1].transpose(0, 1, 3, 2))
+    kt *= scale
+    vx = np.empty((b, heads, n, dh + 1))
+    vx[..., :dh] = split[2]
+    vx[..., dh] = 1.0
+    s = np.matmul(q, kt)
+    try:
+        check_finite(s, "matmul")
+    except NumericError:
+        check_finite(np.matmul(q, split[1].transpose(0, 1, 3, 2)), "matmul")
+        raise NumericError("non-finite values produced by scale") from None
     kept = s[:, :, :1].copy() if keep_scores else None
-    rows = s.reshape(-1, n)
-    kernels.softmax_rows(rows, 1.0, rows)
-    out = check_finite(np.matmul(s, v), "matmul")
-    out = np.ascontiguousarray(out.transpose(0, 2, 1, 3)).reshape(b, m, d3 // 3)
-    return out, kept, s, v, q, kt
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
+    e = np.exp(s, out=s)
+    ol = np.matmul(e, vx)
+    out = np.ascontiguousarray(np.divide(ol[..., :dh], ol[..., dh:]).transpose(0, 2, 1, 3))
+    out = check_finite(out.reshape(b, m, d3 // 3), "matmul")
+    return out, kept, AttentionSaved(q, split[1], vx, e, ol[..., dh], out)
 
 
-def attention_grad(grad, q, kt, v, p, scale: float, scratch: dict) -> np.ndarray:
+def attention_grad(grad, saved: AttentionSaved, scale: float, scratch: dict) -> np.ndarray:
     """Backward of attention_arrays: the gradient of ``qkv`` [B, N, 3d] from
-    the gradient ``grad`` [B, M, d] of the merged heads and the q, k^T, v
-    and p its forward returned.
+    the gradient ``grad`` [B, M, d] of the merged heads and the saved
+    arrays of its forward.
 
-    g = per-head grad, dv = p^T g, dp = g v^T, dp = softmax_grad(p, dp) *
-    scale, dq = dp kt^T, dk = dp^T q, with dq, dk and dv written into
-    one [B, N, 3, H, d_h] array; with M = 1 (``cls_only``) dq fills the CLS
-    row, and the q columns of the other rows, which the forward did not
-    read, are zero. dp and the softmax gradient's g * p are work arrays;
-    with M = N they are kept in ``scratch`` under p's shape, so every such
-    attention backward of a walk reuses one pair instead of two fresh
-    [B, H, N, N] arrays per layer, which the allocator would otherwise
-    return to the system and fault in again once the walk drops the
-    gradients above them. dqkv is allocated after the softmax gradient,
-    whose broadcast subtraction numpy runs through a buffer of up to the
-    scores' size, so the two are never held at once.
+    Per head, with g the output gradient, o the output and p = e / l, the
+    softmax gradient's row term rowsum(p * (g v^T)) equals delta = g . o, so
+    dv = e^T (g / l), the scores' gradient ds = p * (g v^T - delta) = e * x
+    with x = [g / l | -delta / l] [v | 1]^T in one product, dq = scale ds k
+    and dk = scale ds^T q. The scale goes into [g / l | -delta / l] once dv
+    is made, so x comes out scaled. That is five passes over score-sized
+    arrays: the products that read e, write x and read x twice, and x *= e.
+    dq, dk and dv are written into one [B, N, 3, H, d_h] array; with M = 1
+    (``cls_only``) dq fills the CLS row, and the q columns of the other
+    rows, which the forward did not read, are zero. With M = N, x is kept in
+    ``scratch`` under e's shape, so every such attention backward of a walk
+    reuses one work array instead of a fresh [B, H, N, N] one per layer,
+    which the allocator would otherwise return to the system and fault in
+    again once the walk drops the gradients above them.
     """
+    q, k, vx, e, l, out = saved
     b, h, m, dh = q.shape
-    n = v.shape[2]
-    gh = grad.reshape(b, m, h, dh).transpose(0, 2, 1, 3)
-    work = scratch.get(p.shape)
-    if work is None:
-        work = (np.empty(p.shape), np.empty(p.shape))
-        if m == n:   # a CLS-row pair serves one layer: not kept for the walk
-            scratch[p.shape] = work
-    dp, gp = work
-    np.matmul(gh, np.swapaxes(v, -1, -2), out=dp)
-    rows = dp.reshape(-1, n)
-    kernels.softmax_rows_grad(p.reshape(rows.shape), rows, 1.0, rows, gp.reshape(rows.shape))
-    dp *= scale
+    n = k.shape[2]
+    gx = np.empty((b, h, m, dh + 1))
+    # g / l as g * (1 / l) in einsum, which runs without the buffers numpy's
+    # broadcast ops take, up to three times the array's size
+    gl = np.einsum("bmhj,bhm->bhmj", grad.reshape(b, m, h, dh), 1.0 / l, out=gx[..., :dh])
+    delta = np.einsum("bhmj,bmhj->bhm", gl, out.reshape(b, m, h, dh), out=gx[..., dh])
+    np.negative(delta, out=delta)
+    x = scratch.get(e.shape)
+    if x is None:
+        x = np.empty(e.shape)
+        if m == n:   # a CLS-row array serves one layer: not kept for the walk
+            scratch[e.shape] = x
     dqkv = np.empty((b, n, 3, h, dh))
     dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)   # [B, H, N, d_h] views
     dq[:, :, m:] = 0.0
-    np.matmul(np.swapaxes(p, -1, -2), gh, out=dv)
-    np.matmul(dp, np.swapaxes(kt, -1, -2), out=dq[:, :, :m])
-    np.matmul(np.swapaxes(dp, -1, -2), q, out=dk)
+    np.matmul(np.swapaxes(e, -1, -2), gl, out=dv)
+    gx *= scale
+    np.matmul(gx, np.swapaxes(vx, -1, -2), out=x)
+    x *= e
+    np.matmul(x, k, out=dq[:, :, :m])
+    np.matmul(np.swapaxes(x, -1, -2), q, out=dk)
     return dqkv.reshape(b, n, 3 * h * dh)

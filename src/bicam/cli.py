@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -519,11 +520,19 @@ def _config_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> d
     return out
 
 
+@functools.cache
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser of every call without --config, built once per process.
+    A --config call sets its subparser's defaults, so it builds its own."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser, registry = build_parser()
+    parser, _ = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
+            parser, registry = build_parser()
             sub = registry[args.command]
             sub.set_defaults(**_config_defaults(args.config, sub, args.command))
             args = parser.parse_args(argv)

@@ -1,8 +1,11 @@
 """Hot numeric kernels on plain float64 ndarrays, in numpy.
 
 Everything here is free of graph bookkeeping; the model's stages and their
-backwards, attention and the attribution code call these names. Matrix products are deliberately
-absent: BLAS already owns those.
+backwards and the attribution code call these names. Matrix products are
+deliberately absent: BLAS already owns those. Attention runs its softmax
+and its backward inline (see ``autodiff.attention_arrays``), so
+``softmax_rows_grad`` has no caller in the program; it stays because the
+benchmark's tracer (``bench_e2e/tracing.py``) wraps it by name.
 
 The two softmax kernels and the layer norm gradient take an optional
 ``out`` array, which may be one of the inputs: with it they work in place,

@@ -9,6 +9,9 @@ the pre-softmax attention logits (already scaled by 1/sqrt(head_dim), i.e.
 exactly what the softmax consumes), the per-head value projections, and
 the concatenated per-head CLS attention output *before* the block's output
 projection, together with its gradient after a class-score backward pass.
+Attention keeps its softmax unnormalized (see ``autodiff.attention_arrays``),
+so a capture holds the exps of its scores and their row sums, and its
+``attn_probs`` divides one by the other when read (rollout reads them).
 
 The forward body is written once, on plain ndarrays, as four kinds of
 stage: the embedding, each block's attention half (x -> merged heads) and
@@ -34,7 +37,8 @@ input, the embedding's output, each block's attention scores and output
 Weights are finite, and every other op turns a non-finite input element
 into a non-finite output on the way to one of those: a matmul row (BLAS
 makes inf * 0 a NaN), an add, a layer norm row and gelu; a finite input to
-a scale of at most 1, a softmax or gelu gives a finite output. A failing
+a scale of at most 1, the exp of max-subtracted scores, the division by
+their row sums (each at least 1) or gelu gives a finite output. A failing
 check does not name the op: forward re-runs the body with every op
 checked, which raises the NumericError that names the stage and the op.
 The last block's q of a non-CLS row is the one value computed (in the
@@ -269,13 +273,21 @@ class LayerCapture:
 
     layer: int
     attn_logits: np.ndarray   # [B, H, 1, N], CLS row, pre-softmax, scaled by 1/sqrt(d_h)
-    values: np.ndarray        # [B, H, N, d_h] (the forward's own, not a copy)
+    values: np.ndarray        # [B, H, N, d_h] (a view of the forward's own, not a copy)
     cls_out: np.ndarray       # [B, d], concat of per-head CLS attention output
     cls_out_grad: np.ndarray | None = None   # [B, d] after backward_class
-    # the forward's own attention probabilities (not a copy): [B, H, N, N],
-    # or for the last layer its CLS row alone, [B, H, 1, N]
-    attn_probs: np.ndarray | None = field(default=None, repr=False)
+    # the forward's own softmax numerators exp(logits - row max) (not a
+    # copy): [B, H, N, N], or for the last layer its CLS row alone,
+    # [B, H, 1, N]; and their row sums, [B, H, N, 1] or [B, H, 1, 1]
+    attn_exp: np.ndarray | None = field(default=None, repr=False)
+    attn_rowsums: np.ndarray | None = field(default=None, repr=False)
     merged_node: int = field(default=-1, repr=False)
+
+    @property
+    def attn_probs(self) -> np.ndarray:
+        """The attention probabilities attn_exp / attn_rowsums, made on each
+        read: a forward keeps its scores unnormalized."""
+        return self.attn_exp / self.attn_rowsums
 
 
 @dataclass
@@ -378,16 +390,17 @@ class _Stages:
 
     def attention(self, blk: BlockWeights, x, captured: bool, offset, cls_only: bool):
         """ln1, the fused q|k|v product and attention: (merged heads, then
-        for a captured layer its CLS score row, probabilities and values,
-        else None three times, then the backward); ``offset`` is a [B, d]
-        term added to the merged CLS row, or None. ln1 and the product
-        cover every token; with ``cls_only`` only the CLS token queries,
-        so the merged heads are its row alone, [B, 1, d]."""
+        for a captured layer its CLS score row, else None, then attention's
+        AttentionSaved, which off the tape is None for an uncaptured layer,
+        then the backward); ``offset`` is a [B, d] term added to the merged
+        CLS row, or None. ln1 and the product cover every token; with
+        ``cls_only`` only the CLS token queries, so the merged heads are its
+        row alone, [B, 1, d]."""
         cfg, check, w = self.weights.config, self.check, blk.arrays
         h, xhat, inv_std = _layernorm(x, w["ln1.gain"], w["ln1.bias"], check, self.taped)
         scale = 1.0 / math.sqrt(cfg.head_dim)
         qkv_weight, gain = w["attn.qkv.weight"], w["ln1.gain"]
-        merged, kept, p, v, q, kt = attention_arrays(
+        merged, kept, saved = attention_arrays(
             _linear(h, qkv_weight, w["attn.qkv.bias"], check), cfg.num_heads, scale, captured,
             cls_only)
         if offset is not None:
@@ -395,13 +408,13 @@ class _Stages:
             pad[:, 0, :] = offset
             merged = check(merged + pad, "add")
         if not self.taped:
-            # an uncaptured layer's p and v are freed before the next layer allocates its own
-            return (merged, kept, p, v, None) if captured else (merged, None, None, None, None)
+            # an uncaptured layer's scores are freed before the next layer allocates its own
+            return (merged, kept, saved if captured else None, None)
         grads, scratch, prefix = self.grads, self.scratch, blk.prefix
         h = h if grads is not None else None
 
         def backward(g):
-            dqkv = attention_grad(g, q, kt, v, p, scale, scratch)
+            dqkv = attention_grad(g, saved, scale, scratch)
             dh = np.matmul(dqkv, qkv_weight.T)
             if grads is not None:
                 for kind, fused in zip(("weight", "bias"), _linear_grads(h, dqkv)):
@@ -411,7 +424,7 @@ class _Stages:
             dqkv = None   # freed before the layer norm's backward, the walk's peak
             return (_layernorm_grads(dh, xhat, inv_std, gain, grads, prefix + "ln1"),)
 
-        return merged, kept, p, v, backward
+        return merged, kept, saved, backward
 
     def mlp(self, blk: BlockWeights, x, merged):
         """The output projection, its residual add, ln2, the MLP and its
@@ -611,13 +624,14 @@ class VisionTransformer:
         for layer, blk in enumerate(self.weights.blocks, 1):
             try:
                 captured = layer >= first_captured
-                merged, scores, probs, values, backward = stages.attention(
+                merged, scores, saved, backward = stages.attention(
                     blk, x, captured, cls_out_offsets.get(layer), layer == self.config.num_layers)
                 merged_node = record("attention", (x_node,), merged, backward)
                 if captured:
                     captures.append(LayerCapture(
-                        layer=layer, attn_logits=scores, attn_probs=probs, values=values,
-                        cls_out=merged[:, 0, :].copy(), merged_node=merged_node))
+                        layer=layer, attn_logits=scores, values=saved.vx[..., :-1],
+                        cls_out=merged[:, 0, :].copy(), attn_exp=saved.e,
+                        attn_rowsums=saved.l[..., None], merged_node=merged_node))
                 x, backward = stages.mlp(blk, x, merged)
                 x_node = record("mlp", (x_node, merged_node), _check_stage(x), backward)
             except NumericError as e:

@@ -331,13 +331,28 @@ def test_rollout_tape_free_matches_tape_captures(tiny_model, rnd_image, monkeypa
 
 
 def test_rollout_reads_the_forward_probabilities(tiny_model, rnd_image, monkeypatch):
-    calls = []
-    softmax_rows = kernels.softmax_rows
-    monkeypatch.setattr(kernels, "softmax_rows",
-                        lambda *args: calls.append(1) or softmax_rows(*args))
-    attention_rollout(tiny_model, rnd_image)
-    # one in-place softmax per layer, inside the forward's attention
-    assert len(calls) == tiny_model.config.num_layers
+    calls = {"exp": 0, "softmax_rows": 0}
+    exp, softmax_rows = np.exp, kernels.softmax_rows
+
+    def counting_exp(*args, **kwargs):
+        calls["exp"] += 1
+        return exp(*args, **kwargs)
+
+    def counting_softmax(*args):
+        calls["softmax_rows"] += 1
+        return softmax_rows(*args)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    monkeypatch.setattr(kernels, "softmax_rows", counting_softmax)
+    amap = attention_rollout(tiny_model, rnd_image)
+    # one exp per layer, inside the forward's attention, and no softmax:
+    # rollout normalizes the forward's own exps by their row sums
+    assert calls == {"exp": tiny_model.config.num_layers, "softmax_rows": 0}
+    monkeypatch.undo()
+    res = tiny_model.forward(rnd_image, capture=True,
+                             layer_window=tiny_model.config.num_layers, tape=False)
+    want = rollout_chain(cap.attn_probs.mean(axis=1) for cap in res.captures)[:, 0, 1:]
+    assert np.array_equal(amap.patch_scores, want.reshape(amap.patch_scores.shape))
 
 
 def test_bicam_rectangular_image():

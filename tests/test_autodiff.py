@@ -404,26 +404,67 @@ def _attention_chain(qkv, heads, scale):
     return out, scores, v
 
 
+def _rel_error(a, ref):
+    return float(np.abs(a - ref).max() / np.abs(ref).max())
+
+
 @pytest.mark.parametrize("shape", [(1, 1, 17, 8), (2, 2, 17, 8), (1, 4, 197, 8)],
                          ids=lambda s: "x".join(map(str, s)))
-def test_attention_is_bit_equal_to_the_primitive_chain(shape):
+def test_attention_matches_the_primitive_chain(shape):
+    # the scale goes into k^T and the softmax is normalized on the head
+    # outputs, so the scores, probabilities and output round differently
+    # from the chain: measured at most 1.2e-15 relative on these shapes.
+    # The values are copied, not computed, and stay bit-equal.
     x0, _ = _attention_inputs(shape, seed=shape[1] * 100 + shape[2])
     heads, scale = shape[1], 1.0 / math.sqrt(shape[-1])
     ref_out, ref_scores, ref_v = _attention_chain(x0, heads, scale)
-    out, kept, p, v, _, _ = attention_arrays(x0, heads, scale, True)
-    assert bit_equal(out, ref_out)
-    assert bit_equal(kept, ref_scores[:, :, :1])
-    assert bit_equal(v, ref_v)
-    assert bit_equal(p, kernels.softmax_rows(ref_scores.reshape(-1, shape[2]), 1.0)
-                     .reshape(ref_scores.shape))
+    ref_probs = kernels.softmax_rows(ref_scores.reshape(-1, shape[2]), 1.0).reshape(
+        ref_scores.shape)
+    out, kept, saved = attention_arrays(x0, heads, scale, True)
+    assert _rel_error(out, ref_out) < 4e-15
+    assert _rel_error(kept, ref_scores[:, :, :1]) < 4e-15
+    assert _rel_error(saved.e / saved.l[..., None], ref_probs) < 4e-15
+    assert bit_equal(saved.vx[..., :-1], ref_v)
+    assert (saved.vx[..., -1] == 1.0).all()
     assert attention_arrays(x0, heads, scale)[1] is None
+
+
+def _attention_vjp(qkv, heads, scale, w, cls_only):
+    """A hand-written VJP of plain softmax attention: the gradient of
+    sum(out * w) with respect to qkv, through p = softmax(q k^T * scale)
+    and out = p v, with the softmax's Jacobian p (dp - rowsum(p dp))."""
+    b, n, d3 = qkv.shape
+    d, m = d3 // 3, 1 if cls_only else n
+    q, k, v = (qkv[..., i * d:(i + 1) * d].reshape(b, n, heads, -1).transpose(0, 2, 1, 3)
+               for i in range(3))
+    q = q[:, :, :m]
+    s = q @ k.transpose(0, 1, 3, 2) * scale
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    g = w.reshape(b, m, heads, -1).transpose(0, 2, 1, 3)
+    dp = g @ v.transpose(0, 1, 3, 2)
+    ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True)) * scale
+    dq = np.zeros(k.shape)
+    dq[:, :, :m] = ds @ k
+    grads = [dq, ds.transpose(0, 1, 3, 2) @ q, p.transpose(0, 1, 3, 2) @ g]
+    return np.concatenate([t.transpose(0, 2, 1, 3).reshape(b, n, d) for t in grads], axis=-1)
+
+
+@pytest.mark.parametrize("cls_only", [False, True], ids=["every_row", "cls_row"])
+def test_attention_grad_matches_a_reference_vjp(cls_only):
+    # float64 arithmetic against float64 arithmetic, not finite differences
+    x0, w_all = _attention_inputs((2, 4, 23, 8), seed=11)
+    w = w_all[:, :1] if cls_only else w_all
+    _, _, saved = attention_arrays(x0, 4, 0.35, False, cls_only)
+    grad = attention_grad(w, saved, 0.35, {})
+    assert _rel_error(grad, _attention_vjp(x0, 4, 0.35, w, cls_only)) <= 1e-12
 
 
 def _attention_node(g, x, heads, scale):
     """attention_arrays as a test-local node whose backward is attention_grad."""
-    out, _, p, v, q, kt = attention_arrays(x.data, heads, scale)
+    out, _, saved = attention_arrays(x.data, heads, scale)
     return node(g, "attention", [x], out,
-                lambda grad: (attention_grad(grad, q, kt, v, p, scale, g.scratch),))
+                lambda grad: (attention_grad(grad, saved, scale, g.scratch),))
 
 
 def test_attention_nodes_share_work_arrays_during_a_walk():
@@ -441,11 +482,10 @@ def test_attention_nodes_share_work_arrays_during_a_walk():
     root = total(g, times(g, second, w))
 
     # the same arithmetic with work arrays of its own for each node
-    out, _, p2, v2, q2, kt2 = attention_arrays(np.concatenate([first.data] * 3, axis=-1),
-                                               heads, scale)
-    _, _, p1, v1, q1, kt1 = attention_arrays(x0, heads, scale)
-    dmid = attention_grad(w, q2, kt2, v2, p2, scale, {})
-    ref = attention_grad(sum(np.split(dmid, 3, axis=-1)), q1, kt1, v1, p1, scale, {})
+    _, _, saved2 = attention_arrays(np.concatenate([first.data] * 3, axis=-1), heads, scale)
+    _, _, saved1 = attention_arrays(x0, heads, scale)
+    dmid = attention_grad(w, saved2, scale, {})
+    ref = attention_grad(sum(np.split(dmid, 3, axis=-1)), saved1, scale, {})
 
     for _ in range(2):                                 # a second walk reuses nothing stale
         g.backward(root)
@@ -463,8 +503,8 @@ def test_attention_gradients_match_finite_differences():
         def loss(x):
             return float((attention_arrays(x, heads, scale, False, cls_only)[0] * w).sum())
 
-        _, _, p, v, q, kt = attention_arrays(x0, heads, scale, False, cls_only)
-        grad = attention_grad(w, q, kt, v, p, scale, {})
+        _, _, saved = attention_arrays(x0, heads, scale, False, cls_only)
+        grad = attention_grad(w, saved, scale, {})
         assert grad_rel_error(grad, finite_difference(loss, x0)) < 1e-7
 
 

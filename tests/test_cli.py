@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bicam import counters, netpbm, weightfile
+from bicam import cli, counters, netpbm, weightfile
 from bicam.attribution import bicam
 from bicam.cli import _sub_seed, load_config_file, main, read_grid_csv
 from bicam.detection import read_records, roc_analysis
@@ -117,10 +117,9 @@ def test_rollout_command(tmp_path, model_file, image_dir):
     assert (scores >= 0).all()
 
 
-def test_rollout_files_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # a 56x56/6-layer model (N = 197 tokens): a chain of full [N, N]
-    # products wrote different last digits at 1 and 2 BLAS threads, the
-    # chain of one CLS row does not
+def _files_at_1_and_2_blas_threads(tmp_path, command, stem):
+    """The files ``command`` writes on a 56x56/6-layer model (N = 197
+    tokens) in a subprocess at 1 and at 2 BLAS threads, by name."""
     model, image = tmp_path / "m.bw", tmp_path / "img.ppm"
     assert run(["init-model", "--out", model, "--seed", 0, "--image-size", 56,
                 "--patch-size", 4, "--layers", 6, "--heads", 4, "--embed-dim", 32,
@@ -134,12 +133,26 @@ def test_rollout_files_do_not_depend_on_the_blas_thread_count(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "MKL_NUM_THREADS": threads,
                "PYTHONPATH": str(Path(weightfile.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", script, "rollout", "--model", str(model),
-                               "--image", str(image), "--out-prefix", str(out / "roll")],
+        proc = subprocess.run([sys.executable, "-c", script, command, "--model", str(model),
+                               "--image", str(image), "--out-prefix", str(out / stem)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    return written
+
+
+def test_rollout_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a chain of full [N, N] products wrote different last digits at 1 and
+    # 2 BLAS threads, the chain of one CLS row does not
+    written = _files_at_1_and_2_blas_threads(tmp_path, "rollout", "roll")
     assert set(written[0]) == {"roll.patches.csv", "roll.heatmap.csv", "roll.ppm"}
+    assert written[0] == written[1]
+
+
+def test_attribute_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    written = _files_at_1_and_2_blas_threads(tmp_path, "attribute", "attr")
+    assert set(written[0]) == {f"attr{s}" for s in (".patches.csv", ".heatmap.csv", ".ppm",
+                                                     ".pos.ppm", ".neg.ppm")}
     assert written[0] == written[1]
 
 
@@ -287,6 +300,24 @@ def test_config_file_defaults_and_rejection(tmp_path, model_file, image_dir, cap
     malformed.write_text("just a line\n")
     assert run(["attribute", "--config", malformed, "--model", model_file,
                 "--image", img_path, "--out-prefix", prefix]) == 3
+
+
+def test_a_config_call_leaves_the_next_call_the_built_in_defaults(tmp_path, monkeypatch):
+    # plain calls share one parser; a --config call sets the defaults of a
+    # parser of its own
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._shared_parser.cache_clear()
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("layers=2\nheads=4\n")
+    for name, config in (("a", False), ("b", True), ("c", False), ("d", False)):
+        argv = ["init-model", "--out", tmp_path / f"{name}.bw"]
+        assert run(argv + (["--config", cfgfile] if config else [])) == 0
+    assert len(built) == 2   # the shared parser and the --config call's
+    shapes = [(cfg.num_layers, cfg.num_heads) for cfg in
+              (weightfile.load_model(str(tmp_path / f"{name}.bw")).config for name in "abcd")]
+    assert shapes == [(4, 2), (2, 4), (4, 2), (4, 2)]
 
 
 def test_config_file_parsing(tmp_path):

@@ -601,7 +601,7 @@ def test_fused_qkv_forward_is_bit_equal_to_tape(tiny_config, shape):
 def _full_rows_forward(weights, img):
     """A plain-numpy forward that runs every token's row through every block:
     (logits, per layer (CLS score row [B, H, 1, N], values [B, H, N, d_h],
-    CLS attention output [B, d]))."""
+    CLS attention output [B, d], probabilities [B, H, N, N]))."""
     cfg, t = weights.config, weights.tensors
     b, p, d, h = img.shape[0], cfg.patch_size, cfg.embed_dim, cfg.num_heads
     gh, gw, dh = cfg.grid_height, cfg.grid_width, cfg.head_dim
@@ -630,7 +630,7 @@ def _full_rows_forward(weights, img):
         probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
         merged = (probs @ v).transpose(0, 2, 1, 3).reshape(b, -1, d)
-        layers.append((scores[:, :, :1], v, merged[:, 0]))
+        layers.append((scores[:, :, :1], v, merged[:, 0], probs))
         x = x + merged @ w["attn.out.weight"] + w["attn.out.bias"]
         a1 = layernorm(x, f"blocks.{i}.ln2") @ w["ffn.fc1.weight"] + w["ffn.fc1.bias"]
         f = 0.5 * a1 * (1.0 + erf(a1 / np.sqrt(2.0)))
@@ -655,20 +655,52 @@ def test_forward_matches_a_full_rows_reference(tiny_config, shape):
     for tape in (True, False):
         res = model.forward(img, capture=True, layer_window=cfg.num_layers, tape=tape)
         assert _rel_error(res.logits.data, ref_logits) < 1e-12
-        for cap, (scores, values, cls_out) in zip(res.captures, ref_layers, strict=True):
+        for cap, (scores, values, cls_out, _) in zip(res.captures, ref_layers, strict=True):
             assert _rel_error(cap.attn_logits, scores) < 1e-12
             assert _rel_error(cap.values, values) < 1e-12
             assert _rel_error(cap.cls_out, cls_out) < 1e-12
 
 
+@pytest.mark.parametrize("shape", ["tiny", "distillation", "56x56"])
+def test_attn_probs_are_the_reference_probabilities(tiny_config, shape):
+    # the forward keeps its scores unnormalized; attn_probs divides them by
+    # their row sums on each read, the last layer's CLS row included
+    cfg = {"tiny": tiny_config, "56x56": ViTConfig(**SHAPE_56),
+           "distillation": dataclasses.replace(tiny_config, distillation_token=True)}[shape]
+    model = new_model(cfg, seed=8)
+    img = np.random.default_rng(21).random((2, 3, cfg.image_height, cfg.image_width))
+    _, ref_layers = _full_rows_forward(model.weights, img)
+    for tape in (True, False):
+        res = model.forward(img, capture=True, layer_window=cfg.num_layers, tape=tape)
+        for cap, (*_, probs) in zip(res.captures, ref_layers, strict=True):
+            rows = cap.attn_probs.shape[2]
+            assert rows == (1 if cap.layer == cfg.num_layers else cfg.num_tokens)
+            assert np.abs(cap.attn_probs.sum(axis=-1) - 1.0).max() < 1e-14
+            assert _rel_error(cap.attn_probs, probs[:, :, :rows]) < 1e-12
+
+
 @pytest.mark.parametrize("shape", ["tiny", "56x56"])
 def test_softmax_elements_per_forward_and_backward(tiny_config, shape, monkeypatch):
     # every block but the last softmaxes [N, N] scores per head, the last
-    # its CLS row alone: (L - 1) H N^2 + H N elements, forward and backward
+    # its CLS row alone: (L - 1) H N^2 + H N elements, forward and backward,
+    # all of them in attention's own passes, none in the softmax kernels
     cfg = tiny_config if shape == "tiny" else ViTConfig(**SHAPE_56)
     model = new_model(cfg, seed=9)
-    counted = {"softmax_rows": 0, "softmax_rows_grad": 0}
-    for name in counted:
+    counted = dict.fromkeys(["forward", "backward", "softmax_rows", "softmax_rows_grad"], 0)
+
+    def counting_forward(*args):
+        out = attention_arrays(*args)
+        counted["forward"] += out[2].e.size
+        return out
+
+    def counting_backward(grad, saved, *args):
+        counted["backward"] += saved.e.size
+        return attention_grad(grad, saved, *args)
+
+    attention_arrays, attention_grad = vit.attention_arrays, vit.attention_grad
+    monkeypatch.setattr(vit, "attention_arrays", counting_forward)
+    monkeypatch.setattr(vit, "attention_grad", counting_backward)
+    for name in ("softmax_rows", "softmax_rows_grad"):
         kernel = getattr(kernels, name)
 
         def counting(*args, kernel=kernel, name=name):
@@ -680,14 +712,43 @@ def test_softmax_elements_per_forward_and_backward(tiny_config, shape, monkeypat
     want = (layers - 1) * h * n * n + h * n
     img = np.random.default_rng(20).random((1, 3, cfg.image_height, cfg.image_width))
     for tape in (True, False):
-        counted.update(softmax_rows=0, softmax_rows_grad=0)
+        counted.update(dict.fromkeys(counted, 0))
         res = model.forward(img, capture=True, layer_window=layers, tape=tape)
-        assert counted == {"softmax_rows": want, "softmax_rows_grad": 0}
+        assert counted == {"forward": want, "backward": 0, "softmax_rows": 0,
+                           "softmax_rows_grad": 0}
         assert [cap.attn_probs.shape for cap in res.captures] == (
             [(1, h, n, n)] * (layers - 1) + [(1, h, 1, n)])
         if tape:
             model.backward_class(res, 1)
-            assert counted == {"softmax_rows": want, "softmax_rows_grad": want}
+            assert counted == {"forward": want, "backward": want, "softmax_rows": 0,
+                               "softmax_rows_grad": 0}
+
+
+@pytest.mark.parametrize("shape", ["tiny", "56x56"])
+def test_one_score_sized_work_array_per_backward_walk(tiny_config, shape, monkeypatch):
+    # every attention backward over all query rows takes its one work array
+    # from the graph's scratch: one [B, H, N, N] array serves the whole walk
+    cfg = tiny_config if shape == "tiny" else ViTConfig(**SHAPE_56)
+    model = new_model(cfg, seed=9)
+    seen = []
+
+    def recording(grad, saved, scale, scratch):
+        out = attention_grad(grad, saved, scale, scratch)
+        seen.append([(id(a), a.shape) for a in scratch.values()])
+        return out
+
+    attention_grad = vit.attention_grad
+    monkeypatch.setattr(vit, "attention_grad", recording)
+    img = np.random.default_rng(22).random((2, 3, cfg.image_height, cfg.image_width))
+    for run in (lambda: model.backward_class(model.forward(img, capture=True), 0),
+                lambda: model.loss_and_input_grad(img, [0, 1])):
+        seen.clear()
+        run()
+        n, h = cfg.num_tokens, cfg.num_heads
+        assert len(seen) == cfg.num_layers
+        assert seen[0] == []   # the last block's CLS row keeps no array for the walk
+        assert len({tuple(s) for s in seen[1:]}) == 1
+        assert [shape for _, shape in seen[1]] == [(2, h, n, n)]
 
 
 def test_tape_free_forward_reads_weights_updated_in_place(tiny_config):
