@@ -404,10 +404,6 @@ def _attention_chain(qkv, heads, scale):
     return out, scores, v
 
 
-def _rel_error(a, ref):
-    return float(np.abs(a - ref).max() / np.abs(ref).max())
-
-
 @pytest.mark.parametrize("shape", [(1, 1, 17, 8), (2, 2, 17, 8), (1, 4, 197, 8)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_attention_matches_the_primitive_chain(shape):
@@ -421,9 +417,9 @@ def test_attention_matches_the_primitive_chain(shape):
     ref_probs = kernels.softmax_rows(ref_scores.reshape(-1, shape[2]), 1.0).reshape(
         ref_scores.shape)
     out, kept, saved = attention_arrays(x0, heads, scale, True)
-    assert _rel_error(out, ref_out) < 4e-15
-    assert _rel_error(kept, ref_scores[:, :, :1]) < 4e-15
-    assert _rel_error(saved.e / saved.l[..., None], ref_probs) < 4e-15
+    assert grad_rel_error(out, ref_out) < 4e-15
+    assert grad_rel_error(kept, ref_scores[:, :, :1]) < 4e-15
+    assert grad_rel_error(saved.e / saved.l[..., None], ref_probs) < 4e-15
     assert bit_equal(saved.vx[..., :-1], ref_v)
     assert (saved.vx[..., -1] == 1.0).all()
     assert attention_arrays(x0, heads, scale)[1] is None
@@ -457,7 +453,7 @@ def test_attention_grad_matches_a_reference_vjp(cls_only):
     w = w_all[:, :1] if cls_only else w_all
     _, _, saved = attention_arrays(x0, 4, 0.35, False, cls_only)
     grad = attention_grad(w, saved, 0.35, {})
-    assert _rel_error(grad, _attention_vjp(x0, 4, 0.35, w, cls_only)) <= 1e-12
+    assert grad_rel_error(grad, _attention_vjp(x0, 4, 0.35, w, cls_only)) <= 1e-12
 
 
 def _attention_node(g, x, heads, scale):

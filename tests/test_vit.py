@@ -748,7 +748,7 @@ def test_one_score_sized_work_array_per_backward_walk(tiny_config, shape, monkey
         assert len(seen) == cfg.num_layers
         assert seen[0] == []   # the last block's CLS row keeps no array for the walk
         assert len({tuple(s) for s in seen[1:]}) == 1
-        assert [shape for _, shape in seen[1]] == [(2, h, n, n)]
+        assert [array_shape for _, array_shape in seen[1]] == [(2, h, n, n)]
 
 
 def test_tape_free_forward_reads_weights_updated_in_place(tiny_config):
