@@ -59,8 +59,7 @@ def _project(x: np.ndarray, origin: np.ndarray, eps: float) -> np.ndarray:
     return np.clip(x, PIXEL_MIN, PIXEL_MAX)
 
 
-def pgd_attack(model, image: np.ndarray, true_class: int, cfg: AttackConfig,
-               keep_trajectory: bool = False):
+def pgd_attack(model, image: np.ndarray, true_class: int, cfg: AttackConfig) -> np.ndarray:
     """Projected gradient descent: random start, signed-gradient ascent,
     projection after every step. Deterministic given (model, image, cfg)."""
     img = _check_image(image)
@@ -69,32 +68,25 @@ def pgd_attack(model, image: np.ndarray, true_class: int, cfg: AttackConfig,
     if cfg.random_start and eps > 0:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         x = _project(img + rng.uniform(-eps, eps, img.shape), img, eps)
-    trajectory = [x] if keep_trajectory else None   # each iterate is a fresh array
     for _ in range(cfg.num_steps):
         _, grad = model.loss_and_input_grad(x, true_class)
         x = _project(x + cfg.step_size * np.sign(grad), img, eps)
-        if keep_trajectory:
-            trajectory.append(x)
-    return (x, trajectory) if keep_trajectory else x
+    return x
 
 
-def mifgsm_attack(model, image: np.ndarray, true_class: int, cfg: AttackConfig,
-                  keep_trajectory: bool = False):
+def mifgsm_attack(model, image: np.ndarray, true_class: int, cfg: AttackConfig) -> np.ndarray:
     """Momentum iterative FGSM: gradients are L1-normalized and accumulated
     with decay ``momentum_decay`` before the signed step."""
     img = _check_image(image)
     eps = float(cfg.epsilon)
     x = img.copy()
     momentum = np.zeros_like(img)
-    trajectory = [x] if keep_trajectory else None   # each iterate is a fresh array
     for _ in range(cfg.num_steps):
         _, grad = model.loss_and_input_grad(x, true_class)
         l1 = np.abs(grad).sum()
         momentum = cfg.momentum_decay * momentum + (grad / l1 if l1 > 0 else grad)
         x = _project(x + cfg.step_size * np.sign(momentum), img, eps)
-        if keep_trajectory:
-            trajectory.append(x)
-    return (x, trajectory) if keep_trajectory else x
+    return x
 
 
 def run_attack(model, image: np.ndarray, true_class: int, cfg: AttackConfig) -> np.ndarray:

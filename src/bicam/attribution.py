@@ -113,7 +113,7 @@ def bicam(model: VisionTransformer, image: np.ndarray, class_index: int,
     return _tokens_to_map(total, model, int(class_index), window, temp, interpolation)
 
 
-def rollout_chain(head_mean_attn, keep_steps: bool = False):
+def rollout_chain(head_mean_attn) -> np.ndarray:
     """Multiply head-averaged attention matrices through the layers.
 
     Each layer's [B, N, N] matrix gets the identity added and its rows
@@ -121,22 +121,18 @@ def rollout_chain(head_mean_attn, keep_steps: bool = False):
     running product is right-multiplied by each layer below it, so it stays
     row-stochastic. The last layer may be given as its CLS row alone,
     [B, 1, N] (the identity's first row is added to it): the product is
-    then that one row, at O(L N^2) instead of O(L N^3). With keep_steps,
-    also returns the per-layer normalized matrices in layer order (for
-    stochasticity checks).
+    then that one row, at O(L N^2) instead of O(L N^3). A one-layer chain
+    is that layer's normalized matrix.
     """
     mats = list(head_mean_attn)
     n = mats[0].shape[-1]
     eye = np.eye(n)
-    steps = []
     rollout = None
     for attn in reversed(mats):
         attn = attn + eye[:attn.shape[-2]]
         attn = attn / attn.sum(axis=2, keepdims=True)
-        if keep_steps:
-            steps.append(attn)
         rollout = attn if rollout is None else np.matmul(rollout, attn)
-    return (rollout, steps[::-1]) if keep_steps else rollout
+    return rollout
 
 
 def attention_rollout(model: VisionTransformer, image: np.ndarray,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import functools
 import sys
@@ -58,11 +59,13 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    """A header line, then one line per row: strings as they are, numbers by _fmt."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+    """A header line, then one line per row: strings as the csv module
+    quotes them (as they are, unless they hold a comma, a quote or a
+    newline), numbers by _fmt."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows)
 
 
 def write_grid_csv(path: str, grid: np.ndarray) -> None:
@@ -83,8 +86,9 @@ def read_grid_csv(path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def load_config_file(path: str) -> dict:
-    """Flat key=value lines; '#' comments; values coerced to int/float/bool."""
+def load_config_file(path: str) -> dict[str, str]:
+    """Flat key=value lines; '#' comments; keys and values stripped, values
+    kept as strings (``_config_defaults`` gives them the flags' checks)."""
     out = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -102,17 +106,7 @@ def load_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if not key:
             raise DataFormatError(f"{path}:{ln}: empty key")
-        if value.lower() in ("true", "false"):
-            out[key] = value.lower() == "true"
-            continue
-        for conv in (int, float):
-            try:
-                out[key] = conv(value)
-                break
-            except ValueError:
-                continue
-        else:
-            out[key] = value
+        out[key] = value
     return out
 
 
@@ -507,14 +501,14 @@ def _config_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> d
     out = {}
     for key, value in overrides.items():
         choices = actions[key].choices
-        if choices is not None and str(value) not in choices:
+        if choices is not None and value not in choices:
             # argparse checks the choices of flags, not of defaults
             raise ParameterError(f"{path}: {key} must be one of {', '.join(choices)}, "
                                  f"got {value!r}")
         if actions[key].nargs != 0:
-            out[key] = str(value)  # argparse converts (and checks) string defaults
-        elif isinstance(value, bool):
-            out[key] = value
+            out[key] = value  # argparse converts (and checks) string defaults
+        elif value.lower() in ("true", "false"):
+            out[key] = value.lower() == "true"
         else:
             raise DataFormatError(f"{path}: {key} takes true or false, got {value!r}")
     return out

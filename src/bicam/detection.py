@@ -15,6 +15,7 @@ across the clean/adversarial labels.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -161,31 +162,35 @@ def roc_analysis(records, higher_is_adversarial: bool = True) -> DetectionReport
 
 
 def write_records(path: str, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,label,pnr\n")
-        for r in records:
-            fh.write(f"{r.sample_id},{r.label},{r.pnr:.17g}\n")
+    """One id,label,pnr line per record; an id that holds a comma, a quote
+    or a newline is quoted as the csv module quotes it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(("id", "label", "pnr"))
+        out.writerows((r.sample_id, r.label, f"{r.pnr:.17g}") for r in records)
 
 
 def read_records(path: str) -> list[PNRRecord]:
+    """The records of a file ``write_records`` wrote; blank lines are
+    skipped, and anything else that is not a record is a DataFormatError."""
+    out = []
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = csv.reader(fh, strict=True)
+            header = ",".join(next(rows, [])).strip()
+            if header != "id,label,pnr":
+                raise DataFormatError(f"expected header 'id,label,pnr', got {header!r}")
+            for row in rows:
+                if len(row) < 2 and not "".join(row).strip():
+                    continue
+                if len(row) != 3:
+                    raise DataFormatError(f"{path}:{rows.line_num}: expected 3 fields")
+                try:
+                    out.append(PNRRecord(row[0], float(row[2]), row[1]))
+                except (ValueError, ParameterError) as e:
+                    raise DataFormatError(f"{path}:{rows.line_num}: {e}") from None
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not utf-8 text (byte {e.start})") from None
-    header = lines[0].strip()
-    if header != "id,label,pnr":
-        raise DataFormatError(f"expected header 'id,label,pnr', got {header!r}")
-    out = []
-    for ln, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DataFormatError(f"{path}:{ln}: expected 3 fields")
-        try:
-            out.append(PNRRecord(parts[0], float(parts[2]), parts[1]))
-        except (ValueError, ParameterError) as e:
-            raise DataFormatError(f"{path}:{ln}: {e}") from None
+    except csv.Error as e:
+        raise DataFormatError(f"{path}:{rows.line_num}: {e}") from None
     return out

@@ -112,21 +112,11 @@ def evaluate_bidirectional(amap: AttributionMap, target_gt: np.ndarray,
 # -- faithfulness -------------------------------------------------------------
 
 
-def zero_patches(image: np.ndarray, patch_indices, patch_size: int,
-                 grid_width: int) -> np.ndarray:
-    """Zero whole pixel blocks (all channels) for the given flat patch ids."""
-    out = np.array(image, dtype=np.float64, copy=True)
-    p = patch_size
-    for k in patch_indices:
-        r, c = divmod(int(k), grid_width)
-        out[..., r * p:(r + 1) * p, c * p:(c + 1) * p] = 0.0
-    return out
-
-
 def removal_curve(prob_fn, image: np.ndarray, order: np.ndarray,
                   patch_size: int, grid_width: int) -> np.ndarray:
     """Class probability after removing the first k patches of ``order``,
-    for k = 0 .. P; patches are zeroed cumulatively in pixel space."""
+    for k = 0 .. P; patches are zeroed cumulatively in pixel space, as
+    whole pixel blocks in every channel, on a copy of ``image``."""
     work = np.array(image, dtype=np.float64, copy=True)
     curve = np.empty(len(order) + 1)
     curve[0] = float(prob_fn(work))
@@ -146,22 +136,19 @@ def _orders(flat_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def faithfulness(prob_fn, image: np.ndarray, patch_scores: np.ndarray,
-                 patch_size: int, grid_width: int | None = None) -> FaithfulnessReport:
+                 patch_size: int) -> FaithfulnessReport:
     """MIF and LIF removal curves from one attribution; AUC is the curve mean.
 
     ``prob_fn`` maps an image to the scalar probability of the queried
-    class; ``patch_scores`` is the signed per-patch grid (or flat vector)
+    class; ``patch_scores`` is the signed per-patch grid [rows, columns]
     that supplies the removal order.
     """
     scores = np.asarray(patch_scores, dtype=np.float64)
-    if grid_width is None:
-        if scores.ndim != 2:
-            raise DimensionError("grid_width required for non-2D patch scores")
-        grid_width = scores.shape[1]
-    flat = scores.ravel()
-    mif_order, lif_order = _orders(flat)
-    mif_curve = removal_curve(prob_fn, image, mif_order, patch_size, grid_width)
-    lif_curve = removal_curve(prob_fn, image, lif_order, patch_size, grid_width)
+    if scores.ndim != 2:
+        raise DimensionError(f"patch scores must be a 2-D grid, got shape {scores.shape}")
+    mif_order, lif_order = _orders(scores.ravel())
+    mif_curve = removal_curve(prob_fn, image, mif_order, patch_size, scores.shape[1])
+    lif_curve = removal_curve(prob_fn, image, lif_order, patch_size, scores.shape[1])
     mif_auc = float(mif_curve.mean())
     lif_auc = float(lif_curve.mean())
     return FaithfulnessReport(mif_auc=mif_auc, lif_auc=lif_auc,

@@ -7,11 +7,11 @@ and its backward inline (see ``autodiff.attention_arrays``), so
 ``softmax_rows_grad`` has no caller in the program; it stays because the
 benchmark's tracer (``bench_e2e/tracing.py``) wraps it by name.
 
-The two softmax kernels and the layer norm gradient take an optional
-``out`` array, which may be one of the inputs: with it they work in place,
-without it they allocate their result (the softmax kernels reuse it for
-their temporaries). Either way the arithmetic is the same, so the results are
-the same bits. Callers pass ``out`` positionally.
+Only the layer norm gradient takes an optional ``out`` array, which may be
+its ``dxhat`` input: with it the kernel works in place, without it it
+allocates its result, and the arithmetic is the same either way, so the
+results are the same bits. Callers pass ``out`` positionally. The softmax
+kernels allocate their result and reuse it for their temporaries.
 """
 
 import math
@@ -26,28 +26,27 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 ACTIVE_BACKEND = "numpy"
 
 
-def softmax_rows(x, temperature, out=None):
+def softmax_rows(x, temperature):
     """Row-wise softmax of ``x[rows, n]`` with temperature scaling.
 
     exp((x - row max) / T) over its row sum; the division by T is skipped
-    when T == 1, where it is exact. ``out`` may be ``x`` itself.
+    when T == 1, where it is exact.
     """
-    out = np.subtract(x, np.maximum.reduce(x, axis=1, keepdims=True), out=out)
+    out = np.subtract(x, np.maximum.reduce(x, axis=1, keepdims=True))
     if temperature != 1.0:
         np.divide(out, temperature, out=out)
     np.exp(out, out=out)
     return np.divide(out, np.add.reduce(out, axis=1, keepdims=True), out=out)
 
 
-def softmax_rows_grad(y, g, temperature, out=None, tmp=None):
+def softmax_rows_grad(y, g, temperature):
     """Backward of softmax_rows: y is the forward output, g the output grad.
 
-    (g - rowsum(g * y)) * y / T; ``out`` may be ``g`` itself. ``tmp``, an
-    array of y's shape, takes g * y instead of a fresh allocation.
+    (g - rowsum(g * y)) * y / T.
     """
-    tmp = np.multiply(g, y, out=tmp)
-    dot = np.add.reduce(tmp, axis=1, keepdims=True)
-    out = np.subtract(g, dot, out=tmp if out is None else out)
+    out = np.multiply(g, y)
+    dot = np.add.reduce(out, axis=1, keepdims=True)
+    np.subtract(g, dot, out=out)
     out *= y
     if temperature != 1.0:
         out /= temperature

@@ -130,10 +130,11 @@ def signed_scale(values: np.ndarray) -> float:
     return s if s > 0 else 1.0
 
 
-def render_signed(heat: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Signed [H, W] map -> uint8 [H, W, 3] diverging rendering."""
+def render_signed(heat: np.ndarray, scale: float) -> np.ndarray:
+    """Signed [H, W] map -> uint8 [H, W, 3] diverging rendering on the
+    symmetric scale ``scale`` (``signed_scale`` of the map, for one alone)."""
     m = np.asarray(heat, dtype=np.float64)
-    v = np.clip(m / (signed_scale(m) if scale is None else scale), -1.0, 1.0)
+    v = np.clip(m / scale, -1.0, 1.0)
     mag = np.rint(255.0 * (1.0 - np.abs(v)))
     out = np.empty(m.shape + (3,), dtype=np.uint8)
     out[..., 0] = np.where(v >= 0, 255, mag)

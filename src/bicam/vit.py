@@ -8,7 +8,8 @@ Attribution needs three things recorded per captured layer: the CLS row of
 the pre-softmax attention logits (already scaled by 1/sqrt(head_dim), i.e.
 exactly what the softmax consumes), the per-head value projections, and
 the concatenated per-head CLS attention output *before* the block's output
-projection, together with its gradient after a class-score backward pass.
+projection, together with its gradient after a class-score backward pass,
+which the layer's attention backward stores in its LayerCapture.
 Attention keeps its softmax unnormalized (see ``autodiff.attention_arrays``),
 so a capture holds the exps of its scores and their row sums, and its
 ``attn_probs`` divides one by the other when read (rollout reads them).
@@ -275,13 +276,14 @@ class LayerCapture:
     attn_logits: np.ndarray   # [B, H, 1, N], CLS row, pre-softmax, scaled by 1/sqrt(d_h)
     values: np.ndarray        # [B, H, N, d_h] (a view of the forward's own, not a copy)
     cls_out: np.ndarray       # [B, d], concat of per-head CLS attention output
-    cls_out_grad: np.ndarray | None = None   # [B, d] after backward_class
+    # [B, d], the gradient of cls_out that the layer's attention backward
+    # stores on each walk (so after several, the last walk's); None before one
+    cls_out_grad: np.ndarray | None = None
     # the forward's own softmax numerators exp(logits - row max) (not a
     # copy): [B, H, N, N], or for the last layer its CLS row alone,
     # [B, H, 1, N]; and their row sums, [B, H, N, 1] or [B, H, 1, 1]
     attn_exp: np.ndarray | None = field(default=None, repr=False)
     attn_rowsums: np.ndarray | None = field(default=None, repr=False)
-    merged_node: int = field(default=-1, repr=False)
 
     @property
     def attn_probs(self) -> np.ndarray:
@@ -350,11 +352,13 @@ class _Stages:
     inputs), as Graph asks. When ``grads`` is a dict, a backward also stores
     there the gradient of every weight its stage read, under the weight's
     name in ``ViTWeights.tensors`` (q, k and v as the column thirds of the
-    fused gradient)."""
+    fused gradient). ``captures`` collects the captured layers' records in
+    layer order."""
 
     def __init__(self, weights, check, taped: bool, grads: dict | None, scratch: dict):
         self.weights, self.check = weights, check
         self.taped, self.grads, self.scratch = taped, grads, scratch
+        self.captures: list[LayerCapture] = []
 
     def embedding(self, img):
         cfg, w, check = self.weights.config, self.weights.tensors, self.check
@@ -388,11 +392,12 @@ class _Stages:
 
         return x, backward
 
-    def attention(self, blk: BlockWeights, x, captured: bool, offset, cls_only: bool):
-        """ln1, the fused q|k|v product and attention: (merged heads, then
-        for a captured layer its CLS score row, else None, then attention's
-        AttentionSaved, which off the tape is None for an uncaptured layer,
-        then the backward); ``offset`` is a [B, d] term added to the merged
+    def attention(self, blk: BlockWeights, x, layer: int | None, offset, cls_only: bool):
+        """ln1, the fused q|k|v product and attention: (merged heads,
+        backward). For a captured ``layer`` (1-based; None for any other) it
+        appends that layer's LayerCapture to ``captures``, and its backward
+        stores the CLS row of the merged heads' gradient there as
+        ``cls_out_grad``. ``offset`` is a [B, d] term added to the merged
         CLS row, or None. ln1 and the product cover every token; with
         ``cls_only`` only the CLS token queries, so the merged heads are its
         row alone, [B, 1, d]."""
@@ -401,19 +406,27 @@ class _Stages:
         scale = 1.0 / math.sqrt(cfg.head_dim)
         qkv_weight, gain = w["attn.qkv.weight"], w["ln1.gain"]
         merged, kept, saved = attention_arrays(
-            _linear(h, qkv_weight, w["attn.qkv.bias"], check), cfg.num_heads, scale, captured,
-            cls_only)
+            _linear(h, qkv_weight, w["attn.qkv.bias"], check), cfg.num_heads, scale,
+            layer is not None, cls_only)
         if offset is not None:
             pad = np.zeros(merged.shape)
             pad[:, 0, :] = offset
             merged = check(merged + pad, "add")
+        cap = None
+        if layer is not None:
+            cap = LayerCapture(layer=layer, attn_logits=kept, values=saved.vx[..., :-1],
+                               cls_out=merged[:, 0, :].copy(), attn_exp=saved.e,
+                               attn_rowsums=saved.l[..., None])
+            self.captures.append(cap)
         if not self.taped:
             # an uncaptured layer's scores are freed before the next layer allocates its own
-            return (merged, kept, saved if captured else None, None)
+            return merged, None
         grads, scratch, prefix = self.grads, self.scratch, blk.prefix
         h = h if grads is not None else None
 
         def backward(g):
+            if cap is not None:
+                cap.cls_out_grad = g[:, 0, :].copy()
             dqkv = attention_grad(g, saved, scale, scratch)
             dh = np.matmul(dqkv, qkv_weight.T)
             if grads is not None:
@@ -424,7 +437,7 @@ class _Stages:
             dqkv = None   # freed before the layer norm's backward, the walk's peak
             return (_layernorm_grads(dh, xhat, inv_std, gain, grads, prefix + "ln1"),)
 
-        return merged, kept, saved, backward
+        return merged, backward
 
     def mlp(self, blk: BlockWeights, x, merged):
         """The output projection, its residual add, ln2, the MLP and its
@@ -560,11 +573,11 @@ class VisionTransformer:
         layer's CLS attention output (a probe point for sensitivity checks).
 
         With tape on, the graph holds the image leaf and one node per
-        stage, and every merged_node is the node of its block's attention
-        half. With tape off the same body records nothing: the logits are a
-        detached Tensor, the graph is empty, image_node and every
-        merged_node are -1, and backward_class refuses the result. The
-        logits and captures are the same bits either way.
+        stage, and a captured layer's attention backward stores its
+        capture's cls_out_grad on every walk that reaches it. With tape off
+        the same body records nothing: the logits are a detached Tensor, the
+        graph is empty, image_node is -1, and backward_class refuses the
+        result. The logits and captures are the same bits either way.
 
         Weights are never tape nodes: each stage's backward returns one
         gradient per tape parent. By default the result's weight_grads is
@@ -620,20 +633,14 @@ class VisionTransformer:
         except NumericError as e:
             raise NumericError(f"patch embedding: {e}") from None
 
-        captures: list[LayerCapture] = []
         for layer, blk in enumerate(self.weights.blocks, 1):
             try:
-                captured = layer >= first_captured
-                merged, scores, saved, backward = stages.attention(
-                    blk, x, captured, cls_out_offsets.get(layer), layer == self.config.num_layers)
-                merged_node = record("attention", (x_node,), merged, backward)
-                if captured:
-                    captures.append(LayerCapture(
-                        layer=layer, attn_logits=scores, values=saved.vx[..., :-1],
-                        cls_out=merged[:, 0, :].copy(), attn_exp=saved.e,
-                        attn_rowsums=saved.l[..., None], merged_node=merged_node))
+                merged, backward = stages.attention(
+                    blk, x, layer if layer >= first_captured else None,
+                    cls_out_offsets.get(layer), layer == self.config.num_layers)
+                attn_node = record("attention", (x_node,), merged, backward)
                 x, backward = stages.mlp(blk, x, merged)
-                x_node = record("mlp", (x_node, merged_node), _check_stage(x), backward)
+                x_node = record("mlp", (x_node, attn_node), _check_stage(x), backward)
             except NumericError as e:
                 raise NumericError(f"block {layer}: {e}") from None
 
@@ -645,26 +652,25 @@ class VisionTransformer:
 
         return ForwardResult(
             logits=Tensor(logits, graph, head_node) if tape else Tensor(logits),
-            captures=captures, graph=graph, image_node=image_node,
+            captures=stages.captures, graph=graph, image_node=image_node,
             weight_grads=grads, input_shape=input_shape)
 
     # -- gradients ------------------------------------------------------------
 
     def backward_class(self, result: ForwardResult, class_index: int) -> ForwardResult:
-        """Backpropagate the class score; fills cls_out_grad on every capture.
+        """Backpropagate the class score; each captured layer's attention
+        backward fills its capture's cls_out_grad on the way.
 
-        The graph keeps the gradients of the image and of every captured
-        layer's merged node; reading any other node's raises ContractError.
+        The graph keeps the image's gradient alone; reading any other
+        node's raises ContractError.
         """
         if not result.graph.nodes:
             raise StateError("forward ran without a tape; backward_class needs tape=True")
         if not result.captures:
             raise StateError("backward_class requires a forward run with capture=True")
         root = class_score(result.logits, class_index)
-        result.graph.retain = {result.image_node, *(cap.merged_node for cap in result.captures)}
+        result.graph.retain = {result.image_node}
         result.graph.backward(root)
-        for cap in result.captures:
-            cap.cls_out_grad = result.graph.gradients[cap.merged_node][:, 0, :].copy()
         return result
 
     def loss_and_input_grad(self, image: np.ndarray, labels) -> tuple[float, np.ndarray]:

@@ -24,6 +24,26 @@ class LinearToy:
         return loss, grad
 
 
+class Recording:
+    """Wraps a model and keeps a copy of every image handed to
+    ``loss_and_input_grad``: an attack's iterates before its last step."""
+
+    def __init__(self, model):
+        self.model, self.images = model, []
+
+    def loss_and_input_grad(self, image, label):
+        self.images.append(np.array(image, copy=True))
+        return self.model.loss_and_input_grad(image, label)
+
+
+def trajectory(fn, model, image, cfg):
+    """Every iterate of one attack, the start first and the result last."""
+    recording = Recording(model)
+    adv = fn(recording, image, 0, cfg)
+    assert len(recording.images) == cfg.num_steps
+    return recording.images + [adv]
+
+
 @pytest.fixture
 def lin_model():
     rng = np.random.default_rng(0)
@@ -89,17 +109,16 @@ def test_ball_and_range_constraints_every_iterate(lin_model, lin_image,
     cfg = AttackConfig(method=method, epsilon=eps, step_size=step, num_steps=steps,
                        momentum_decay=0.8, seed=5)
     fn = pgd_attack if method == "pgd" else mifgsm_attack
-    adv, traj = fn(lin_model, lin_image, 0, cfg, keep_trajectory=True)
+    traj = trajectory(fn, lin_model, lin_image, cfg)
     for x in traj:
         assert np.abs(x - lin_image).max() <= eps + 1e-9
         assert x.min() >= 0.0 and x.max() <= 1.0
-    assert np.array_equal(adv, traj[-1])
 
 
 def test_mifgsm_loss_monotone_on_linear_model(lin_model, lin_image):
     cfg = AttackConfig(method="mifgsm", epsilon=0.1, step_size=0.01,
                        num_steps=8, momentum_decay=0.0)
-    _, traj = mifgsm_attack(lin_model, lin_image, 0, cfg, keep_trajectory=True)
+    traj = trajectory(mifgsm_attack, lin_model, lin_image, cfg)
     losses = [lin_model.loss_and_input_grad(x, 0)[0] for x in traj]
     for lo, hi in zip(losses, losses[1:]):
         assert hi >= lo - 1e-12
@@ -108,7 +127,7 @@ def test_mifgsm_loss_monotone_on_linear_model(lin_model, lin_image):
 def test_pgd_loss_monotone_on_linear_model_without_random_start(lin_model, lin_image):
     cfg = AttackConfig(method="pgd", epsilon=0.1, step_size=0.01, num_steps=8,
                        random_start=False)
-    _, traj = pgd_attack(lin_model, lin_image, 0, cfg, keep_trajectory=True)
+    traj = trajectory(pgd_attack, lin_model, lin_image, cfg)
     losses = [lin_model.loss_and_input_grad(x, 0)[0] for x in traj]
     for lo, hi in zip(losses, losses[1:]):
         assert hi >= lo - 1e-12

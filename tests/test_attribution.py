@@ -271,19 +271,21 @@ def test_rollout_two_layer_hand_product():
                     [0.1, 0.1, 0.8]]])
     n1 = (a1[0] + np.eye(3)) / 2.0
     n2 = (a2[0] + np.eye(3)) / 2.0
-    out, steps = rollout_chain([a1, a2], keep_steps=True)
+    out = rollout_chain([a1, a2])
     assert np.allclose(out[0], n2 @ n1, atol=1e-14)
-    for s in steps:
-        assert np.abs(s.sum(axis=-1) - 1.0).max() < 1e-10
+    for a, n in ((a1, n1), (a2, n2)):
+        step = rollout_chain([a])
+        assert np.allclose(step[0], n, atol=1e-15)
+        assert np.abs(step.sum(axis=-1) - 1.0).max() < 1e-10
 
 
 def test_rollout_rows_stay_stochastic_random():
     rng = np.random.default_rng(13)
     mats = [np.abs(rng.random((2, 6, 6))) for _ in range(4)]
     mats = [m / m.sum(axis=-1, keepdims=True) for m in mats]
-    out, steps = rollout_chain(mats, keep_steps=True)
-    for s in steps:
-        assert np.abs(s.sum(axis=-1) - 1.0).max() < 1e-10
+    out = rollout_chain(mats)
+    for m in mats:
+        assert np.abs(rollout_chain([m]).sum(axis=-1) - 1.0).max() < 1e-10
     assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-10
 
 
@@ -291,13 +293,13 @@ def test_rollout_chain_takes_the_last_layer_as_its_cls_row():
     rng = np.random.default_rng(21)
     mats = [rng.random((2, 7, 7)) for _ in range(5)]
     mats = [m / m.sum(axis=-1, keepdims=True) for m in mats]
-    full, full_steps = rollout_chain(mats, keep_steps=True)
-    row, steps = rollout_chain(mats[:-1] + [mats[-1][:, :1]], keep_steps=True)
+    full = rollout_chain(mats)
+    row = rollout_chain(mats[:-1] + [mats[-1][:, :1]])
     assert row.shape == (2, 1, 7)
     assert np.abs(row - full[:, :1]).max() < 1e-14
-    assert len(steps) == 5 and steps[-1].shape == (2, 1, 7)
-    for s, ref in zip(steps, full_steps):
-        assert np.array_equal(s, ref[:, :s.shape[1]])
+    last_row = rollout_chain([mats[-1][:, :1]])   # the last layer's normalized CLS row
+    assert last_row.shape == (2, 1, 7)
+    assert np.array_equal(last_row, rollout_chain([mats[-1]])[:, :1])
 
 
 def test_attention_rollout_end_to_end(tiny_model, rnd_image):

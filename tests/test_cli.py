@@ -1,3 +1,4 @@
+import csv
 import os
 import struct
 import subprocess
@@ -34,6 +35,30 @@ def image_dir(tmp_path_factory, toy_config):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def test_ids_with_commas_quotes_and_newlines_round_trip(tmp_path, model_file, image_dir,
+                                                        capsys):
+    names = ["a,b", 'say "hi"', "two\nlines", "plain"]
+    src = sorted(image_dir.glob("*.ppm"))
+    for d in ("clean", "adv"):
+        (tmp_path / d).mkdir()
+        for name, path in zip(names, src):
+            (tmp_path / d / (name + ".ppm")).write_bytes(path.read_bytes())
+    prefix = tmp_path / "det"
+    assert run(["pnr-detect", "--model", model_file, "--clean", tmp_path / "clean",
+                "--adv", tmp_path / "adv", "--out-prefix", prefix]) == 0
+    records = read_records(f"{prefix}.records.csv")
+    assert sorted(r.sample_id for r in records) == sorted(names * 2)
+    assert "plain,clean," in (tmp_path / "det.records.csv").read_text()   # unquoted
+    assert run(["detect-from-records", "--records", f"{prefix}.records.csv"]) == 0
+    assert run(["eval-faith", "--model", model_file, "--images", tmp_path / "clean",
+                "--seeds", 0, "--out-prefix", tmp_path / "f"]) == 0
+    with open(tmp_path / "f.csv", newline="") as fh:
+        rows = list(csv.reader(fh, strict=True))
+    assert [row[0] for row in rows] == ["id"] + sorted(names)
+    assert {len(row) for row in rows} == {5}
+    capsys.readouterr()
 
 
 def test_init_model_deterministic(tmp_path, capsys):
@@ -324,7 +349,7 @@ def test_config_file_parsing(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("# comment\nalpha=3\nbeta=0.5\ngamma=hello\nflag=true\n\n")
     cfg = load_config_file(str(p))
-    assert cfg == {"alpha": 3, "beta": 0.5, "gamma": "hello", "flag": True}
+    assert cfg == {"alpha": "3", "beta": "0.5", "gamma": "hello", "flag": "true"}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -603,8 +628,10 @@ def test_non_utf8_config_file_exits_3(tmp_path, model_file, image_dir, capsys):
 @pytest.mark.parametrize("body", [b"a,clean,0.1\nb,adversarial,\xff\n",
                                   b"a,clean,nan\nb,adversarial,0.9\n",
                                   b"a,clean,0.1\nb,adversarial,inf\n",
-                                  b"a,clean,-inf\nb,adversarial,0.9\n"],
-                         ids=["non-utf8", "nan", "inf", "-inf"])
+                                  b"a,clean,-inf\nb,adversarial,0.9\n",
+                                  b'"a"b,clean,0.1\n', b'"a,clean,0.1\n'],
+                         ids=["non-utf8", "nan", "inf", "-inf", "text-after-quote",
+                              "unclosed-quote"])
 def test_detect_from_bad_records_exits_3(tmp_path, body, capsys):
     p = tmp_path / "recs.csv"
     p.write_bytes(b"id,label,pnr\n" + body)

@@ -6,8 +6,7 @@ from bicam.errors import ContractError, DimensionError
 from bicam.evaluation import (FaithfulnessReport, binarize, class_probability_fn,
                               evaluate_bidirectional, faithfulness,
                               localization_metrics, minmax_normalize,
-                              random_order_faithfulness, removal_curve,
-                              zero_patches)
+                              random_order_faithfulness, removal_curve)
 
 
 # -- binarize -------------------------------------------------------------------
@@ -214,12 +213,27 @@ def linear_setup():
 
 
 def test_zero_patches_zeroes_blocks():
-    img = np.ones((3, 8, 8))
-    out = zero_patches(img, [0, 3], patch_size=4, grid_width=2)
-    assert np.array_equal(out[:, :4, :4], np.zeros((3, 4, 4)))
-    assert np.array_equal(out[:, 4:, 4:], np.zeros((3, 4, 4)))
-    assert out[:, :4, 4:].min() == 1.0
+    # removal_curve's step k zeroes exactly the first k blocks of the order
+    img = np.ones((3, 8, 12))   # a 2x3 grid of 4x4 patches
+    order, blocks = [4, 0, 5, 2], [(1, 1), (0, 0), (1, 2), (0, 2)]   # (row, column)
+    seen = []
+    curve = removal_curve(lambda x: seen.append(x.copy()) or len(seen), img, order,
+                          patch_size=4, grid_width=3)
+    assert np.array_equal(curve, [1, 2, 3, 4, 5])
+    for k, x in enumerate(seen):
+        want = np.ones((3, 8, 12))
+        for r, c in blocks[:k]:
+            want[:, r * 4:(r + 1) * 4, c * 4:(c + 1) * 4] = 0.0
+        assert np.array_equal(x, want), k
     assert img.min() == 1.0  # input untouched
+
+
+def test_faithfulness_needs_a_2d_grid(linear_setup):
+    model, image = linear_setup
+    scores = model.attribution(image)
+    for bad in (scores.ravel(), scores[None]):
+        with pytest.raises(DimensionError, match="2-D grid"):
+            faithfulness(model.prob, image, bad, patch_size=4)
 
 
 def test_curve_endpoints(linear_setup):

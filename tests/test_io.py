@@ -96,13 +96,14 @@ def test_pgm_truncated(tmp_path):
 
 
 def test_render_zero_map_uniform_white():
-    img = render_signed(np.zeros((3, 3)))
+    heat = np.zeros((3, 3))
+    img = render_signed(heat, signed_scale(heat))
     assert np.array_equal(img, np.full((3, 3, 3), 255, np.uint8))
 
 
 def test_render_hand_values():
     heat = np.array([[1.0, -1.0], [0.0, 0.5]])
-    img = render_signed(heat)  # scale = 1
+    img = render_signed(heat, signed_scale(heat))  # scale = 1
     assert tuple(img[0, 0]) == (255, 0, 0)        # strongest positive: pure red
     assert tuple(img[0, 1]) == (0, 0, 255)        # strongest negative: pure blue
     assert tuple(img[1, 0]) == (255, 255, 255)    # zero: white midpoint

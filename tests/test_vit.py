@@ -132,7 +132,6 @@ def test_tape_free_forward_is_bit_equal_to_tape(tiny_model, tiny_config, probe):
         assert np.array_equal(a.attn_logits, b.attn_logits)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.cls_out, b.cls_out)
-        assert a.merged_node == -1 and b.merged_node >= 0
     assert not plain.graph.nodes
 
 
@@ -460,25 +459,28 @@ def _keep_all(graph, root):
 
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
-def test_backward_class_keeps_only_the_image_and_merged_gradients(tiny_config, distillation):
+def test_backward_class_keeps_only_the_image_gradient(tiny_config, distillation):
     cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
     model = new_model(cfg, seed=4)
     img = np.random.default_rng(22).random((2, 3, 16, 16))
     res = model.forward(img, capture=True, layer_window=2)
     model.backward_class(res, 1)
-    retained = {res.image_node} | {cap.merged_node for cap in res.captures}
-    assert len(retained) == 3
-    assert set(res.graph.gradients) == retained
-    kept = {nid: res.graph.gradients[nid] for nid in retained}
+    assert set(res.graph.gradients) == {res.image_node}
+    image_grad = res.graph.gradients[res.image_node]
+    cls_out_grads = [cap.cls_out_grad for cap in res.captures]
     with pytest.raises(ContractError, match="not retained"):
         res.graph.grad(res.logits)
 
     full = _keep_all(res.graph, class_score(res.logits, 1))
     assert set(full) >= set(range(res.logits.node_id + 1))   # every stage feeds the score
-    for nid, grad in kept.items():
-        assert bit_equal(grad, full[nid])
-    for cap in res.captures:
-        assert bit_equal(cap.cls_out_grad, full[cap.merged_node][:, 0, :])
+    assert bit_equal(image_grad, full[res.image_node])
+    attention_nodes = [nid for nid, node in enumerate(res.graph.nodes) if node.op == "attention"]
+    captured = attention_nodes[-len(res.captures):]
+    assert [cap.layer for cap in res.captures] == [cfg.num_layers - 1, cfg.num_layers]
+    for cap, grad, nid in zip(res.captures, cls_out_grads, captured):
+        assert grad.shape == (2, cfg.embed_dim)
+        assert bit_equal(grad, full[nid][:, 0, :])
+        assert bit_equal(cap.cls_out_grad, grad)   # the keep-all walk stored the same row
 
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
