@@ -1,20 +1,17 @@
-"""Tape-based reverse-mode automatic differentiation over float64 ndarrays.
+"""Reverse-mode automatic differentiation over float64 ndarrays, for a
+model that is a chain of stages.
 
-A Graph is an append-only tape of nodes, each an op tag, its parent node
-ids and a backward closure holding the saved forward values; the closure
-maps the node's output gradient to one gradient per parent. A node can be
-one primitive or a whole stage of a model: the ViT records one node per
-stage (see ``vit``), whose closure is that stage's hand-chained VJP
-(vector-Jacobian product). Tensors are thin handles: the raw data plus the
-owning graph and node id. backward(root) fills ``graph.gradients`` (node id
--> ndarray), storing a gradient only for the nodes that feed the root;
-every other node's gradient reads as zeros. A caller that reads only a few
-gradients names their nodes in ``graph.retain`` before the backward: the
-walk then drops every other node's gradient as soon as it has been passed
-to the node's parents, so a backward holds the gradients of one tape
-"frontier" at a time, not of the whole tape, and reading a dropped node
-raises ContractError. Gradient arrays may share memory with each other and
-may be read-only views, so treat them as read-only.
+A Graph is the tape of one forward: its ``nodes`` are the stages in
+forward order, each an op tag and a backward closure holding the stage's
+saved forward values, which maps the stage's output gradient to its input
+gradient (the stage's hand-chained VJP, vector-Jacobian product; see
+``vit``). A Tensor is the raw data plus the owning graph; a backward root
+is a scalar Tensor made from the chain's output (the logits) that carries
+its own gradient with respect to that output. backward(root) walks the
+nodes in reverse from that gradient and keeps only the chain's input
+gradient, in ``graph.gradients[INPUT]``: each node's output gradient is
+freed once the node has passed it on, so a walk holds one gradient at a
+time. A root is no node, so one forward serves any number of backwards.
 
 ``attention_arrays`` is multi-head scaled dot-product attention on the
 fused q|k|v projection [B, N, 3d], for every query row or for the CLS
@@ -26,26 +23,24 @@ six times forward and five times backward. The backward's one
 score-sized work array lives in ``graph.scratch``, shared during one walk
 by every attention backward over all query rows.
 
-Leaves are checked for NaN/Inf on the way in, and ``check_finite`` is the
-one check every forward runs (a finite forward pass is an invariant rather
-than a hope). A graph is single-threaded during construction and backward;
-detached arrays are plain numpy and freely shareable.
+``check_finite`` is the one check every forward runs (a finite forward
+pass is an invariant rather than a hope). A graph is single-threaded
+during construction and backward; detached arrays are plain numpy and
+freely shareable.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import counters
 from .errors import ContractError, DimensionError, NumericError
 
-
-def _as_f64(data):
-    # note: ascontiguousarray would promote 0-d to 1-d; asarray keeps rank
-    return np.asarray(data, dtype=np.float64, order="C")
+# the key under which backward stores the gradient of the chain's input
+INPUT = 0
 
 
 def check_finite(out, op):
@@ -56,127 +51,61 @@ def check_finite(out, op):
     return out
 
 
-class Node:
-    __slots__ = ("op", "parents", "shape", "backward_fn")
+class Node(NamedTuple):
+    """One stage of the chain: its op tag and its backward, which maps the
+    stage's output gradient to its input gradient."""
 
-    def __init__(self, op, parents, shape, backward_fn):
-        self.op = op
-        self.parents = parents
-        self.shape = shape
-        self.backward_fn = backward_fn
-
-
-class Gradients(dict):
-    """Node id -> gradient; a node with no stored gradient reads as zeros.
-
-    Reading a missing entry returns a fresh zero array and does not insert
-    it, so ``len()`` and iteration cover only the stored gradients. With a
-    retain set, reading a node outside it raises ContractError: its
-    gradient was dropped (or never kept), not zero.
-    """
-
-    __slots__ = ("_nodes", "_retain")
-
-    def __init__(self, nodes: list["Node"], retain: set[int] | None):
-        super().__init__()
-        self._nodes = nodes
-        self._retain = retain
-
-    def __missing__(self, nid):
-        if not 0 <= nid < len(self._nodes):
-            raise KeyError(nid)
-        if self._retain is not None and nid not in self._retain:
-            raise ContractError(f"gradient of node {nid} was not retained by backward")
-        return np.zeros(self._nodes[nid].shape)
+    op: str
+    backward: Callable[[np.ndarray], np.ndarray]
 
 
 class Graph:
-    """Append-only tape of nodes plus per-node gradients."""
+    """The stages of one forward, in order, and the input gradient."""
 
     def __init__(self):
         self.nodes: list[Node] = []
         self.gradients: dict[int, np.ndarray] = {}
-        # node ids whose gradients backward keeps; None keeps every one
-        self.retain: set[int] | None = None
         # shape -> work arrays that backward closures share during one walk
         self.scratch: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
-    def _append(self, op, parents, out_data, backward_fn) -> "Tensor":
-        """Record a node whose maker has checked its output for NaN/Inf.
-
-        ``backward_fn(grad)`` returns one gradient per parent, in order.
-        """
-        nid = len(self.nodes)
-        self.nodes.append(Node(op, parents, out_data.shape, backward_fn))
-        return Tensor(out_data, self, nid)
-
-    def leaf(self, data) -> "Tensor":
-        return self._append("leaf", (), check_finite(_as_f64(data), "leaf"), None)
-
     def backward(self, root: "Tensor") -> dict[int, np.ndarray]:
-        """Set self.gradients to d(root)/d(node) for every node, or for the
-        nodes in ``self.retain`` when it is set.
+        """Set self.gradients to {INPUT: d(root)/d(chain input)}.
 
-        The root must be a scalar (one element) owned by this graph. Its own
-        gradient is seeded with ones of its shape; the tape is then walked in
-        reverse, so accumulation order is fixed and results are bit-identical
-        across runs. A gradient is stored only for the nodes that feed the
-        root; every other node's gradient reads as zeros. A node's first
-        contribution is stored as it is and later ones are added out of
-        place, so stored arrays may share memory with each other or be
-        read-only views: treat them as read-only.
+        The root must be a scalar of this graph's output that carries its
+        gradient (``vit.class_score``, ``vit.cross_entropy``). The nodes are
+        walked in reverse from that gradient, so the arithmetic and its
+        order are fixed and results are bit-identical across runs and
+        walks. Each node's output gradient is dropped as it is handed to
+        the node, and the input gradient is the one kept: treat it as
+        read-only.
 
         Every call counts as one backward pass in ``counters``.
-
-        When ``self.retain`` is a set of node ids, only those nodes keep
-        their gradients: every other node's gradient is complete when the
-        reverse walk reaches it (all its consumers come later on the tape),
-        so it is popped there, handed to the node's backward and freed.
-        The arithmetic and its order are the same either way.
         """
-        if root.graph is not self or root.node_id is None:
+        if root.graph is not self:
             raise ContractError("backward root does not belong to this graph")
-        if root.data.size != 1:
-            raise ContractError("backward root must be scalar")
+        if root.grad is None or root.data.size != 1:
+            raise ContractError("backward root must be scalar, with its output gradient")
         counters.bump("backward")
-
-        retain = self.retain
-        grads = Gradients(self.nodes, retain)
-        grads[root.node_id] = np.ones(self.nodes[root.node_id].shape)
-        for nid in range(root.node_id, -1, -1):
-            grad = grads.get(nid) if retain is None or nid in retain else grads.pop(nid, None)
-            node = self.nodes[nid]
-            if grad is None or node.backward_fn is None:
-                continue
-            for pid, contrib in zip(node.parents, node.backward_fn(grad)):
-                grads[pid] = grads[pid] + contrib if pid in grads else contrib
-            contrib = None   # one added into a sum is garbage: free it before the next node
-
+        grad = [root.grad]   # popped into each call, so the walk holds no handed-on gradient
+        for node in reversed(self.nodes):
+            grad.append(node.backward(grad.pop()))
         self.scratch.clear()
-        self.gradients = grads
-        return grads
-
-    def grad(self, t: "Tensor") -> np.ndarray:
-        # only a backward sets a Gradients mapping
-        if t.node_id is None or not isinstance(self.gradients, Gradients):
-            raise ContractError("gradient not available; run backward() first")
-        return self.gradients[t.node_id]
+        self.gradients = {INPUT: grad.pop()}
+        return self.gradients
 
 
 class Tensor:
-    """Handle to a node's output: its data, graph and node id.
-
-    ``data`` is row-major (C-contiguous) float64; ``node_id`` is None only
-    for detached tensors, which carry no graph and are immutable by
-    convention.
+    """An array with the graph that made it: the chain's output, a backward
+    root (which also carries ``grad``, its gradient with respect to that
+    output), or, with no graph, a detached array, immutable by convention.
     """
 
-    __slots__ = ("data", "graph", "node_id")
+    __slots__ = ("data", "graph", "grad")
 
-    def __init__(self, data, graph=None, node_id=None):
-        self.data = _as_f64(data)
+    def __init__(self, data, graph=None, grad=None):
+        self.data = data
         self.graph = graph
-        self.node_id = node_id
+        self.grad = grad
 
     @property
     def shape(self):
@@ -189,7 +118,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, node_id={self.node_id})"
+        return f"Tensor(shape={self.data.shape}, taped={self.graph is not None})"
 
 
 class AttentionSaved(NamedTuple):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
 import sys
@@ -44,8 +43,8 @@ from . import kernels, netpbm
 from .attacks import (DEFAULT_EPSILON, DEFAULT_NUM_STEPS, DEFAULT_STEP_SIZE,
                       AttackConfig, run_attack)
 from .attribution import attention_rollout, bicam, split_channels
-from .detection import (DEFAULT_PNR_EPSILON, PNRRecord, check_pnr_epsilon, pnr,
-                        read_records, roc_analysis, write_records)
+from .detection import (DEFAULT_PNR_EPSILON, PNRRecord, check_pnr_epsilon, csv_writer,
+                        pnr, read_records, roc_analysis, write_records)
 from .errors import (BicamError, ContractError, DataFormatError, NumericError,
                      ParameterError)
 from .evaluation import (class_probability_fn, evaluate_bidirectional,
@@ -59,11 +58,11 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    """A header line, then one line per row: strings as the csv module
-    quotes them (as they are, unless they hold a comma, a quote or a
-    newline), numbers by _fmt."""
+    """A header line, then one line per row: strings as ``csv_writer``
+    quotes them (as they are, unless they hold a comma, a quote, a newline
+    or a carriage return), numbers by _fmt."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
+        out = csv_writer(fh)
         out.writerow(header)
         out.writerows([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -161,11 +162,23 @@ def roc_analysis(records, higher_is_adversarial: bool = True) -> DetectionReport
 # -- record files (CSV: id,label,pnr) ----------------------------------------
 
 
+def csv_writer(fh):
+    """The writer of every CSV file bicam writes, on ``fh`` opened with
+    newline="". Lines end in LF, and a field is quoted, as the csv module
+    quotes, when it holds a comma, a quote, a line feed or a carriage return
+    (csv.reader ends a record at an unquoted one). The csv module quotes
+    the characters of its line terminator, so each row is made with CR LF
+    and written with LF in its place (the writer writes one row per call):
+    a file with no carriage return has the bytes of a csv writer with LF
+    line ends."""
+    lf_ends = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+    return csv.writer(lf_ends, lineterminator="\r\n")
+
+
 def write_records(path: str, records) -> None:
-    """One id,label,pnr line per record; an id that holds a comma, a quote
-    or a newline is quoted as the csv module quotes it."""
+    """One id,label,pnr line per record, written by ``csv_writer``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
+        out = csv_writer(fh)
         out.writerow(("id", "label", "pnr"))
         out.writerows((r.sample_id, r.label, f"{r.pnr:.17g}") for r in records)
 

@@ -72,7 +72,6 @@ def train_step(model: VisionTransformer, opt: AdamState,
                images: np.ndarray, labels: np.ndarray) -> float:
     res = model.forward(images, weight_grads=True)
     loss = cross_entropy(res.logits, labels)
-    res.graph.retain = set()   # the weight gradients live in res.weight_grads
     res.graph.backward(loss)
     opt.update(model.weights, res.weight_grads)
     return loss.item()

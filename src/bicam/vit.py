@@ -19,10 +19,13 @@ stage: the embedding, each block's attention half (x -> merged heads) and
 MLP half ((x, merged) -> next x), and the head. A block's q, k and v
 projections are one product on its fused [Wq|Wk|Wv] weight, built once at
 load, so a forward runs 6L + 2 products. When a tape is asked for, each
-stage records one autodiff node whose backward is the stage's hand-chained
-VJP (vector-Jacobian product) on the same kernels, so a taped forward
-records 2L + 3 nodes: the image leaf and the stages. Weights are never
-nodes; a backward asked for weight gradients stores them by name.
+stage returns its hand-chained VJP (vector-Jacobian product) on the same
+kernels, and the tape records the chain of L + 2 nodes: the embedding, one
+node per block (its MLP half's backward, then its attention half's, whose
+input gradient adds to the residual's) and the head. The backward roots,
+``class_score`` and ``cross_entropy``, are scalars of the logits that carry
+their gradient, not nodes. Weights are never nodes; a backward asked for
+weight gradients stores them by name.
 
 The logits read only the final CLS state, so the last block computes only
 the CLS row after its ln1 and q|k|v product (which cover every token, as
@@ -57,7 +60,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import counters, kernels
-from .autodiff import Graph, Tensor, attention_arrays, attention_grad, check_finite
+from .autodiff import (INPUT, Graph, Node, Tensor, attention_arrays, attention_grad,
+                       check_finite)
 from .errors import ContractError, DimensionError, NumericError, ParameterError, StateError
 
 LAYERNORM_EPS = 1e-6
@@ -297,7 +301,7 @@ class ForwardResult:
     logits: Tensor
     captures: list[LayerCapture]
     graph: Graph
-    image_node: int
+    image_node: int   # the key of the image's gradient in graph.gradients
     # tensor name -> gradient, filled by a backward; None without weight_grads
     weight_grads: dict[str, np.ndarray] | None
     input_shape: tuple[int, ...]
@@ -348,12 +352,12 @@ class _Stages:
     """The stages of one forward on ``weights``; ``check(out, op)`` runs
     after every op. Each stage returns its outputs and, when ``taped``, its
     backward, else None. Weights are constants on the tape, so a backward
-    maps the output gradient to one gradient per tape parent (the stage's
-    inputs), as Graph asks. When ``grads`` is a dict, a backward also stores
-    there the gradient of every weight its stage read, under the weight's
-    name in ``ViTWeights.tensors`` (q, k and v as the column thirds of the
-    fused gradient). ``captures`` collects the captured layers' records in
-    layer order."""
+    maps the output gradient to the gradient of each of the stage's inputs.
+    When ``grads`` is a dict, a backward also stores there the gradient of
+    every weight its stage read, under the weight's name in
+    ``ViTWeights.tensors`` (q, k and v as the column thirds of the fused
+    gradient). ``captures`` collects the captured layers' records in layer
+    order."""
 
     def __init__(self, weights, check, taped: bool, grads: dict | None, scratch: dict):
         self.weights, self.check = weights, check
@@ -388,7 +392,7 @@ class _Stages:
                 grads["patch_embed.weight"], grads["patch_embed.bias"] = (
                     _linear_grads(patches, dtok))
                 grads["pos_embed"] = g.sum(axis=0)
-            return (dimg,)
+            return dimg
 
         return x, backward
 
@@ -435,14 +439,15 @@ class _Stages:
                                           np.split(fused, 3, axis=-1)):
                         grads[name] = np.ascontiguousarray(part)
             dqkv = None   # freed before the layer norm's backward, the walk's peak
-            return (_layernorm_grads(dh, xhat, inv_std, gain, grads, prefix + "ln1"),)
+            return _layernorm_grads(dh, xhat, inv_std, gain, grads, prefix + "ln1")
 
         return merged, backward
 
     def mlp(self, blk: BlockWeights, x, merged):
         """The output projection, its residual add, ln2, the MLP and its
         residual add, on the rows of ``merged`` (every token, or the CLS
-        token's alone): (next x, backward)."""
+        token's alone): (next x, backward). The backward returns the
+        gradients of ``x`` (the residual's) and of ``merged``."""
         check, w = self.check, blk.arrays
         out_weight, gain, fc1_weight, fc2_weight = (
             w["attn.out.weight"], w["ln2.gain"], w["ffn.fc1.weight"], w["ffn.fc2.weight"])
@@ -495,35 +500,45 @@ class _Stages:
             dxf = np.matmul(g, head_weight.T)[:, None]
             if grads is not None:
                 grads["head.weight"], grads["head.bias"] = _linear_grads(cls_state, g)
-            return (_layernorm_grads(dxf, xhat, inv_std, gain, grads, "ln_f"),)
+            return _layernorm_grads(dxf, xhat, inv_std, gain, grads, "ln_f")
 
         return logits, backward
 
 
-def _root(op: str, logits: Tensor, value, backward) -> Tensor:
-    """A scalar backward root with the one parent ``logits``."""
+def _block_backward(attention, mlp):
+    """One block's backward from the backwards of its two halves: the MLP
+    half's gives the gradients of the block input (through the residual)
+    and of the merged heads, to which the attention half's adds its own."""
+
+    def backward(g):
+        dres, dmerged = mlp(g)
+        g = None   # handed on: freed before attention's backward, the walk's peak
+        return dres + attention(dmerged)
+
+    return backward
+
+
+def _root(op: str, logits: Tensor, value, grad) -> Tensor:
+    """A scalar backward root of ``logits``, carrying its gradient ``grad``
+    with respect to them."""
     if logits.graph is None:
         raise ContractError(f"{op} requires logits recorded on a tape")
-    return logits.graph._append(op, (logits.node_id,), np.asarray(value), backward)
+    return Tensor(np.asarray(value), logits.graph, grad)
 
 
 def class_score(logits: Tensor, class_index: int) -> Tensor:
-    """The summed logit of one class over the batch, as one tape node."""
-    c, shape = int(class_index), logits.shape   # not logits: its graph holds this closure
-    if not 0 <= c < shape[-1]:
+    """The summed logit of one class over the batch, as a backward root."""
+    c = int(class_index)
+    if not 0 <= c < logits.shape[-1]:
         raise ParameterError(f"class index {c} out of range")
-
-    def backward(grad):
-        seed = np.zeros(shape)
-        seed[:, c] = grad
-        return (seed,)
-
-    return _root("class_score", logits, logits.data[:, c].sum(), backward)
+    seed = np.zeros(logits.shape)
+    seed[:, c] = 1.0
+    return _root("class_score", logits, logits.data[:, c].sum(), seed)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of logits [B, C] against integer labels [B], as one
-    tape node: -mean over rows of the log-softmax at each label."""
+    """Mean cross-entropy of logits [B, C] against integer labels [B], as a
+    backward root: -mean over rows of the log-softmax at each label."""
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     b, c = logits.shape
     if labels.shape != (b,):
@@ -536,13 +551,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     logp = check_finite(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)), "log_softmax")
     k = -1.0 / b
     loss = check_finite(np.asarray((logp * onehot).sum()), "sum") * k
-    softmax = np.exp(logp)
-
-    def backward(grad):
-        g = np.broadcast_to(grad * k, (b, c)) * onehot
-        return (g - softmax * g.sum(axis=-1, keepdims=True),)
-
-    return _root("cross_entropy", logits, loss, backward)
+    g = k * onehot
+    return _root("cross_entropy", logits, loss, g - np.exp(logp) * g.sum(axis=-1, keepdims=True))
 
 
 class VisionTransformer:
@@ -572,17 +582,18 @@ class VisionTransformer:
         maps a 1-based layer index to a [B, d] perturbation added to that
         layer's CLS attention output (a probe point for sensitivity checks).
 
-        With tape on, the graph holds the image leaf and one node per
-        stage, and a captured layer's attention backward stores its
-        capture's cls_out_grad on every walk that reaches it. With tape off
-        the same body records nothing: the logits are a detached Tensor, the
-        graph is empty, image_node is -1, and backward_class refuses the
-        result. The logits and captures are the same bits either way.
+        With tape on, the graph holds the L + 2 stage nodes, a backward
+        stores the image's gradient under image_node in graph.gradients, and
+        a captured layer's attention backward stores its capture's
+        cls_out_grad on every walk. With tape off the same body records
+        nothing: the logits are a detached Tensor, the graph is empty, and
+        backward_class refuses the result. The logits and captures are the
+        same bits either way.
 
-        Weights are never tape nodes: each stage's backward returns one
-        gradient per tape parent. By default the result's weight_grads is
-        None, and a backward computes no weight gradient. With
-        weight_grads=True it is a dict that a backward fills with the
+        Weights are never tape nodes: each stage's backward returns the
+        gradients of the stage's inputs. By default the result's
+        weight_grads is None, and a backward computes no weight gradient.
+        With weight_grads=True it is a dict that a backward fills with the
         gradient of every weight tensor, under its name in
         ``ViTWeights.tensors`` (for training); every weight is read by
         exactly one stage, which stores its gradient once. It has no effect
@@ -621,39 +632,38 @@ class VisionTransformer:
         grads = {} if tape and weight_grads else None
         stages = _Stages(self.weights, check, tape, grads, graph.scratch)
 
-        def record(op, parents, out, backward) -> int:
-            """Append one node with ``backward``; -1 off the tape."""
-            return graph._append(op, parents, out, backward).node_id if tape else -1
-
         img = check_finite(np.ascontiguousarray(img), "leaf")
-        image_node = record("leaf", (), img, None)
         try:
             x, backward = stages.embedding(img)
-            x_node = record("embedding", (image_node,), _check_stage(x), backward)
+            _check_stage(x)
         except NumericError as e:
             raise NumericError(f"patch embedding: {e}") from None
+        if tape:
+            graph.nodes.append(Node("embedding", backward))
 
         for layer, blk in enumerate(self.weights.blocks, 1):
             try:
-                merged, backward = stages.attention(
+                merged, attention = stages.attention(
                     blk, x, layer if layer >= first_captured else None,
                     cls_out_offsets.get(layer), layer == self.config.num_layers)
-                attn_node = record("attention", (x_node,), merged, backward)
-                x, backward = stages.mlp(blk, x, merged)
-                x_node = record("mlp", (x_node, attn_node), _check_stage(x), backward)
+                x, mlp = stages.mlp(blk, x, merged)
+                _check_stage(x)
             except NumericError as e:
                 raise NumericError(f"block {layer}: {e}") from None
+            if tape:
+                graph.nodes.append(Node("block", _block_backward(attention, mlp)))
 
         try:
             logits, backward = stages.head(x)
-            head_node = record("head", (x_node,), _check_stage(logits), backward)
+            _check_stage(logits)
         except NumericError as e:
             raise NumericError(f"classifier head: {e}") from None
+        if tape:
+            graph.nodes.append(Node("head", backward))
 
         return ForwardResult(
-            logits=Tensor(logits, graph, head_node) if tape else Tensor(logits),
-            captures=stages.captures, graph=graph, image_node=image_node,
-            weight_grads=grads, input_shape=input_shape)
+            logits=Tensor(logits, graph if tape else None), captures=stages.captures,
+            graph=graph, image_node=INPUT, weight_grads=grads, input_shape=input_shape)
 
     # -- gradients ------------------------------------------------------------
 
@@ -661,26 +671,24 @@ class VisionTransformer:
         """Backpropagate the class score; each captured layer's attention
         backward fills its capture's cls_out_grad on the way.
 
-        The graph keeps the image's gradient alone; reading any other
-        node's raises ContractError.
+        The graph keeps the image's gradient alone, in
+        ``graph.gradients[result.image_node]``. The tape outlives the walk,
+        so a later call on the same result (another class, say) gives the
+        same bits as a fresh forward and backward.
         """
         if not result.graph.nodes:
             raise StateError("forward ran without a tape; backward_class needs tape=True")
         if not result.captures:
             raise StateError("backward_class requires a forward run with capture=True")
-        root = class_score(result.logits, class_index)
-        result.graph.retain = {result.image_node}
-        result.graph.backward(root)
+        result.graph.backward(class_score(result.logits, class_index))
         return result
 
     def loss_and_input_grad(self, image: np.ndarray, labels) -> tuple[float, np.ndarray]:
         """Cross-entropy loss and its gradient with respect to the image (the
-        one gradient the backward keeps)."""
+        one gradient a backward keeps)."""
         res = self.forward(image, capture=False)
         loss = cross_entropy(res.logits, labels)
-        res.graph.retain = {res.image_node}
-        res.graph.backward(loss)
-        grad = res.graph.gradients[res.image_node]
+        grad = res.graph.backward(loss)[res.image_node]
         return loss.item(), grad.reshape(res.input_shape)
 
     # -- inference ------------------------------------------------------------

@@ -8,57 +8,46 @@ from hypothesis.extra.numpy import arrays
 
 from bicam import kernels, vit
 from bicam.attribution import attribution_alpha
-from bicam.autodiff import Graph, attention_arrays, attention_grad, check_finite
+from bicam.autodiff import (INPUT, Graph, Node, Tensor, attention_arrays, attention_grad,
+                            check_finite)
 from bicam.errors import ContractError, DimensionError, NumericError, ParameterError
 from bicam.vit import LayerCapture
 
 from conftest import TINY, bit_equal, finite_difference, grad_rel_error
 
 
-def leaf(g, x):
-    return g.leaf(np.asarray(x, dtype=np.float64))
+# -- test-local stages: each returns its output and a Node -----------------------
 
 
-# -- test-local nodes: each is Graph._append with a backward closure -----------
+def on(g, made):
+    """Append a stage's node to the chain ``g``; returns the stage's output."""
+    out, node = made
+    g.nodes.append(node)
+    return out
 
 
-def node(g, op, parents, out, backward):
-    return g._append(op, tuple(p.node_id for p in parents), np.asarray(out), backward)
+def total(g, x):
+    """sum(x) as a backward root; its gradient is a read-only broadcast view."""
+    return Tensor(np.asarray(x.sum()), g, np.broadcast_to(np.ones(()), x.shape))
 
 
-def total(g, t):
-    """sum(t); its backward hands t a read-only broadcast view."""
-    return node(g, "sum", [t], t.data.sum(), lambda grad: (np.broadcast_to(grad, t.shape),))
+def times(x, w):
+    """x * w for a constant w."""
+    return x * w, Node("mul", lambda grad: grad * w)
 
 
-def add(g, a, b):
-    return node(g, "add", [a, b], a.data + b.data, lambda grad: (grad, grad))
+def matmul(x, w):
+    """x @ w for a constant w."""
+    return x @ w, Node("matmul", lambda grad: grad @ w.T)
 
 
-def times(g, t, w):
-    """t * w for a constant w."""
-    return node(g, "mul", [t], t.data * w, lambda grad: (grad * w,))
+def gelu(x):
+    return kernels.gelu(x), Node("gelu", lambda grad: kernels.gelu_grad(x, grad))
 
 
-def product(g, a, b):
-    return node(g, "mul", [a, b], a.data * b.data,
-                lambda grad: (grad * b.data, grad * a.data))
-
-
-def matmul(g, a, b):
-    return node(g, "matmul", [a, b], a.data @ b.data,
-                lambda grad: (grad @ b.data.T, a.data.T @ grad))
-
-
-def gelu(g, t):
-    return node(g, "gelu", [t], kernels.gelu(t.data),
-                lambda grad: (kernels.gelu_grad(t.data, grad),))
-
-
-def softmax(g, t, temperature):
-    y = kernels.softmax_rows(t.data, temperature)
-    return node(g, "softmax", [t], y,
-                lambda grad: (kernels.softmax_rows_grad(y, grad, temperature),))
+def softmax(x, temperature):
+    y = kernels.softmax_rows(x, temperature)
+    return y, Node("softmax", lambda grad: kernels.softmax_rows_grad(y, grad, temperature))
 
 
 # -- kernels the model's stages chain --------------------------------------------
@@ -201,177 +190,107 @@ def test_matmul_gradient_matches_finite_differences():
 
 def test_backward_of_sum_is_ones():
     g = Graph()
-    t = leaf(g, np.random.default_rng(0).standard_normal((3, 5, 2)))
-    g.backward(total(g, t))
-    assert np.array_equal(g.grad(t), np.ones((3, 5, 2)))
+    x = np.random.default_rng(0).standard_normal((3, 5, 2))
+    assert g.backward(total(g, x)) is g.gradients
+    assert list(g.gradients) == [INPUT]
+    assert np.array_equal(g.gradients[INPUT], np.ones((3, 5, 2)))
 
 
 def test_backward_of_dot_is_weights():
     g = Graph()
     w = np.array([2.0, -3.0, 0.5])
-    x = leaf(g, [1.0, 1.0, 1.0])
-    g.backward(total(g, times(g, x, w)))
-    assert np.array_equal(g.grad(x), w)
+    g.backward(total(g, on(g, times(np.ones(3), w))))
+    assert np.array_equal(g.gradients[INPUT], w)
 
 
 def test_backward_rejects_nonscalar_root():
     g = Graph()
-    t = leaf(g, [1.0, 2.0])
     with pytest.raises(ContractError, match="scalar"):
-        g.backward(t)
+        g.backward(Tensor(np.ones(2), g, np.ones(2)))
+    with pytest.raises(ContractError, match="scalar"):   # no gradient: not a root
+        g.backward(Tensor(np.ones(()), g))
 
 
 def test_backward_rejects_foreign_root():
     g1, g2 = Graph(), Graph()
-    t = total(g2, leaf(g2, [1.0]))
+    t = total(g2, np.ones(1))
     with pytest.raises(ContractError, match="does not belong"):
         g1.backward(t)
-
-
-def test_root_gradient_is_ones_of_its_shape():
-    g = Graph()
-    root = total(g, leaf(g, [[5.0]]))
-    g.backward(root)
-    assert np.array_equal(g.gradients[root.node_id], np.ones(()))
-
-
-def test_off_path_nodes_get_zero_gradients():
-    g = Graph()
-    a = leaf(g, [1.0, 2.0])
-    b = leaf(g, [3.0, 4.0])
-    unused = times(g, b, 2.0)
-    g.backward(total(g, a))
-    assert np.array_equal(g.grad(b), np.zeros(2))
-    assert np.array_equal(g.gradients[unused.node_id], np.zeros(2))
+    with pytest.raises(ContractError, match="does not belong"):
+        g1.backward(Tensor(np.ones(()), None, np.ones(())))
 
 
 def test_backward_is_deterministic_bitwise():
     def build():
         rng = np.random.default_rng(11)
         g = Graph()
-        x = leaf(g, rng.standard_normal((6, 6)))
-        y = softmax(g, gelu(g, matmul(g, x, leaf(g, rng.standard_normal((6, 6))))), 1.3)
-        return g, x, total(g, y)
+        x = rng.standard_normal((6, 6))
+        y = on(g, softmax(on(g, gelu(on(g, matmul(x, rng.standard_normal((6, 6)))))), 1.3))
+        return g, total(g, y)
 
     def run():
-        g, x, root = build()
+        g, root = build()
         g.backward(root)
-        return g.grad(x)
+        return g.gradients[INPUT]
 
     a, b = run(), run()
     assert bit_equal(a, b)
 
     # and a second backward on the same graph reproduces the same gradients
-    g, x, root = build()
-    g.backward(root)
-    first = g.grad(x).copy()
-    g.backward(root)
-    assert bit_equal(first, g.grad(x))
+    g, root = build()
+    first = g.backward(root)[INPUT]
+    assert bit_equal(first, g.backward(root)[INPUT])
+    assert bit_equal(first, a)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_result_raises_numeric_error():
-    g = Graph()
-    with pytest.raises(NumericError, match="^non-finite values produced by leaf$"):
-        g.leaf([np.inf])
-    with pytest.raises(NumericError, match="^non-finite values produced by leaf$"):
-        g.leaf([1.0, np.nan, -np.inf])
+    for bad in ([np.inf], [1.0, np.nan, -np.inf]):
+        with pytest.raises(NumericError, match="^non-finite values produced by leaf$"):
+            check_finite(np.array(bad), "leaf")
     with pytest.raises(NumericError, match="^non-finite values produced by mul$"):
         check_finite(np.array([1e200]) * 1e200, "mul")
     # finite values whose sum overflows are still finite
     big = np.array([1e308, 1e308, -1e308, -1e308])
     assert check_finite(big, "add") is big
-    assert np.array_equal(leaf(g, big).data, big)
+    # the forward checks its image as the chain's input
+    model = vit.new_model(vit.ViTConfig(num_classes=3, **TINY), 0)
+    img = np.zeros((1, 3, 16, 16))
+    img[0, 1, 2, 3] = np.nan
+    for tape in (True, False):
+        with pytest.raises(NumericError, match="^non-finite values produced by leaf$"):
+            model.forward(img, tape=tape)
 
 
 def test_tensor_data_is_row_major_float64():
-    g = Graph()
-    t = leaf(g, np.asfortranarray(np.ones((3, 2), dtype=np.float32)))
-    assert t.data.dtype == np.float64
-    assert t.data.flags.c_contiguous
-    assert t.data.size == 6
+    # the forward converts its image, so its logits, and the roots made
+    # from them, are float64 whatever the image's dtype and order
+    model = vit.new_model(vit.ViTConfig(num_classes=3, **TINY), 0)
+    img = np.random.default_rng(3).random((1, 3, 16, 16)).astype(np.float32)
+    for tape in (False, True):   # the taped logits last, for the roots below
+        ref = model.forward(img.astype(np.float64), tape=tape).logits.data
+        logits = model.forward(np.asfortranarray(img), tape=tape).logits
+        assert logits.data.dtype == np.float64
+        assert logits.data.flags.c_contiguous
+        assert bit_equal(logits.data, ref)
+    for root in (vit.class_score(logits, 2), vit.cross_entropy(logits, [1])):
+        assert root.data.dtype == np.float64 and root.data.shape == ()
+        assert root.grad.dtype == np.float64 and root.grad.shape == logits.shape
 
 
 def test_tape_is_topologically_ordered():
-    model = vit.new_model(vit.ViTConfig(num_classes=3, distillation_token=True, **TINY), 12)
+    # a chain's one topological order is the forward's: the embedding, the
+    # blocks, the head; a backward root adds no node
+    cfg = vit.ViTConfig(num_classes=3, distillation_token=True, **TINY)
+    model = vit.new_model(cfg, 12)
     img = np.random.default_rng(12).random((1, 3, 16, 16))
     for weight_grads in (False, True):
         res = model.forward(img, weight_grads=weight_grads)
+        nodes = list(res.graph.nodes)
         vit.cross_entropy(res.logits, [1])
-        assert res.graph.nodes
-        for nid, n in enumerate(res.graph.nodes):
-            assert all(p < nid for p in n.parents)
-
-
-def test_shared_read_only_contributions_are_accumulated_out_of_place():
-    g = Graph()
-    x = leaf(g, np.arange(6.0).reshape(2, 3))
-    # each sum sends x a read-only broadcast view; adding into the first
-    # view in place would raise
-    g.backward(add(g, total(g, x), total(g, x)))
-    assert np.array_equal(g.grad(x), 2.0 * np.ones((2, 3)))
-
-
-def test_gradients_are_stored_only_for_nodes_feeding_the_root():
-    g = Graph()
-    a = leaf(g, [1.0, 2.0])
-    b = leaf(g, [3.0, 4.0])
-    c = leaf(g, [5.0, 6.0])
-    total(g, times(g, b, 2.0))              # off the path
-    root = total(g, add(g, product(g, a, c), a))
-    feeding = {root.node_id}
-    for nid in range(root.node_id, -1, -1):
-        if nid in feeding:
-            feeding.update(g.nodes[nid].parents)
-    with pytest.raises(ContractError):
-        g.grad(a)
-    g.backward(root)
-    assert len(g.gradients) == len(feeding) == 5
-    assert set(g.gradients) == feeding
-    assert np.array_equal(g.grad(b), np.zeros(2))
-    assert len(g.gradients) == 5            # reading a missing entry inserts nothing
-
-
-def test_retained_backward_keeps_only_the_retained_gradients():
-    def build():
-        rng = np.random.default_rng(13)
-        g = Graph()
-        x = leaf(g, rng.standard_normal((4, 4)))
-        w = leaf(g, rng.standard_normal((4, 4)))
-        off = leaf(g, [1.0, 2.0])                   # never reached
-        h = gelu(g, matmul(g, x, w))
-        root = total(g, product(g, softmax(g, h, 1.7), h))
-        return g, x, w, off, h, root
-
-    g, x, w, off, h, root = build()
-    g.backward(root)
-    keep_all = {nid: grad.copy() for nid, grad in g.gradients.items()}
-
-    g, x, w, off, h, root = build()
-    g.retain = {x.node_id, off.node_id}
-    g.backward(root)
-    assert set(g.gradients) == {x.node_id}
-    assert bit_equal(g.grad(x), keep_all[x.node_id])
-    assert np.array_equal(g.grad(off), np.zeros(2))  # retained but unreached
-    for t in (w, h, root):                           # reached, then dropped
-        with pytest.raises(ContractError, match="not retained"):
-            g.grad(t)
-    # without a retain set the same graph keeps every gradient again
-    g.retain = None
-    g.backward(root)
-    assert set(g.gradients) == set(keep_all)
-    assert all(bit_equal(g.gradients[nid], grad) for nid, grad in keep_all.items())
-
-
-def test_retained_backward_with_an_empty_set_still_counts_as_run():
-    g = Graph()
-    x = leaf(g, [1.0, 2.0])
-    root = total(g, x)
-    g.retain = set()
-    g.backward(root)
-    assert len(g.gradients) == 0
-    with pytest.raises(ContractError, match="not retained"):
-        g.grad(x)
+        vit.class_score(res.logits, 0)
+        assert res.graph.nodes == nodes
+        assert [n.op for n in nodes] == ["embedding", *["block"] * cfg.num_layers, "head"]
 
 
 # -- attention ------------------------------------------------------------------
@@ -457,28 +376,26 @@ def test_attention_grad_matches_a_reference_vjp(cls_only):
 
 
 def _attention_node(g, x, heads, scale):
-    """attention_arrays as a test-local node whose backward is attention_grad."""
-    out, _, saved = attention_arrays(x.data, heads, scale)
-    return node(g, "attention", [x], out,
-                lambda grad: (attention_grad(grad, saved, scale, g.scratch),))
+    """attention_arrays as a test-local stage whose backward is attention_grad."""
+    out, _, saved = attention_arrays(x, heads, scale)
+    return out, Node("attention", lambda grad: attention_grad(grad, saved, scale, g.scratch))
 
 
 def test_attention_nodes_share_work_arrays_during_a_walk():
     x0, w = _attention_inputs((2, 2, 17, 8), seed=9)
     heads, scale = 2, 0.5
 
-    def stack3(g, t):
-        return node(g, "concat", [t], np.concatenate([t.data] * 3, axis=-1),
-                    lambda grad: (sum(np.split(grad, 3, axis=-1)),))
+    def stack3(t):
+        return np.concatenate([t] * 3, axis=-1), Node(
+            "concat", lambda grad: sum(np.split(grad, 3, axis=-1)))
 
     g = Graph()
-    x = leaf(g, x0)
-    first = _attention_node(g, x, heads, scale)
-    second = _attention_node(g, stack3(g, first), heads, scale)   # same score shape
-    root = total(g, times(g, second, w))
+    first = on(g, _attention_node(g, x0, heads, scale))
+    second = on(g, _attention_node(g, on(g, stack3(first)), heads, scale))   # same score shape
+    root = total(g, on(g, times(second, w)))
 
     # the same arithmetic with work arrays of its own for each node
-    _, _, saved2 = attention_arrays(np.concatenate([first.data] * 3, axis=-1), heads, scale)
+    _, _, saved2 = attention_arrays(np.concatenate([first] * 3, axis=-1), heads, scale)
     _, _, saved1 = attention_arrays(x0, heads, scale)
     dmid = attention_grad(w, saved2, scale, {})
     ref = attention_grad(sum(np.split(dmid, 3, axis=-1)), saved1, scale, {})
@@ -486,7 +403,7 @@ def test_attention_nodes_share_work_arrays_during_a_walk():
     for _ in range(2):                                 # a second walk reuses nothing stale
         g.backward(root)
         assert g.scratch == {}
-        assert bit_equal(g.grad(x), ref)
+        assert bit_equal(g.gradients[INPUT], ref)
 
 
 def test_attention_gradients_match_finite_differences():

@@ -61,6 +61,32 @@ def test_ids_with_commas_quotes_and_newlines_round_trip(tmp_path, model_file, im
     capsys.readouterr()
 
 
+def test_ids_with_carriage_returns_round_trip(tmp_path, model_file, image_dir, capsys):
+    # csv.reader ends a record at an unquoted carriage return, so an id
+    # holding one is quoted in the records and the per-image CSVs
+    names = ["a\rb", "c\r\nd", "\re", "plain"]
+    src = sorted(image_dir.glob("*.ppm"))
+    for d in ("clean", "adv"):
+        (tmp_path / d).mkdir()
+        for name, path in zip(names, src):
+            (tmp_path / d / (name + ".ppm")).write_bytes(path.read_bytes())
+    prefix = tmp_path / "det"
+    assert run(["pnr-detect", "--model", model_file, "--clean", tmp_path / "clean",
+                "--adv", tmp_path / "adv", "--out-prefix", prefix]) == 0
+    text = (tmp_path / "det.records.csv").read_bytes()
+    assert b'"a\rb",clean,' in text and b"plain,clean," in text
+    records = read_records(f"{prefix}.records.csv")
+    assert sorted(r.sample_id for r in records) == sorted(names * 2)
+    assert run(["detect-from-records", "--records", f"{prefix}.records.csv"]) == 0
+    assert run(["eval-faith", "--model", model_file, "--images", tmp_path / "clean",
+                "--seeds", 0, "--out-prefix", tmp_path / "f"]) == 0
+    with open(tmp_path / "f.csv", newline="") as fh:
+        rows = list(csv.reader(fh, strict=True))
+    assert [row[0] for row in rows] == ["id"] + sorted(names)
+    assert {len(row) for row in rows} == {5}
+    capsys.readouterr()
+
+
 def test_init_model_deterministic(tmp_path, capsys):
     args = ["init-model", "--out", tmp_path / "a.bw", "--seed", 3,
             "--image-size", 16, "--classes", 2]

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -225,6 +227,23 @@ def test_records_csv_round_trip(tmp_path):
     write_records(str(path), recs)
     back = read_records(str(path))
     assert back == recs
+
+
+def test_records_csv_quotes_only_what_it_must(tmp_path):
+    # ids without a carriage return are written as a csv writer with LF
+    # line ends writes them; one with a carriage return is quoted too
+    ids = ["plain", "a,b", 'say "hi"', "two\nlines", "a\rb", "\r", "x\r\ny"]
+    recs = [PNRRecord(i, 0.5 + k / 8, "clean") for k, i in enumerate(ids)]
+    plain = io.StringIO(newline="")
+    csv.writer(plain, lineterminator="\n").writerows(
+        [("id", "label", "pnr")] + [(r.sample_id, r.label, f"{r.pnr:.17g}") for r in recs[:4]])
+    path = tmp_path / "r.csv"
+    write_records(str(path), recs[:4])
+    assert path.read_bytes().decode() == plain.getvalue()
+
+    write_records(str(path), recs)
+    assert read_records(str(path)) == recs
+    assert path.read_bytes().decode().startswith(plain.getvalue() + '"a\rb",clean,')
 
 
 def test_records_csv_rejects_bad_header(tmp_path):

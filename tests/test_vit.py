@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from bicam import autodiff, counters, kernels, vit
-from bicam.autodiff import Graph
 from bicam.errors import (ContractError, DimensionError, NumericError, ParameterError,
                           StateError)
 from bicam.kernels import softmax_rows
@@ -136,21 +135,15 @@ def test_tape_free_forward_is_bit_equal_to_tape(tiny_model, tiny_config, probe):
 
 
 def test_predict_logits_records_no_tape(tiny_model, monkeypatch):
-    recorded = []
-    record = Graph._append
-
-    def counting(self, *args):
-        recorded.append(args[0])
-        return record(self, *args)
-
-    monkeypatch.setattr(Graph, "_append", counting)
+    results = _capture_forwards(tiny_model, monkeypatch)
     img = np.random.default_rng(14).random((1, 3, 16, 16))
     counters.reset()
     logits = tiny_model.predict_logits(img)
-    assert recorded == []
+    (res,) = results
+    assert res.graph.nodes == []
     assert counters.snapshot() == {"forward": 1, "backward": 0}
     assert np.array_equal(logits, tiny_model.forward(img).logits.data)
-    assert recorded
+    assert results[-1].graph.nodes
 
 
 def test_backward_class_refuses_tape_free_result(tiny_model):
@@ -162,6 +155,22 @@ def test_backward_class_refuses_tape_free_result(tiny_model):
         class_score(res.logits, 0)
     with pytest.raises(ContractError, match="requires logits recorded on a tape"):
         cross_entropy(res.logits, [0])
+
+
+def test_roots_carry_the_gradient_of_their_value():
+    # each root's gradient with respect to the logits, against finite
+    # differences of the root's value
+    rng = np.random.default_rng(27)
+    logits0 = rng.standard_normal((3, 4))
+    roots = [lambda t: class_score(t, 2), lambda t: cross_entropy(t, [0, 3, 3])]
+    for root in roots:
+        made = root(autodiff.Tensor(logits0, autodiff.Graph()))
+        fd = finite_difference(lambda x: root(autodiff.Tensor(x, autodiff.Graph())).item(),
+                               logits0)
+        assert made.grad.shape == logits0.shape
+        assert grad_rel_error(made.grad, fd) < 1e-8
+    score = class_score(autodiff.Tensor(logits0, autodiff.Graph()), 2)
+    assert bit_equal(score.grad, np.eye(4)[[2, 2, 2]])
 
 
 def test_forward_is_pure(tiny_model):
@@ -331,10 +340,9 @@ def test_weight_grads_are_filled_only_when_asked(tiny_config, distillation):
     assert set(full.weight_grads) == set(shapes)
     for name, grad in full.weight_grads.items():
         assert grad.shape == shapes[name] and grad.flags.c_contiguous, name
-    # the weights are no tape node: the image is the one leaf either way
-    for res in (plain, full):
-        leaves = [nid for nid, n in enumerate(res.graph.nodes) if n.op == "leaf"]
-        assert leaves == [res.image_node]
+    # the weights are no tape node: the tape is the same stage chain either way
+    assert [n.op for n in full.graph.nodes] == [n.op for n in plain.graph.nodes]
+    assert list(full.graph.gradients) == [full.image_node]
 
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["cls", "distillation"])
@@ -434,9 +442,10 @@ def test_attention_is_one_tape_node_per_block(tiny_config, distillation, weight_
     res = new_model(cfg, seed=0).forward(np.random.default_rng(0).random((1, 3, 16, 16)),
                                          weight_grads=weight_grads)
     ops = [node.op for node in res.graph.nodes]
-    # the image leaf, then one node per stage: 2L + 3, with or without weight gradients
-    assert ops == ["leaf", "embedding", *["attention", "mlp"] * cfg.num_layers, "head"]
-    assert len(ops) == 2 * cfg.num_layers + 3
+    # one node per stage, a block's attention and MLP halves in one: L + 2,
+    # with or without weight gradients
+    assert ops == ["embedding", *["block"] * cfg.num_layers, "head"]
+    assert len(ops) == cfg.num_layers + 2
 
 
 def _capture_forwards(model, monkeypatch):
@@ -452,10 +461,11 @@ def _capture_forwards(model, monkeypatch):
     return results
 
 
-def _keep_all(graph, root):
-    graph.retain = None
-    graph.backward(root)
-    return graph.gradients
+def _fresh(model, img, backward, **kwargs):
+    """The result of a fresh forward with ``kwargs`` and ``backward(result)``."""
+    res = model.forward(img, **kwargs)
+    backward(res)
+    return res
 
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
@@ -464,23 +474,51 @@ def test_backward_class_keeps_only_the_image_gradient(tiny_config, distillation)
     model = new_model(cfg, seed=4)
     img = np.random.default_rng(22).random((2, 3, 16, 16))
     res = model.forward(img, capture=True, layer_window=2)
-    model.backward_class(res, 1)
-    assert set(res.graph.gradients) == {res.image_node}
-    image_grad = res.graph.gradients[res.image_node]
-    cls_out_grads = [cap.cls_out_grad for cap in res.captures]
-    with pytest.raises(ContractError, match="not retained"):
-        res.graph.grad(res.logits)
-
-    full = _keep_all(res.graph, class_score(res.logits, 1))
-    assert set(full) >= set(range(res.logits.node_id + 1))   # every stage feeds the score
-    assert bit_equal(image_grad, full[res.image_node])
-    attention_nodes = [nid for nid, node in enumerate(res.graph.nodes) if node.op == "attention"]
-    captured = attention_nodes[-len(res.captures):]
+    assert model.backward_class(res, 1) is res
+    assert list(res.graph.gradients) == [res.image_node]
+    assert res.graph.gradients[res.image_node].shape == img.shape
+    assert res.graph.scratch == {}
     assert [cap.layer for cap in res.captures] == [cfg.num_layers - 1, cfg.num_layers]
-    for cap, grad, nid in zip(res.captures, cls_out_grads, captured):
-        assert grad.shape == (2, cfg.embed_dim)
-        assert bit_equal(grad, full[nid][:, 0, :])
-        assert bit_equal(cap.cls_out_grad, grad)   # the keep-all walk stored the same row
+    for cap in res.captures:
+        assert cap.cls_out_grad.shape == (2, cfg.embed_dim)
+
+    # backward_class is the class score's walk, behind its checks
+    ref = _fresh(model, img, lambda r: r.graph.backward(class_score(r.logits, 1)),
+                 capture=True, layer_window=2)
+    assert bit_equal(res.graph.gradients[res.image_node], ref.graph.gradients[ref.image_node])
+    for cap, want in zip(res.captures, ref.captures, strict=True):
+        assert bit_equal(cap.cls_out_grad, want.cls_out_grad)
+
+
+@pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
+def test_a_second_backward_on_one_forward_is_a_fresh_one(tiny_config, distillation):
+    # a root is no tape node, so one forward serves several walks, each the
+    # same bits as a fresh forward and backward
+    cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
+    model = new_model(cfg, seed=4)
+    img = np.random.default_rng(26).random((2, 3, 16, 16))
+
+    res = model.forward(img, capture=True, layer_window=cfg.num_layers)
+    for c in (0, 1):
+        model.backward_class(res, c)
+        ref = _fresh(model, img, lambda r: model.backward_class(r, c),
+                     capture=True, layer_window=cfg.num_layers)
+        assert bit_equal(res.graph.gradients[res.image_node],
+                         ref.graph.gradients[ref.image_node]), c
+        for cap, want in zip(res.captures, ref.captures, strict=True):
+            assert bit_equal(cap.cls_out_grad, want.cls_out_grad), (c, cap.layer)
+
+    roots = [lambda logits: cross_entropy(logits, [0, 2]),
+             lambda logits: class_score(logits, 1)]
+    res = model.forward(img, weight_grads=True)
+    for root in roots:
+        res.graph.backward(root(res.logits))
+        ref = _fresh(model, img, lambda r: r.graph.backward(root(r.logits)), weight_grads=True)
+        assert bit_equal(res.graph.gradients[res.image_node],
+                         ref.graph.gradients[ref.image_node])
+        assert list(res.weight_grads) == list(ref.weight_grads)
+        for name, grad in ref.weight_grads.items():
+            assert bit_equal(res.weight_grads[name], grad), name
 
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
@@ -492,17 +530,18 @@ def test_loss_and_input_grad_keeps_only_the_image_gradient(tiny_config, distilla
     results = _capture_forwards(model, monkeypatch)
     loss, grad = model.loss_and_input_grad(img, [0, 2])
     (res,) = results
-    assert set(res.graph.gradients) == {res.image_node}
-    with pytest.raises(ContractError, match="not retained"):
-        res.graph.grad(res.logits)
+    assert list(res.graph.gradients) == [res.image_node]
+    assert bit_equal(grad, res.graph.gradients[res.image_node])
 
     again = model.forward(img)
-    full = _keep_all(again.graph, cross_entropy(again.logits, [0, 2]))
-    assert bit_equal(grad, full[again.image_node])
+    ce = cross_entropy(again.logits, [0, 2])
+    assert loss == ce.item()
+    assert bit_equal(grad, again.graph.backward(ce)[again.image_node])
 
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
-def test_train_step_keeps_only_the_weight_gradients(toy_config, distillation, monkeypatch):
+def test_train_step_keeps_the_weight_and_image_gradients(toy_config, distillation,
+                                                         monkeypatch):
     cfg = dataclasses.replace(toy_config, distillation_token=distillation)
     model = new_model(cfg, seed=6)
     images, labels = make_pattern_dataset(cfg, per_class=2, seed=7)
@@ -515,16 +554,14 @@ def test_train_step_keeps_only_the_weight_gradients(toy_config, distillation, mo
     results = _capture_forwards(model, monkeypatch)
     train_step(model, opt, images, labels)
     (res,) = results
-    assert len(res.graph.gradients) == 0   # the weight gradients are not tape gradients
-    with pytest.raises(ContractError, match="not retained"):
-        res.graph.grad(res.logits)
+    # the weight gradients are not tape gradients: the tape keeps the image's
+    assert list(res.graph.gradients) == [res.image_node]
     assert opt.grads is res.weight_grads
     assert set(opt.grads) == set(expected_shapes(cfg))
 
     again = model.forward(images, weight_grads=True)
-    full = _keep_all(again.graph, cross_entropy(again.logits, labels))
-    assert set(full) >= set(range(again.logits.node_id + 1))
-    assert set(again.weight_grads) == set(opt.grads)
+    again.graph.backward(cross_entropy(again.logits, labels))
+    assert list(again.weight_grads) == list(opt.grads)
     for name, grad in again.weight_grads.items():
         assert bit_equal(opt.grads[name], grad), name
 
@@ -552,21 +589,28 @@ def test_graphs_are_freed_without_the_cycle_collector(tiny_model):
 def test_retained_backward_class_peak_memory_is_lower(tiny_model):
     img = np.random.default_rng(24).random((1, 3, 16, 16))
 
-    def traced(run):
-        """(bytes held after run, peak bytes during it)"""
+    def traced():
+        """(result, bytes held after backward_class, peak bytes during it)"""
         res = tiny_model.forward(img, capture=True)
         tracemalloc.start()
         try:
-            run(res)
-            return tracemalloc.get_traced_memory()
+            tiny_model.backward_class(res, 0)
+            return res, *tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
 
-    traced(lambda res: tiny_model.backward_class(res, 0))  # warm up lazy imports
-    retained = traced(lambda res: tiny_model.backward_class(res, 0))
-    keep_all = traced(lambda res: res.graph.backward(class_score(res.logits, 0)))
-    assert retained[1] <= 0.8 * keep_all[1], (retained, keep_all)
-    assert retained[0] <= 0.6 * keep_all[0], (retained, keep_all)
+    traced()  # warm up lazy imports
+    res, held, peak = traced()
+    # what a caller reads: the image gradient and the captures' CLS rows;
+    # the slack covers array headers, the dict and numpy's own caches
+    # (measured 2,360 bytes), and one stage gradient left behind, [1, 17, 16]
+    # here, would take 2,176 bytes more than it leaves
+    payload = res.graph.gradients[res.image_node].nbytes + sum(
+        cap.cls_out_grad.nbytes for cap in res.captures)
+    assert held <= payload + 3072, (held, payload)
+    # no higher than the DAG walk's that kept the image gradient alone, and
+    # freed every other once passed on: 23,685 bytes (numpy 2.4, CPython 3.11)
+    assert peak <= 23_685, peak
 
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
