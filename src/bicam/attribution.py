@@ -30,9 +30,6 @@ class AttributionMap:
     patch_scores: np.ndarray       # [B, grid_h, grid_w], signed
     heatmap: np.ndarray            # [B, 1, H, W], signed
     class_index: int | None        # None for class-agnostic baselines
-    layer_window: int
-    temperature: float
-    interpolation: str = "bilinear"
 
 
 def attribution_alpha(capture: LayerCapture, temperature: float) -> np.ndarray:
@@ -75,16 +72,13 @@ def _grid_to_heatmap(patch_grid: np.ndarray, out_h: int, out_w: int,
     return out
 
 
-def _tokens_to_map(token_mask: np.ndarray, model: VisionTransformer,
-                   class_index, window: int, temperature: float,
+def _tokens_to_map(token_mask: np.ndarray, model: VisionTransformer, class_index,
                    interpolation: str) -> AttributionMap:
     cfg = model.config
     patches = token_mask[:, cfg.num_special_tokens:]
     grid = patches.reshape(-1, cfg.grid_height, cfg.grid_width)
     heat = _grid_to_heatmap(grid, cfg.image_height, cfg.image_width, interpolation)
-    return AttributionMap(patch_scores=grid, heatmap=heat, class_index=class_index,
-                          layer_window=window, temperature=temperature,
-                          interpolation=interpolation)
+    return AttributionMap(patch_scores=grid, heatmap=heat, class_index=class_index)
 
 
 def bicam(model: VisionTransformer, image: np.ndarray, class_index: int,
@@ -110,7 +104,7 @@ def bicam(model: VisionTransformer, image: np.ndarray, class_index: int,
     for cap in res.captures:  # ascending layer order
         m = layer_mask(cap, attribution_alpha(cap, temp))
         total = m if total is None else total + m
-    return _tokens_to_map(total, model, int(class_index), window, temp, interpolation)
+    return _tokens_to_map(total, model, int(class_index), interpolation)
 
 
 def rollout_chain(head_mean_attn) -> np.ndarray:
@@ -145,7 +139,7 @@ def attention_rollout(model: VisionTransformer, image: np.ndarray,
     res = model.forward(image, capture=True, layer_window=cfg.num_layers, tape=False)
     rollout = rollout_chain(cap.attn_probs.mean(axis=1) for cap in res.captures)
     cls_row = rollout[:, 0, :]
-    return _tokens_to_map(cls_row, model, None, cfg.num_layers, 1.0, interpolation)
+    return _tokens_to_map(cls_row, model, None, interpolation)
 
 
 def split_channels(values) -> tuple[np.ndarray, np.ndarray]:

@@ -130,9 +130,10 @@ def _map_items(names, fn, jobs: int, skip_errors: bool):
     """Apply fn to each name; return the results of the items that did not
     fail, in the given (sorted) order.
 
-    A ParameterError is never skipped: it comes from a bad option, which
-    fails every item alike. With jobs 1 every item runs on the calling
-    thread, so its thread-local pass counters see every pass.
+    An item fails with a BicamError or an OSError (an entry it cannot
+    open, say). A ParameterError is never skipped: it comes from a bad
+    option, which fails every item alike. With jobs 1 every item runs on
+    the calling thread, so its thread-local pass counters see every pass.
     """
     results, failures = [], []
     with (ThreadPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext()) as pool:
@@ -140,7 +141,7 @@ def _map_items(names, fn, jobs: int, skip_errors: bool):
         for n, item in zip(names, pending):
             try:
                 results.append(item.result() if pool else fn(n))
-            except BicamError as e:
+            except (BicamError, OSError) as e:
                 if not skip_errors or isinstance(e, ParameterError):
                     raise
                 failures.append((n, str(e)))
@@ -236,10 +237,8 @@ def _write_map_outputs(prefix: str, amap, channels: bool) -> None:
     netpbm.write_rendered(prefix + ".ppm", netpbm.render_signed(heat, scale))
     if channels:
         pos, neg = split_channels(heat)
-        netpbm.write_rendered(prefix + ".pos.ppm",
-                              netpbm.render_channel(pos, scale, "positive"))
-        netpbm.write_rendered(prefix + ".neg.ppm",
-                              netpbm.render_channel(neg, scale, "negative"))
+        netpbm.write_rendered(prefix + ".pos.ppm", netpbm.render_signed(pos, scale))
+        netpbm.write_rendered(prefix + ".neg.ppm", netpbm.render_signed(-neg, scale))
 
 
 def cmd_attack(args) -> int:

@@ -11,10 +11,11 @@ symmetrically by max|M| so zero attribution is always white:
     green = round(255 * (1 - |v|))
     blue  = 255            if v <= 0 else round(255 * (1 - v))
 
-An all-zero map (max|M| = 0) renders uniformly white. Channel renderings
-use the same scale: the positive channel fades white->red, the negative
-white->blue, so recombining them reproduces the signed rendering pixel for
-pixel.
+An all-zero map (max|M| = 0) renders uniformly white. A map's positive
+and negative channels render with ``render_signed`` on the map's scale,
+the negative one negated: the positive channel fades white->red, the
+negative white->blue, so recombining them reproduces the signed rendering
+pixel for pixel.
 """
 
 from __future__ import annotations
@@ -140,25 +141,6 @@ def render_signed(heat: np.ndarray, scale: float) -> np.ndarray:
     out[..., 0] = np.where(v >= 0, 255, mag)
     out[..., 1] = mag
     out[..., 2] = np.where(v <= 0, 255, mag)
-    return out
-
-
-def render_channel(channel: np.ndarray, scale: float, polarity: str) -> np.ndarray:
-    """Nonnegative channel -> white-to-red (positive) or white-to-blue
-    rendering, on the shared symmetric scale of the parent signed map."""
-    if polarity not in ("positive", "negative"):
-        raise DataFormatError(f"polarity must be positive|negative, got {polarity!r}")
-    v = np.clip(np.asarray(channel, dtype=np.float64) / scale, 0.0, 1.0)
-    fade = np.rint(255.0 * (1.0 - v))
-    out = np.empty(v.shape + (3,), dtype=np.uint8)
-    if polarity == "positive":
-        out[..., 0] = 255
-        out[..., 1] = fade
-        out[..., 2] = fade
-    else:
-        out[..., 0] = fade
-        out[..., 1] = fade
-        out[..., 2] = 255
     return out
 
 

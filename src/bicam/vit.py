@@ -9,20 +9,20 @@ the pre-softmax attention logits (already scaled by 1/sqrt(head_dim), i.e.
 exactly what the softmax consumes), the per-head value projections, and
 the concatenated per-head CLS attention output *before* the block's output
 projection, together with its gradient after a class-score backward pass,
-which the layer's attention backward stores in its LayerCapture.
+which the layer's block backward stores in its LayerCapture.
 Attention keeps its softmax unnormalized (see ``autodiff.attention_arrays``),
 so a capture holds the exps of its scores and their row sums, and its
 ``attn_probs`` divides one by the other when read (rollout reads them).
 
-The forward body is written once, on plain ndarrays, as four kinds of
-stage: the embedding, each block's attention half (x -> merged heads) and
-MLP half ((x, merged) -> next x), and the head. A block's q, k and v
-projections are one product on its fused [Wq|Wk|Wv] weight, built once at
-load, so a forward runs 6L + 2 products. When a tape is asked for, each
-stage returns its hand-chained VJP (vector-Jacobian product) on the same
-kernels, and the tape records the chain of L + 2 nodes: the embedding, one
-node per block (its MLP half's backward, then its attention half's, whose
-input gradient adds to the residual's) and the head. The backward roots,
+The forward body is written once, on plain ndarrays, as one loop over
+L + 2 stages: the embedding, each block (x -> next x) and the head. A
+block's q, k and v projections are one product on its fused [Wq|Wk|Wv]
+weight, built once at load, so a forward runs 6L + 2 products. When a tape
+is asked for, each stage returns its hand-chained VJP (vector-Jacobian
+product) on the same kernels, one output gradient to one input gradient,
+and the tape records the chain of L + 2 nodes: the embedding, one per
+block (which walks back its MLP, then its attention, and adds the
+residual's gradient to ln1's) and the head. The backward roots,
 ``class_score`` and ``cross_entropy``, are scalars of the logits that carry
 their gradient, not nodes. Weights are never nodes; a backward asked for
 weight gradients stores them by name.
@@ -349,10 +349,11 @@ def _layernorm_grads(grad, xhat, inv_std, gain, grads, name):
 
 
 class _Stages:
-    """The stages of one forward on ``weights``; ``check(out, op)`` runs
-    after every op. Each stage returns its outputs and, when ``taped``, its
-    backward, else None. Weights are constants on the tape, so a backward
-    maps the output gradient to the gradient of each of the stage's inputs.
+    """The stages of one forward on ``weights``: the embedding, a block
+    and the head; ``check(out, op)`` runs after every op. Each stage returns
+    its output and, when ``taped``, its backward, else None. Weights are
+    constants on the tape, so a backward maps the output gradient to the
+    gradient of the stage's input.
     When ``grads`` is a dict, a backward also stores there the gradient of
     every weight its stage read, under the weight's name in
     ``ViTWeights.tensors`` (q, k and v as the column thirds of the fused
@@ -396,21 +397,22 @@ class _Stages:
 
         return x, backward
 
-    def attention(self, blk: BlockWeights, x, layer: int | None, offset, cls_only: bool):
-        """ln1, the fused q|k|v product and attention: (merged heads,
-        backward). For a captured ``layer`` (1-based; None for any other) it
-        appends that layer's LayerCapture to ``captures``, and its backward
-        stores the CLS row of the merged heads' gradient there as
-        ``cls_out_grad``. ``offset`` is a [B, d] term added to the merged
-        CLS row, or None. ln1 and the product cover every token; with
-        ``cls_only`` only the CLS token queries, so the merged heads are its
-        row alone, [B, 1, d]."""
-        cfg, check, w = self.weights.config, self.check, blk.arrays
-        h, xhat, inv_std = _layernorm(x, w["ln1.gain"], w["ln1.bias"], check, self.taped)
+    def block(self, blk: BlockWeights, x, layer: int | None, offset, cls_only: bool):
+        """One transformer block: ln1, the fused q|k|v product, attention,
+        the output projection and its residual add, ln2, the MLP and its
+        residual add: (next x, backward). For a captured ``layer`` (1-based;
+        None for any other) it appends that layer's LayerCapture to
+        ``captures``, and its backward stores the CLS row of the merged
+        heads' gradient there as ``cls_out_grad``. ``offset`` is a [B, d]
+        term added to the merged CLS row, or None. ln1 and the product cover
+        every token; with ``cls_only`` only the CLS token queries, so the
+        merged heads and every op after them are its row alone, [B, 1, d]."""
+        cfg, check, w, taped = self.weights.config, self.check, blk.arrays, self.taped
+        grads, prefix = self.grads, blk.prefix
+        h, xhat1, inv_std1 = _layernorm(x, w["ln1.gain"], w["ln1.bias"], check, taped)
         scale = 1.0 / math.sqrt(cfg.head_dim)
-        qkv_weight, gain = w["attn.qkv.weight"], w["ln1.gain"]
         merged, kept, saved = attention_arrays(
-            _linear(h, qkv_weight, w["attn.qkv.bias"], check), cfg.num_heads, scale,
+            _linear(h, w["attn.qkv.weight"], w["attn.qkv.bias"], check), cfg.num_heads, scale,
             layer is not None, cls_only)
         if offset is not None:
             pad = np.zeros(merged.shape)
@@ -422,65 +424,63 @@ class _Stages:
                                cls_out=merged[:, 0, :].copy(), attn_exp=saved.e,
                                attn_rowsums=saved.l[..., None])
             self.captures.append(cap)
-        if not self.taped:
-            # an uncaptured layer's scores are freed before the next layer allocates its own
-            return merged, None
-        grads, scratch, prefix = self.grads, self.scratch, blk.prefix
+        # ln1's output is read again by a weight gradient alone, and off the
+        # tape an uncaptured layer's scores by nothing: both are freed before
+        # the MLP half allocates, and the merged heads after their product
         h = h if grads is not None else None
-
-        def backward(g):
-            if cap is not None:
-                cap.cls_out_grad = g[:, 0, :].copy()
-            dqkv = attention_grad(g, saved, scale, scratch)
-            dh = np.matmul(dqkv, qkv_weight.T)
-            if grads is not None:
-                for kind, fused in zip(("weight", "bias"), _linear_grads(h, dqkv)):
-                    for name, part in zip(_qkv_parts(f"{prefix}attn.qkv.{kind}"),
-                                          np.split(fused, 3, axis=-1)):
-                        grads[name] = np.ascontiguousarray(part)
-            dqkv = None   # freed before the layer norm's backward, the walk's peak
-            return _layernorm_grads(dh, xhat, inv_std, gain, grads, prefix + "ln1")
-
-        return merged, backward
-
-    def mlp(self, blk: BlockWeights, x, merged):
-        """The output projection, its residual add, ln2, the MLP and its
-        residual add, on the rows of ``merged`` (every token, or the CLS
-        token's alone): (next x, backward). The backward returns the
-        gradients of ``x`` (the residual's) and of ``merged``."""
-        check, w = self.check, blk.arrays
-        out_weight, gain, fc1_weight, fc2_weight = (
-            w["attn.out.weight"], w["ln2.gain"], w["ffn.fc1.weight"], w["ffn.fc2.weight"])
+        if not taped:
+            saved = xhat1 = inv_std1 = None
         rows, shape = merged.shape[1], x.shape
-        x1 = check(x[:, :rows] + _linear(merged, out_weight, w["attn.out.bias"], check), "add")
-        h2, xhat, inv_std = _layernorm(x1, gain, w["ln2.bias"], check, self.taped)
-        a1 = _linear(h2, fc1_weight, w["ffn.fc1.bias"], check)
+        x1 = check(x[:, :rows] + _linear(merged, w["attn.out.weight"], w["attn.out.bias"], check),
+                   "add")
+        merged = merged if grads is not None else None
+        h2, xhat2, inv_std2 = _layernorm(x1, w["ln2.gain"], w["ln2.bias"], check, taped)
+        a1 = _linear(h2, w["ffn.fc1.weight"], w["ffn.fc1.bias"], check)
         f = check(kernels.gelu(a1), "gelu")
-        x2 = check(x1 + _linear(f, fc2_weight, w["ffn.fc2.bias"], check), "add")
-        if not self.taped:
+        x2 = check(x1 + _linear(f, w["ffn.fc2.weight"], w["ffn.fc2.bias"], check), "add")
+        if not taped:
             return x2, None
-        grads, prefix = self.grads, blk.prefix
-        merged, h2, f = (merged, h2, f) if grads is not None else (None, None, None)
+        scratch = self.scratch
+        h2, f = (h2, f) if grads is not None else (None, None)
 
+        # reads the weights from ``w`` and the rows from dx1: each name the
+        # closure reads is a cell the forward holds from its first op, taped
+        # or not
         def backward(g):
-            da1 = kernels.gelu_grad(a1, np.matmul(g, fc2_weight.T))
-            dh2 = np.matmul(da1, fc1_weight.T)
+            da1 = kernels.gelu_grad(a1, np.matmul(g, w["ffn.fc2.weight"].T))
+            dh2 = np.matmul(da1, w["ffn.fc1.weight"].T)
             if grads is not None:
                 grads[prefix + "ffn.fc1.weight"], grads[prefix + "ffn.fc1.bias"] = (
                     _linear_grads(h2, da1))
                 grads[prefix + "ffn.fc2.weight"], grads[prefix + "ffn.fc2.bias"] = (
                     _linear_grads(f, g))
             da1 = None   # freed before the layer norm's backward
-            dln2 = _layernorm_grads(dh2, xhat, inv_std, gain, grads, prefix + "ln2")
-            dx1 = g + dln2   # the residual's gradient first, then ln2's
+            dx1 = g + _layernorm_grads(dh2, xhat2, inv_std2, w["ln2.gain"], grads,
+                                       prefix + "ln2")
+            g = dh2 = None   # freed before attention's backward, the walk's peak
             if grads is not None:
                 grads[prefix + "attn.out.weight"], grads[prefix + "attn.out.bias"] = (
                     _linear_grads(merged, dx1))
-            if rows == shape[1]:
-                return dx1, np.matmul(dx1, out_weight.T)
-            dx = np.zeros(shape)   # the residual read the CLS row alone
-            dx[:, :rows] = dx1
-            return dx, np.matmul(dx1, out_weight.T)
+            dmerged = np.matmul(dx1, w["attn.out.weight"].T)
+            if dx1.shape == shape:
+                dres = dx1
+            else:
+                dres = np.zeros(shape)   # the residual read the CLS row alone
+                dres[:, :1] = dx1
+            dx1 = None
+            if cap is not None:
+                cap.cls_out_grad = dmerged[:, 0, :].copy()
+            dqkv = attention_grad(dmerged, saved, scale, scratch)
+            dmerged = None
+            dh = np.matmul(dqkv, w["attn.qkv.weight"].T)
+            if grads is not None:
+                for kind, fused in zip(("weight", "bias"), _linear_grads(h, dqkv)):
+                    for name, part in zip(_qkv_parts(f"{prefix}attn.qkv.{kind}"),
+                                          np.split(fused, 3, axis=-1)):
+                        grads[name] = np.ascontiguousarray(part)
+            dqkv = None   # freed before the layer norm's backward
+            return dres + _layernorm_grads(dh, xhat1, inv_std1, w["ln1.gain"], grads,
+                                           prefix + "ln1")
 
         return x2, backward
 
@@ -503,19 +503,6 @@ class _Stages:
             return _layernorm_grads(dxf, xhat, inv_std, gain, grads, "ln_f")
 
         return logits, backward
-
-
-def _block_backward(attention, mlp):
-    """One block's backward from the backwards of its two halves: the MLP
-    half's gives the gradients of the block input (through the residual)
-    and of the merged heads, to which the attention half's adds its own."""
-
-    def backward(g):
-        dres, dmerged = mlp(g)
-        g = None   # handed on: freed before attention's backward, the walk's peak
-        return dres + attention(dmerged)
-
-    return backward
 
 
 def _root(op: str, logits: Tensor, value, grad) -> Tensor:
@@ -582,16 +569,16 @@ class VisionTransformer:
         maps a 1-based layer index to a [B, d] perturbation added to that
         layer's CLS attention output (a probe point for sensitivity checks).
 
-        With tape on, the graph holds the L + 2 stage nodes, a backward
-        stores the image's gradient under image_node in graph.gradients, and
-        a captured layer's attention backward stores its capture's
-        cls_out_grad on every walk. With tape off the same body records
-        nothing: the logits are a detached Tensor, the graph is empty, and
-        backward_class refuses the result. The logits and captures are the
-        same bits either way.
+        With tape on, the graph holds the L + 2 stage nodes (the embedding,
+        one per block and the head), a backward stores the image's gradient
+        under image_node in graph.gradients, and a captured layer's block
+        backward stores its capture's cls_out_grad on every walk. With tape
+        off the same body records nothing: the logits are a detached Tensor,
+        the graph is empty, and backward_class refuses the result. The
+        logits and captures are the same bits either way.
 
-        Weights are never tape nodes: each stage's backward returns the
-        gradients of the stage's inputs. By default the result's
+        Weights are never tape nodes: each stage's backward maps its output
+        gradient to the gradient of its input. By default the result's
         weight_grads is None, and a backward computes no weight gradient.
         With weight_grads=True it is a dict that a backward fills with the
         gradient of every weight tensor, under its name in
@@ -633,33 +620,24 @@ class VisionTransformer:
         stages = _Stages(self.weights, check, tape, grads, graph.scratch)
 
         img = check_finite(np.ascontiguousarray(img), "leaf")
-        try:
-            x, backward = stages.embedding(img)
-            _check_stage(x)
-        except NumericError as e:
-            raise NumericError(f"patch embedding: {e}") from None
-        if tape:
-            graph.nodes.append(Node("embedding", backward))
 
-        for layer, blk in enumerate(self.weights.blocks, 1):
+        def stage(op, name, run, *args):
+            """One stage: its output, checked, and its node on the tape."""
             try:
-                merged, attention = stages.attention(
-                    blk, x, layer if layer >= first_captured else None,
-                    cls_out_offsets.get(layer), layer == self.config.num_layers)
-                x, mlp = stages.mlp(blk, x, merged)
-                _check_stage(x)
+                out, backward = run(*args)
+                _check_stage(out)
             except NumericError as e:
-                raise NumericError(f"block {layer}: {e}") from None
+                raise NumericError(f"{name}: {e}") from None
             if tape:
-                graph.nodes.append(Node("block", _block_backward(attention, mlp)))
+                graph.nodes.append(Node(op, backward))
+            return out
 
-        try:
-            logits, backward = stages.head(x)
-            _check_stage(logits)
-        except NumericError as e:
-            raise NumericError(f"classifier head: {e}") from None
-        if tape:
-            graph.nodes.append(Node("head", backward))
+        x = stage("embedding", "patch embedding", stages.embedding, img)
+        for layer, blk in enumerate(self.weights.blocks, 1):
+            x = stage("block", f"block {layer}", stages.block, blk, x,
+                      layer if layer >= first_captured else None,
+                      cls_out_offsets.get(layer), layer == self.config.num_layers)
+        logits = stage("head", "classifier head", stages.head, x)
 
         return ForwardResult(
             logits=Tensor(logits, graph if tape else None), captures=stages.captures,
@@ -668,7 +646,7 @@ class VisionTransformer:
     # -- gradients ------------------------------------------------------------
 
     def backward_class(self, result: ForwardResult, class_index: int) -> ForwardResult:
-        """Backpropagate the class score; each captured layer's attention
+        """Backpropagate the class score; each captured layer's block
         backward fills its capture's cls_out_grad on the way.
 
         The graph keeps the image's gradient alone, in

@@ -569,6 +569,38 @@ def test_every_item_failing_under_skip_errors_exits_3(tmp_path, model_file, imag
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("command", ["pnr-detect", "eval-faith"])
+def test_entries_that_cannot_be_opened_are_skipped(tmp_path, model_file, image_dir,
+                                                   command, jobs, capsys):
+    # a directory and a dangling symlink named like images fail with an
+    # OSError, not a BicamError; a mode-000 file would not, as root reads it
+    mixed, good = tmp_path / "mixed", tmp_path / "good"
+    mixed.mkdir()
+    good.mkdir()
+    img = sorted(image_dir.glob("*.ppm"))[0].read_bytes()
+    (mixed / "a.ppm").write_bytes(img)
+    (good / "b.ppm").write_bytes(img)
+    (mixed / "dir.ppm").mkdir()
+    (mixed / "gone.ppm").symlink_to(tmp_path / "missing.ppm")
+    prefix = tmp_path / "out"
+    args = {"pnr-detect": ["--clean", mixed, "--adv", good],
+            "eval-faith": ["--images", mixed, "--seeds", 1]}[command]
+    argv = [command, "--model", model_file, *args, "--out-prefix", prefix, "--jobs", jobs]
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run(argv + ["--skip-errors"]) == 0
+    skipped = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("skipped ")]
+    assert len(skipped) == 2, skipped
+    if command == "pnr-detect":
+        ids = sorted(r.sample_id for r in read_records(f"{prefix}.records.csv"))
+        assert ids == ["a", "b"]
+    else:
+        with open(f"{prefix}.csv", newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)] == ["id", "a"]
+
+
 def _first_record(raw: bytes):
     """Offsets of the first tensor record's name and rank fields."""
     name_at = 7 + 40 + 8 + 4 + 4

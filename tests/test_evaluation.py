@@ -117,8 +117,7 @@ def test_f1_iou_ordering():
 
 def make_map(heat):
     heat = np.asarray(heat, dtype=np.float64)
-    return AttributionMap(patch_scores=heat[None], heatmap=heat[None, None],
-                          class_index=0, layer_window=1, temperature=2.0)
+    return AttributionMap(patch_scores=heat[None], heatmap=heat[None, None], class_index=0)
 
 
 def test_bidirectional_perfect_attribution():
@@ -172,8 +171,7 @@ def test_unified_vs_channel_scoring_documented_difference():
 
 def test_bidirectional_requires_single_image():
     heat = np.zeros((2, 1, 4, 4))
-    amap = AttributionMap(patch_scores=np.zeros((2, 2, 2)), heatmap=heat,
-                          class_index=0, layer_window=1, temperature=2.0)
+    amap = AttributionMap(patch_scores=np.zeros((2, 2, 2)), heatmap=heat, class_index=0)
     with pytest.raises(ContractError):
         evaluate_bidirectional(amap, np.zeros((4, 4)))
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bicam import weightfile
 from bicam.cli import _fmt, read_grid_csv, write_grid_csv
 from bicam.errors import DataFormatError
-from bicam.netpbm import (read_pgm, read_ppm, render_channel, render_signed,
+from bicam.netpbm import (read_pgm, read_ppm, render_signed,
                           signed_scale, write_pgm, write_ppm, write_rendered)
 from bicam.vit import ViTConfig, init_weights
 
@@ -115,8 +115,8 @@ def test_channel_renderings_reconstruct_signed(tmp_path):
     heat = np.array([[0.8, -0.4], [0.0, -1.0]])
     scale = signed_scale(heat)
     signed = render_signed(heat, scale)
-    pos = render_channel(np.maximum(heat, 0), scale, "positive")
-    neg = render_channel(np.maximum(-heat, 0), scale, "negative")
+    pos = render_signed(np.maximum(heat, 0), scale)
+    neg = render_signed(-np.maximum(-heat, 0), scale)
     recombined = np.where((heat > 0)[..., None], pos,
                           np.where((heat < 0)[..., None], neg,
                                    np.full_like(pos, 255)))
