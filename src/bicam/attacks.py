@@ -4,6 +4,10 @@ Both are untargeted (they ascend the cross-entropy of the true class),
 operate in the [0, 1] pixel range, and project every iterate back onto
 the epsilon ball and the valid range. The attacked model only needs a
 ``loss_and_input_grad(image, label)`` method.
+
+PGD (Madry et al. 2018) starts at a random point of the epsilon ball
+(drawn from ``seed``) whenever epsilon > 0; MI-FGSM (Dong et al. 2018) at
+``momentum_decay=0`` is the same walk from the image itself.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ class AttackConfig:
     num_steps: int = DEFAULT_NUM_STEPS
     momentum_decay: float = 1.0            # MI-FGSM only
     seed: int = 0                          # PGD random start
-    random_start: bool = True              # PGD only
 
     def __post_init__(self):
         if self.method not in ("pgd", "mifgsm"):
@@ -65,7 +68,7 @@ def pgd_attack(model, image: np.ndarray, true_class: int, cfg: AttackConfig) -> 
     img = _check_image(image)
     eps = float(cfg.epsilon)
     x = img.copy()
-    if cfg.random_start and eps > 0:
+    if eps > 0:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         x = _project(img + rng.uniform(-eps, eps, img.shape), img, eps)
     for _ in range(cfg.num_steps):

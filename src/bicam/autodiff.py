@@ -25,8 +25,8 @@ by every attention backward over all query rows.
 
 ``check_finite`` is the one check every forward runs (a finite forward
 pass is an invariant rather than a hope). A graph is single-threaded
-during construction and backward; detached arrays are plain numpy and
-freely shareable.
+during construction and backward; a Tensor with no graph is a plain
+numpy array in a wrapper.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class Graph:
 class Tensor:
     """An array with the graph that made it: the chain's output, a backward
     root (which also carries ``grad``, its gradient with respect to that
-    output), or, with no graph, a detached array, immutable by convention.
+    output), or, with no graph, a tape-free forward's logits (not a copy).
     """
 
     __slots__ = ("data", "graph", "grad")
@@ -110,9 +110,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def detach(self) -> np.ndarray:
-        return self.data.copy()
 
     def item(self) -> float:
         return float(self.data.reshape(()))

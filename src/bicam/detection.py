@@ -70,11 +70,6 @@ def pnr(attribution, epsilon: float = DEFAULT_PNR_EPSILON) -> float:
     return float(pos.sum() / (neg.sum() + epsilon))
 
 
-def delta_pnr(clean_map, adv_map, epsilon: float = DEFAULT_PNR_EPSILON) -> float:
-    """PNR of the adversarial map minus PNR of its clean counterpart."""
-    return pnr(adv_map, epsilon) - pnr(clean_map, epsilon)
-
-
 def _count_table(scores: np.ndarray, is_adv: np.ndarray):
     """The one sort: distinct scores ascending, with the adversarial and
     clean counts at each score (adv, clean) and at or above it (tp, fp)."""
@@ -175,12 +170,19 @@ def csv_writer(fh):
     return csv.writer(lf_ends, lineterminator="\r\n")
 
 
+FLOAT_FORMAT = "%.17g"   # every number bicam writes: reads back as the same float
+
+
+def format_float(x) -> str:
+    return FLOAT_FORMAT % float(x)
+
+
 def write_records(path: str, records) -> None:
     """One id,label,pnr line per record, written by ``csv_writer``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv_writer(fh)
         out.writerow(("id", "label", "pnr"))
-        out.writerows((r.sample_id, r.label, f"{r.pnr:.17g}") for r in records)
+        out.writerows((r.sample_id, r.label, format_float(r.pnr)) for r in records)
 
 
 def read_records(path: str) -> list[PNRRecord]:

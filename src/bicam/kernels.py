@@ -7,11 +7,9 @@ and its backward inline (see ``autodiff.attention_arrays``), so
 ``softmax_rows_grad`` has no caller in the program; it stays because the
 benchmark's tracer (``bench_e2e/tracing.py``) wraps it by name.
 
-Only the layer norm gradient takes an optional ``out`` array, which may be
-its ``dxhat`` input: with it the kernel works in place, without it it
-allocates its result, and the arithmetic is the same either way, so the
-results are the same bits. Callers pass ``out`` positionally. The softmax
-kernels allocate their result and reuse it for their temporaries.
+The layer norm gradient works in place: it overwrites its ``dxhat`` input
+with the input gradient and returns it. The softmax kernels allocate their
+result and reuse it for their temporaries.
 """
 
 import math
@@ -94,17 +92,17 @@ def layernorm_rows(x, eps):
     return xc, inv_std
 
 
-def layernorm_rows_grad(xhat, inv_std, dxhat, out=None):
-    """Backward of row standardization; dxhat is the grad wrt xhat.
-    ``out`` may be ``dxhat`` itself."""
+def layernorm_rows_grad(xhat, inv_std, dxhat):
+    """Backward of row standardization, in place: dxhat, the grad wrt xhat,
+    is overwritten with the grad wrt the input and returned."""
     d = xhat.shape[1]
     m1 = np.add.reduce(dxhat, axis=1, keepdims=True) / d
     tmp = np.multiply(dxhat, xhat)
     m2 = np.add.reduce(tmp, axis=1, keepdims=True) / d
-    out = np.subtract(dxhat, m1, out=out)   # (dxhat - m1 - xhat * m2) * inv_std, in two arrays
-    out -= np.multiply(xhat, m2, out=tmp)
-    out *= inv_std[:, None]
-    return out
+    dxhat -= m1   # (dxhat - m1 - xhat * m2) * inv_std, in two arrays
+    dxhat -= np.multiply(xhat, m2, out=tmp)
+    dxhat *= inv_std[:, None]
+    return dxhat
 
 
 def upsample_bilinear(grid, out_h, out_w):

@@ -13,7 +13,8 @@ adversarial-detection runs need; strong-amplitude samples keep training
 stable.
 
 Training uses Adam on mean cross-entropy: plain SGD does not move this
-architecture off its init within a few hundred desk-scale steps.
+architecture off its init within a few hundred desk-scale steps. The
+schedule is fixed by the constants below; only the step count varies.
 """
 
 from __future__ import annotations
@@ -24,10 +25,17 @@ import numpy as np
 
 from .vit import ViTConfig, ViTWeights, VisionTransformer, cross_entropy, init_weights
 
+NOISE = 0.02              # pixel noise std of every pattern image
+ADAM_LR = 3e-3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+BATCH_SIZE = 8
+TRAIN_PER_CLASS = 24      # training images per class
+
 
 def make_pattern_dataset(config: ViTConfig, per_class: int, seed: int,
-                         amp_lo: float = 0.03, amp_hi: float = 0.20,
-                         noise: float = 0.02):
+                         amp_lo: float = 0.03, amp_hi: float = 0.20):
     """Return (images [2*per_class, 3, H, W] in [0,1], labels [2*per_class])."""
     rng = np.random.Generator(np.random.PCG64(seed))
     h, w = config.image_height, config.image_width
@@ -41,7 +49,7 @@ def make_pattern_dataset(config: ViTConfig, per_class: int, seed: int,
         label = i % 2
         amp = rng.uniform(amp_lo, amp_hi)
         pattern = vertical if label == 0 else horizontal
-        img = 0.5 + amp * pattern + noise * rng.standard_normal((3, h, w))
+        img = 0.5 + amp * pattern + NOISE * rng.standard_normal((3, h, w))
         images[i] = np.clip(img, 0.0, 1.0)
         labels[i] = label
     return images, labels
@@ -50,22 +58,20 @@ def make_pattern_dataset(config: ViTConfig, per_class: int, seed: int,
 class AdamState:
     """Per-tensor Adam moments; update() mutates the weight arrays in place."""
 
-    def __init__(self, weights: ViTWeights, lr: float = 3e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, weights: ViTWeights):
         self.step = 0
         self.m = {k: np.zeros_like(v) for k, v in weights.tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in weights.tensors.items()}
 
     def update(self, weights: ViTWeights, grads: dict[str, np.ndarray]) -> None:
         self.step += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, g in grads.items():
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             mhat = self.m[name] / (1 - b1 ** self.step)
             vhat = self.v[name] / (1 - b2 ** self.step)
-            weights.tensors[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            weights.tensors[name] -= ADAM_LR * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def train_step(model: VisionTransformer, opt: AdamState,
@@ -77,19 +83,17 @@ def train_step(model: VisionTransformer, opt: AdamState,
     return loss.item()
 
 
-def train_toy_model(config: ViTConfig, seed: int, steps: int = 500,
-                    lr: float = 3e-3, batch_size: int = 8,
-                    per_class: int = 24) -> tuple[VisionTransformer, list[float]]:
+def train_toy_model(config: ViTConfig, seed: int,
+                    steps: int = 500) -> tuple[VisionTransformer, list[float]]:
     """Train a fresh model on striped synthetic images; returns (model, losses)."""
     if config.num_classes != 2:
         raise ValueError("toy training is two-class")
-    weights = init_weights(config, seed)
-    model = VisionTransformer(config, ViTWeights(config, dict(weights.tensors)))
-    images, labels = make_pattern_dataset(config, per_class, seed + 1)
+    model = VisionTransformer(init_weights(config, seed))
+    images, labels = make_pattern_dataset(config, TRAIN_PER_CLASS, seed + 1)
     rng = np.random.Generator(np.random.PCG64(seed + 2))
-    opt = AdamState(model.weights, lr=lr)
+    opt = AdamState(model.weights)
     losses = []
     for _ in range(steps):
-        idx = rng.integers(0, len(images), size=batch_size)
+        idx = rng.integers(0, len(images), size=BATCH_SIZE)
         losses.append(train_step(model, opt, images[idx], labels[idx]))
     return model, losses

@@ -304,7 +304,6 @@ class ForwardResult:
     image_node: int   # the key of the image's gradient in graph.gradients
     # tensor name -> gradient, filled by a backward; None without weight_grads
     weight_grads: dict[str, np.ndarray] | None
-    input_shape: tuple[int, ...]
 
 
 def _unchecked(out, op):
@@ -342,7 +341,7 @@ def _layernorm_grads(grad, xhat, inv_std, gain, grads, name):
     gradients of its ``name``.gain and ``name``.bias are stored there."""
     rows = np.ascontiguousarray(grad.reshape(xhat.shape))
     dxhat = rows * gain
-    dx = kernels.layernorm_rows_grad(xhat, inv_std, dxhat, dxhat).reshape(grad.shape)
+    dx = kernels.layernorm_rows_grad(xhat, inv_std, dxhat).reshape(grad.shape)
     if grads is not None:
         grads[name + ".gain"], grads[name + ".bias"] = (rows * xhat).sum(axis=0), rows.sum(axis=0)
     return dx
@@ -543,16 +542,14 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 class VisionTransformer:
-    """Config + weights bundle; immutable after construction.
+    """Weights and their config; immutable after construction.
 
     Each forward/backward owns a private Graph, so one model instance can
     serve many concurrent attributions.
     """
 
-    def __init__(self, config: ViTConfig, weights: ViTWeights):
-        if weights.config != config:
-            raise ParameterError("weights were built for a different config")
-        self.config = config
+    def __init__(self, weights: ViTWeights):
+        self.config = weights.config
         self.weights = weights
 
     # -- forward ------------------------------------------------------------
@@ -573,8 +570,8 @@ class VisionTransformer:
         one per block and the head), a backward stores the image's gradient
         under image_node in graph.gradients, and a captured layer's block
         backward stores its capture's cls_out_grad on every walk. With tape
-        off the same body records nothing: the logits are a detached Tensor,
-        the graph is empty, and backward_class refuses the result. The
+        off the same body records nothing: the logits are a Tensor with no
+        graph, the graph is empty, and backward_class refuses the result. The
         logits and captures are the same bits either way.
 
         Weights are never tape nodes: each stage's backward maps its output
@@ -591,12 +588,11 @@ class VisionTransformer:
         """
         cfg = self.config
         img = np.asarray(image, dtype=np.float64)
-        input_shape = img.shape
         if img.ndim == 3:
             img = img[None]
         if img.ndim != 4 or img.shape[1:] != (3, cfg.image_height, cfg.image_width):
             raise DimensionError(
-                f"image shape {input_shape} does not match config "
+                f"image shape {np.shape(image)} does not match config "
                 f"(3, {cfg.image_height}, {cfg.image_width})")
         window = cfg.layer_window if layer_window is None else int(layer_window)
         if not 1 <= window <= cfg.num_layers:
@@ -604,15 +600,15 @@ class VisionTransformer:
         first_captured = cfg.num_layers + 1 - (window if capture else 0)
 
         counters.bump("forward")
-        args = (img, input_shape, first_captured, cls_out_offsets or {})
+        args = (img, first_captured, cls_out_offsets or {})
         try:
             return self._run(*args, tape, weight_grads, _unchecked)
         except NumericError:
             self._run(*args, False, False, check_finite)  # raises the named error
             raise
 
-    def _run(self, img: np.ndarray, input_shape: tuple[int, ...], first_captured: int,
-             cls_out_offsets, tape: bool, weight_grads: bool, check) -> ForwardResult:
+    def _run(self, img: np.ndarray, first_captured: int, cls_out_offsets,
+             tape: bool, weight_grads: bool, check) -> ForwardResult:
         """The forward body, capturing layers first_captured..L, with
         ``check(out, op)`` after every op."""
         graph = Graph()
@@ -641,7 +637,7 @@ class VisionTransformer:
 
         return ForwardResult(
             logits=Tensor(logits, graph if tape else None), captures=stages.captures,
-            graph=graph, image_node=INPUT, weight_grads=grads, input_shape=input_shape)
+            graph=graph, image_node=INPUT, weight_grads=grads)
 
     # -- gradients ------------------------------------------------------------
 
@@ -663,16 +659,17 @@ class VisionTransformer:
 
     def loss_and_input_grad(self, image: np.ndarray, labels) -> tuple[float, np.ndarray]:
         """Cross-entropy loss and its gradient with respect to the image (the
-        one gradient a backward keeps)."""
+        one gradient a backward keeps), in the image's shape."""
         res = self.forward(image, capture=False)
         loss = cross_entropy(res.logits, labels)
         grad = res.graph.backward(loss)[res.image_node]
-        return loss.item(), grad.reshape(res.input_shape)
+        return loss.item(), grad.reshape(np.shape(image))
 
     # -- inference ------------------------------------------------------------
 
     def predict_logits(self, image: np.ndarray) -> np.ndarray:
-        return self.forward(image, tape=False).logits.detach()
+        """The tape-free forward's own logits array, fresh on each call."""
+        return self.forward(image, tape=False).logits.data
 
     def predict_proba(self, image: np.ndarray) -> np.ndarray:
         logits = self.predict_logits(image)
@@ -681,4 +678,4 @@ class VisionTransformer:
 
 def new_model(config: ViTConfig, seed: int) -> VisionTransformer:
     """Convenience: config + seeded init in one call."""
-    return VisionTransformer(config, init_weights(config, seed))
+    return VisionTransformer(init_weights(config, seed))

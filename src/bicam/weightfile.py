@@ -116,5 +116,4 @@ def load_weights(path: str) -> ViTWeights:
 
 
 def load_model(path: str) -> VisionTransformer:
-    w = load_weights(path)
-    return VisionTransformer(w.config, w)
+    return VisionTransformer(load_weights(path))

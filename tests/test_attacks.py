@@ -83,22 +83,38 @@ def test_epsilon_zero_returns_image_bitwise(lin_model, lin_image):
 
 
 def test_single_step_pgd_reduces_to_fgsm(lin_model, lin_image):
-    step = 2.0 / 255.0
-    cfg = AttackConfig(method="pgd", epsilon=8.0 / 255.0, step_size=step,
-                       num_steps=1, random_start=False)
+    # a step of at least 2 eps leaves the ball from any start, so the
+    # projection puts every pixel on the face FGSM's step of eps reaches;
+    # LinearToy's gradient has the same signs at every point
+    eps = 8.0 / 255.0
+    cfg = AttackConfig(method="pgd", epsilon=eps, step_size=3 * eps, num_steps=1, seed=2)
     adv = pgd_attack(lin_model, lin_image, 0, cfg)
     _, grad = lin_model.loss_and_input_grad(lin_image, 0)
-    fgsm = np.clip(lin_image + step * np.sign(grad), 0.0, 1.0)
+    fgsm = np.clip(lin_image + eps * np.sign(grad), 0.0, 1.0)
     assert np.array_equal(adv, fgsm)
 
 
-def test_mifgsm_one_step_no_momentum_equals_pgd_no_random(lin_model, lin_image):
-    kw = dict(epsilon=8.0 / 255.0, step_size=2.0 / 255.0, num_steps=1)
-    adv_p = pgd_attack(lin_model, lin_image, 0,
-                       AttackConfig(method="pgd", random_start=False, **kw))
-    adv_m = mifgsm_attack(lin_model, lin_image, 0,
-                          AttackConfig(method="mifgsm", momentum_decay=0.0, **kw))
-    assert np.array_equal(adv_p, adv_m)
+def signed_ascent(model, image, eps, step, steps):
+    """PGD's walk without its random start, written out: a signed-gradient
+    step, then projection onto the epsilon ball and [0, 1]."""
+    x = image.copy()
+    for _ in range(steps):
+        _, grad = model.loss_and_input_grad(x, 0)
+        x = np.clip(image + np.clip(x + step * np.sign(grad) - image, -eps, eps), 0.0, 1.0)
+    return x
+
+
+def test_mifgsm_without_momentum_is_signed_ascent_and_pgd_starts_at_random(
+        lin_model, lin_image):
+    kw = dict(epsilon=0.05, step_size=0.01, num_steps=5)
+    walk = signed_ascent(lin_model, lin_image, 0.05, 0.01, 5)
+    mifgsm = mifgsm_attack(lin_model, lin_image, 0,
+                           AttackConfig(method="mifgsm", momentum_decay=0.0, **kw))
+    assert np.array_equal(mifgsm, walk)
+    pgd = AttackConfig(method="pgd", seed=11, **kw)
+    adv = pgd_attack(lin_model, lin_image, 0, pgd)
+    assert not np.array_equal(adv, walk)
+    assert np.array_equal(adv, pgd_attack(lin_model, lin_image, 0, pgd))
 
 
 @pytest.mark.parametrize("method", ["pgd", "mifgsm"])
@@ -119,15 +135,6 @@ def test_mifgsm_loss_monotone_on_linear_model(lin_model, lin_image):
     cfg = AttackConfig(method="mifgsm", epsilon=0.1, step_size=0.01,
                        num_steps=8, momentum_decay=0.0)
     traj = trajectory(mifgsm_attack, lin_model, lin_image, cfg)
-    losses = [lin_model.loss_and_input_grad(x, 0)[0] for x in traj]
-    for lo, hi in zip(losses, losses[1:]):
-        assert hi >= lo - 1e-12
-
-
-def test_pgd_loss_monotone_on_linear_model_without_random_start(lin_model, lin_image):
-    cfg = AttackConfig(method="pgd", epsilon=0.1, step_size=0.01, num_steps=8,
-                       random_start=False)
-    traj = trajectory(pgd_attack, lin_model, lin_image, cfg)
     losses = [lin_model.loss_and_input_grad(x, 0)[0] for x in traj]
     for lo, hi in zip(losses, losses[1:]):
         assert hi >= lo - 1e-12

@@ -179,7 +179,7 @@ def test_bicam_head_row_doubling_doubles_scores(tiny_model, tiny_config, rnd_ima
     base = bicam(tiny_model, rnd_image, c)
     tensors = {k: v.copy() for k, v in tiny_model.weights.tensors.items()}
     tensors["head.weight"][:, c] *= 2.0
-    doubled_model = VisionTransformer(tiny_config, ViTWeights(tiny_config, tensors))
+    doubled_model = VisionTransformer(ViTWeights(tiny_config, tensors))
     doubled = bicam(doubled_model, rnd_image, c)
     assert np.abs(doubled.patch_scores - 2.0 * base.patch_scores).max() < 1e-10
 

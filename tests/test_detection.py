@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicam.detection import (PNRRecord, delta_pnr, pnr, read_records,
-                             roc_analysis, write_records)
+from bicam.detection import PNRRecord, pnr, read_records, roc_analysis, write_records
 from bicam.errors import ContractError, DataFormatError, ParameterError
 
 
@@ -68,26 +67,6 @@ def test_pnr_accepts_attribution_map(tiny_model):
     img = np.random.default_rng(2).random((1, 3, 16, 16))
     amap = bicam(tiny_model, img, 0)
     assert pnr(amap) == pnr(amap.patch_scores)
-
-
-# -- delta pnr -----------------------------------------------------------------------
-
-
-def test_delta_pnr_identical_maps_is_zero():
-    m = np.random.default_rng(3).standard_normal(16)
-    assert delta_pnr(m, m) == 0.0
-
-
-def test_delta_pnr_extra_positive_mass_is_positive():
-    m = np.array([1.0, -1.0])
-    m2 = np.array([2.0, -1.0])
-    assert delta_pnr(m, m2) > 0
-
-
-def test_delta_pnr_matches_two_pnr_calls():
-    rng = np.random.default_rng(4)
-    a, b = rng.standard_normal(12), rng.standard_normal(12)
-    assert delta_pnr(a, b) == pnr(b) - pnr(a)
 
 
 # -- roc oracles ----------------------------------------------------------------------

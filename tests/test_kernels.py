@@ -109,8 +109,6 @@ def test_numpy_layernorm_matches_the_mean_formulation_bitwise(shape, scale):
     xhat, inv = kernels.layernorm_rows(x, 1e-6)
     ref_xhat, ref_inv = _layernorm_rows_by_mean(x, 1e-6)
     assert bit_equal(xhat, ref_xhat) and bit_equal(inv, ref_inv)
-    assert bit_equal(kernels.layernorm_rows_grad(xhat, inv, g),
-                      _layernorm_rows_grad_by_mean(xhat, inv, g))
     inplace = g.copy()
-    assert kernels.layernorm_rows_grad(xhat, inv, inplace, inplace) is inplace
+    assert kernels.layernorm_rows_grad(xhat, inv, inplace) is inplace
     assert bit_equal(inplace, _layernorm_rows_grad_by_mean(xhat, inv, g))
