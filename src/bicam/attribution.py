@@ -89,13 +89,11 @@ def bicam(model: VisionTransformer, image: np.ndarray, class_index: int,
     Layer masks from the last ``layer_window`` blocks are summed, the
     special-token entries dropped, and the per-patch grid upsampled to
     image resolution. Defaults for the window and temperature come from
-    the model config.
+    the model config; ``attribution_alpha`` checks the temperature.
     """
     cfg = model.config
     window = cfg.layer_window if layer_window is None else int(layer_window)
     temp = cfg.temperature if temperature is None else float(temperature)
-    if not 0 < temp < math.inf:
-        raise ParameterError(f"temperature must be finite and > 0, got {temp}")
 
     res = model.forward(image, capture=True, layer_window=window)
     model.backward_class(res, class_index)

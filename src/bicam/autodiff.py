@@ -15,7 +15,8 @@ time. A root is no node, so one forward serves any number of backwards.
 
 ``attention_arrays`` is multi-head scaled dot-product attention on the
 fused q|k|v projection [B, N, 3d], for every query row or for the CLS
-token's alone, and ``attention_grad`` its backward. As in FlashAttention
+token's alone, and ``attention_grad`` its backward. Each derives the
+scale 1/sqrt(d_h) from its operands' head width. As in FlashAttention
 (Dao et al. 2022), the forward leaves the softmax unnormalized and divides
 the head outputs by the row sums, and the backward takes the softmax
 gradient's row term from the outputs, so a block passes over its scores
@@ -129,19 +130,19 @@ class AttentionSaved(NamedTuple):
     out: np.ndarray   # [B, M, d], the merged heads
 
 
-def attention_arrays(qkv, heads: int, scale: float, keep_scores: bool = False,
-                     cls_only: bool = False):
+def attention_arrays(qkv, heads: int, keep_scores: bool = False, cls_only: bool = False):
     """Multi-head scaled dot-product attention on ndarrays.
 
     ``qkv`` [B, N, 3d] holds q, k and v side by side, each of them ``heads``
     heads of d_h = d / heads columns. Per head, softmax(q @ k^T * scale) @
-    v over the last axis, with the heads merged back into [B, M, d]. The
-    queries are every token (M = N), or with ``cls_only`` the CLS token's
-    alone (M = 1): its q row attends to the keys and values of every token,
-    and the other q rows are not read. Returns (out, kept, saved): out the
-    merged heads, kept a copy of the CLS row of the scaled scores
-    [B, H, 1, N] when ``keep_scores`` is set (else None), and saved the
-    AttentionSaved that ``attention_grad`` reads.
+    v over the last axis, with scale = 1/sqrt(d_h), and the heads merged
+    back into [B, M, d]. The queries are every token (M = N), or with
+    ``cls_only`` the CLS token's alone (M = 1): its q row attends to the
+    keys and values of every token, and the other q rows are not read.
+    Returns (out, kept, saved): out the merged heads, kept a copy of the
+    CLS row of the scaled scores [B, H, 1, N] when ``keep_scores`` is set
+    (else None), and saved the AttentionSaved that ``attention_grad``
+    reads.
 
     The scale goes into k^T, so the scores come scaled out of their product.
     The softmax is not normalized on the scores: e = exp(scores - row max)
@@ -151,11 +152,10 @@ def attention_arrays(qkv, heads: int, scale: float, keep_scores: bool = False,
     row max, the subtraction, the exp and the product. The probabilities
     are e / l (see ``LayerCapture``).
 
-    The scaled scores and the merged output are checked for NaN/Inf. A
-    failing score check recomputes the unscaled product to tell which op
-    made the non-finite value: matmul if the unscaled product has one, else
-    scale. The output's check names matmul: l >= 1 (the row max gives a
-    term exp(0)), so a finite e v gives a finite output.
+    The scaled scores and the merged output are checked for NaN/Inf, and
+    both checks name matmul: the scale is at most 1, so a non-finite score
+    comes from the product, and l >= 1 (the row max gives a term exp(0)),
+    so a finite e v gives a finite output.
     """
     if qkv.ndim != 3 or heads < 1 or qkv.shape[-1] % (3 * heads):
         raise DimensionError(
@@ -167,16 +167,11 @@ def attention_arrays(qkv, heads: int, scale: float, keep_scores: bool = False,
     split = qkv.reshape(b, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)   # [3, B, H, N, d_h]
     q = split[0, :, :, :m]
     kt = np.ascontiguousarray(split[1].transpose(0, 1, 3, 2))
-    kt *= scale
+    kt *= 1.0 / math.sqrt(dh)
     vx = np.empty((b, heads, n, dh + 1))
     vx[..., :dh] = split[2]
     vx[..., dh] = 1.0
-    s = np.matmul(q, kt)
-    try:
-        check_finite(s, "matmul")
-    except NumericError:
-        check_finite(np.matmul(q, split[1].transpose(0, 1, 3, 2)), "matmul")
-        raise NumericError("non-finite values produced by scale") from None
+    s = check_finite(np.matmul(q, kt), "matmul")
     kept = s[:, :, :1].copy() if keep_scores else None
     s -= np.maximum.reduce(s, axis=-1, keepdims=True)
     e = np.exp(s, out=s)
@@ -186,7 +181,7 @@ def attention_arrays(qkv, heads: int, scale: float, keep_scores: bool = False,
     return out, kept, AttentionSaved(q, split[1], vx, e, ol[..., dh], out)
 
 
-def attention_grad(grad, saved: AttentionSaved, scale: float, scratch: dict) -> np.ndarray:
+def attention_grad(grad, saved: AttentionSaved, scratch: dict) -> np.ndarray:
     """Backward of attention_arrays: the gradient of ``qkv`` [B, N, 3d] from
     the gradient ``grad`` [B, M, d] of the merged heads and the saved
     arrays of its forward.
@@ -195,9 +190,10 @@ def attention_grad(grad, saved: AttentionSaved, scale: float, scratch: dict) -> 
     softmax gradient's row term rowsum(p * (g v^T)) equals delta = g . o, so
     dv = e^T (g / l), the scores' gradient ds = p * (g v^T - delta) = e * x
     with x = [g / l | -delta / l] [v | 1]^T in one product, dq = scale ds k
-    and dk = scale ds^T q. The scale goes into [g / l | -delta / l] once dv
-    is made, so x comes out scaled. That is five passes over score-sized
-    arrays: the products that read e, write x and read x twice, and x *= e.
+    and dk = scale ds^T q, with the forward's scale 1/sqrt(d_h). The scale
+    goes into [g / l | -delta / l] once dv is made, so x comes out scaled.
+    That is five passes over score-sized arrays: the products that read e,
+    write x and read x twice, and x *= e.
     dq, dk and dv are written into one [B, N, 3, H, d_h] array; with M = 1
     (``cls_only``) dq fills the CLS row, and the q columns of the other
     rows, which the forward did not read, are zero. With M = N, x is kept in
@@ -224,7 +220,7 @@ def attention_grad(grad, saved: AttentionSaved, scale: float, scratch: dict) -> 
     dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)   # [B, H, N, d_h] views
     dq[:, :, m:] = 0.0
     np.matmul(np.swapaxes(e, -1, -2), gl, out=dv)
-    gx *= scale
+    gx *= 1.0 / math.sqrt(dh)
     np.matmul(gx, np.swapaxes(vx, -1, -2), out=x)
     x *= e
     np.matmul(x, k, out=dq[:, :, :m])

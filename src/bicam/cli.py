@@ -44,24 +44,14 @@ from .attacks import (DEFAULT_EPSILON, DEFAULT_NUM_STEPS, DEFAULT_STEP_SIZE,
                       AttackConfig, run_attack)
 from .attribution import attention_rollout, bicam, split_channels
 from .detection import (DEFAULT_PNR_EPSILON, FLOAT_FORMAT, PNRRecord, check_pnr_epsilon,
-                        csv_writer, format_float as _fmt, pnr, read_records, roc_analysis,
-                        write_records)
+                        format_float as _fmt, pnr, read_records, roc_analysis, write_records,
+                        write_table)
 from .errors import (BicamError, ContractError, DataFormatError, NumericError,
                      ParameterError)
 from .evaluation import (class_probability_fn, evaluate_bidirectional,
                          faithfulness, random_order_faithfulness)
 from .vit import ViTConfig, init_weights
 from . import weightfile
-
-
-def _write_csv(path: str, header, rows) -> None:
-    """A header line, then one line per row: strings as ``csv_writer``
-    quotes them (as they are, unless they hold a comma, a quote, a newline
-    or a carriage return), numbers by _fmt."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv_writer(fh)
-        out.writerow(header)
-        out.writerows([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows)
 
 
 def write_grid_csv(path: str, grid: np.ndarray) -> None:
@@ -151,8 +141,9 @@ def _map_items(names, fn, jobs: int, skip_errors: bool):
 
 
 def _check_class_index(model, args) -> None:
-    """Reject an out-of-range --class-index before any item runs, so that
-    --skip-errors does not turn it into one failure per item."""
+    """Reject an out-of-range --class-index before any image is read, with
+    a message that names the range; in ``attack`` an out-of-range label
+    would otherwise reach the logits' index as an IndexError traceback."""
     classes = model.config.num_classes
     if args.class_index is not None and not 0 <= args.class_index < classes:
         raise ParameterError(f"class index {args.class_index} out of range [0, {classes})")
@@ -285,10 +276,10 @@ def cmd_pnr_detect(args) -> int:
     records = _map_items(items, score, args.jobs, args.skip_errors)
     write_records(args.out_prefix + ".records.csv", records)
     report = roc_analysis(records)
-    _write_csv(args.out_prefix + ".report.csv",
-               [name for name, _ in REPORT_ROWS] + ["num_clean", "num_adversarial"],
-               [[getattr(report, name) for name, _ in REPORT_ROWS]
-                + [report.num_clean, report.num_adversarial]])
+    write_table(args.out_prefix + ".report.csv",
+                [name for name, _ in REPORT_ROWS] + ["num_clean", "num_adversarial"],
+                [[getattr(report, name) for name, _ in REPORT_ROWS]
+                 + [report.num_clean, report.num_adversarial]])
     print(_report_table(report))
     return 0
 
@@ -317,8 +308,8 @@ def cmd_eval_loc(args) -> int:
 
     rows = [row for item in _map_items(files, one, args.jobs, args.skip_errors)
             for row in item]
-    _write_csv(args.out_prefix + ".csv", ["id", "channel", "pixel_accuracy", "iou", "f1",
-                                          "precision", "recall", "fallback_unified"], rows)
+    write_table(args.out_prefix + ".csv", ["id", "channel", "pixel_accuracy", "iou", "f1",
+                                           "precision", "recall", "fallback_unified"], rows)
     display = [[r[0], r[1]] + [f"{v:.4f}" for v in r[2:7]] for r in rows]
     for channel in ("unified", "positive", "negative"):
         sel = [r for r in rows if r[1] == channel]
@@ -349,12 +340,12 @@ def cmd_eval_faith(args) -> int:
     results = _map_items(list(enumerate(files)), one, args.jobs, args.skip_errors)
     rows = [[stem, rep.mif_auc, rep.lif_auc, rep.faithfulness, rand_mean]
             for stem, rep, rand_mean in results]
-    _write_csv(args.out_prefix + ".csv",
-               ["id", "mif_auc", "lif_auc", "faithfulness", "random_faithfulness_mean"], rows)
-    _write_csv(args.out_prefix + ".curves.csv", ["id", "curve", "step", "value"],
-               [[stem, kind, k, v] for stem, rep, _ in results
-                for kind, curve in (("mif", rep.mif_curve), ("lif", rep.lif_curve))
-                for k, v in enumerate(curve)])
+    write_table(args.out_prefix + ".csv",
+                ["id", "mif_auc", "lif_auc", "faithfulness", "random_faithfulness_mean"], rows)
+    write_table(args.out_prefix + ".curves.csv", ["id", "curve", "step", "value"],
+                [[stem, kind, k, v] for stem, rep, _ in results
+                 for kind, curve in (("mif", rep.mif_curve), ("lif", rep.lif_curve))
+                 for k, v in enumerate(curve)])
     display = [[r[0]] + [f"{v:.4f}" for v in r[1:]] for r in rows]
     means = [float(np.mean([r[i] for r in rows])) for i in range(1, 5)]
     display.append([f"mean({len(rows)})"] + [f"{v:.4f}" for v in means])

@@ -10,7 +10,8 @@ specificity - 1 are each read from that table.
 
 ROC scoring uses raw per-sample PNR (deployable without a clean twin);
 delta-PNR statistics are reported separately from records whose ids pair
-across the clean/adversarial labels.
+across the clean/adversarial labels. ``write_table`` is the one CSV dialect
+of the records and of every table the CLI writes.
 """
 
 from __future__ import annotations
@@ -157,19 +158,6 @@ def roc_analysis(records, higher_is_adversarial: bool = True) -> DetectionReport
 # -- record files (CSV: id,label,pnr) ----------------------------------------
 
 
-def csv_writer(fh):
-    """The writer of every CSV file bicam writes, on ``fh`` opened with
-    newline="". Lines end in LF, and a field is quoted, as the csv module
-    quotes, when it holds a comma, a quote, a line feed or a carriage return
-    (csv.reader ends a record at an unquoted one). The csv module quotes
-    the characters of its line terminator, so each row is made with CR LF
-    and written with LF in its place (the writer writes one row per call):
-    a file with no carriage return has the bytes of a csv writer with LF
-    line ends."""
-    lf_ends = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
-    return csv.writer(lf_ends, lineterminator="\r\n")
-
-
 FLOAT_FORMAT = "%.17g"   # every number bicam writes: reads back as the same float
 
 
@@ -177,12 +165,28 @@ def format_float(x) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-def write_records(path: str, records) -> None:
-    """One id,label,pnr line per record, written by ``csv_writer``."""
+def write_table(path: str, header, rows) -> None:
+    """The one CSV dialect of every table bicam writes: a header line, then
+    one line per row, strings as they are and numbers by ``format_float``.
+    Lines end in LF, and a field is quoted, as the csv module quotes, when
+    it holds a comma, a quote, a line feed or a carriage return (csv.reader
+    ends a record at an unquoted one). The csv module quotes the characters
+    of its line terminator, so each row is made with CR LF and written with
+    LF in its place (the writer writes one row per call): a file with no
+    carriage return has the bytes of a csv writer with LF line ends.
+    ``cli.write_grid_csv`` writes the headerless number grids in the same
+    bytes with a row template of its own, which is faster for them."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv_writer(fh)
-        out.writerow(("id", "label", "pnr"))
-        out.writerows((r.sample_id, r.label, format_float(r.pnr)) for r in records)
+        lf_ends = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+        out = csv.writer(lf_ends, lineterminator="\r\n")
+        out.writerow(header)
+        out.writerows([v if isinstance(v, str) else format_float(v) for v in row]
+                      for row in rows)
+
+
+def write_records(path: str, records) -> None:
+    """One id,label,pnr line per record, by ``write_table``."""
+    write_table(path, ("id", "label", "pnr"), ((r.sample_id, r.label, r.pnr) for r in records))
 
 
 def read_records(path: str) -> list[PNRRecord]:

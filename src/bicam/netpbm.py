@@ -45,7 +45,7 @@ def _read_tokens(data: bytes, count: int, pos: int) -> tuple[list[bytes], int]:
     return tokens, pos + 1  # consume the single whitespace after the header
 
 
-def _parse_header(data: bytes, magics) -> tuple[bytes, int, int, int, int]:
+def _parse_header(data: bytes, magics) -> tuple[bytes, int, int, int]:
     (magic,), pos = _read_tokens(data, 1, 0)
     if magic not in magics:
         raise DataFormatError(f"unsupported netpbm magic {magic!r}; expected {magics}")
@@ -58,19 +58,31 @@ def _parse_header(data: bytes, magics) -> tuple[bytes, int, int, int, int]:
         raise DataFormatError("non-positive netpbm dimensions")
     if maxval != 255:
         raise DataFormatError(f"only maxval 255 supported, got {maxval}")
-    return magic, width, height, maxval, pos
+    return magic, width, height, pos
+
+
+def _payload(path: str, data: bytes, pos: int, need: int) -> np.ndarray:
+    """The ``need`` binary samples after the header at ``pos``, as uint8."""
+    if len(data) - pos < need:
+        raise DataFormatError(f"{path}: pixel payload truncated")
+    return np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
+
+
+def _write_raster(path: str, magic: str, pixels: np.ndarray) -> None:
+    """A binary netpbm file: the ``magic``, width, height and maxval 255
+    header, then ``pixels`` [H, W] or [H, W, 3] row-major, as uint8."""
+    h, w = pixels.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode())
+        fh.write(np.ascontiguousarray(pixels, dtype=np.uint8).tobytes())
 
 
 def read_ppm(path: str) -> np.ndarray:
     """P6 image -> float64 [3, H, W] in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    _, width, height, _, pos = _parse_header(data, (b"P6",))
-    need = width * height * 3
-    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos) \
-        if len(data) - pos >= need else None
-    if raw is None:
-        raise DataFormatError(f"{path}: pixel payload truncated")
+    _, width, height, pos = _parse_header(data, (b"P6",))
+    raw = _payload(path, data, pos, width * height * 3)
     img = raw.reshape(height, width, 3).astype(np.float64) / 255.0
     return np.ascontiguousarray(img.transpose(2, 0, 1))
 
@@ -81,26 +93,17 @@ def write_ppm(path: str, image: np.ndarray) -> None:
     if img.ndim != 3 or img.shape[0] != 3:
         raise DataFormatError(f"write_ppm expects [3, H, W], got {img.shape}")
     bytes_img = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
-    _write_p6(path, bytes_img.transpose(1, 2, 0))
-
-
-def _write_p6(path: str, pixels_hw3: np.ndarray) -> None:
-    h, w = pixels_hw3.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(np.ascontiguousarray(pixels_hw3, dtype=np.uint8).tobytes())
+    _write_raster(path, "P6", bytes_img.transpose(1, 2, 0))
 
 
 def read_pgm(path: str) -> np.ndarray:
     """P5/P2 graymap -> binary uint8 [H, W] mask (>127 -> 1)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, width, height, _, pos = _parse_header(data, (b"P5", b"P2"))
+    magic, width, height, pos = _parse_header(data, (b"P5", b"P2"))
     need = width * height
     if magic == b"P5":
-        if len(data) - pos < need:
-            raise DataFormatError(f"{path}: pixel payload truncated")
-        gray = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
+        gray = _payload(path, data, pos, need)
     else:
         values = data[pos - 1:].split()
         if len(values) < need:
@@ -115,12 +118,11 @@ def read_pgm(path: str) -> np.ndarray:
 
 
 def write_pgm(path: str, mask: np.ndarray) -> None:
-    """Binary mask -> P5 graymap (1 -> 255, 0 -> 0)."""
-    m = (np.asarray(mask) > 0).astype(np.uint8) * 255
-    h, w = m.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(m.tobytes())
+    """Binary mask [H, W] -> P5 graymap (1 -> 255, 0 -> 0)."""
+    m = np.asarray(mask)
+    if m.ndim != 2:
+        raise DataFormatError(f"write_pgm expects [H, W], got {m.shape}")
+    _write_raster(path, "P5", (m > 0).astype(np.uint8) * 255)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -145,4 +147,5 @@ def render_signed(heat: np.ndarray, scale: float) -> np.ndarray:
 
 
 def write_rendered(path: str, pixels_hw3: np.ndarray) -> None:
-    _write_p6(path, pixels_hw3)
+    """uint8 [H, W, 3] (``render_signed``) -> P6 file."""
+    _write_raster(path, "P6", pixels_hw3)

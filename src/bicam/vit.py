@@ -409,9 +409,8 @@ class _Stages:
         cfg, check, w, taped = self.weights.config, self.check, blk.arrays, self.taped
         grads, prefix = self.grads, blk.prefix
         h, xhat1, inv_std1 = _layernorm(x, w["ln1.gain"], w["ln1.bias"], check, taped)
-        scale = 1.0 / math.sqrt(cfg.head_dim)
         merged, kept, saved = attention_arrays(
-            _linear(h, w["attn.qkv.weight"], w["attn.qkv.bias"], check), cfg.num_heads, scale,
+            _linear(h, w["attn.qkv.weight"], w["attn.qkv.bias"], check), cfg.num_heads,
             layer is not None, cls_only)
         if offset is not None:
             pad = np.zeros(merged.shape)
@@ -469,7 +468,7 @@ class _Stages:
             dx1 = None
             if cap is not None:
                 cap.cls_out_grad = dmerged[:, 0, :].copy()
-            dqkv = attention_grad(dmerged, saved, scale, scratch)
+            dqkv = attention_grad(dmerged, saved, scratch)
             dmerged = None
             dh = np.matmul(dqkv, w["attn.qkv.weight"].T)
             if grads is not None:

@@ -304,13 +304,14 @@ def _attention_inputs(shape, seed):
     return rng.standard_normal((b, n, 3 * h * dh)), rng.standard_normal((b, n, h * dh))
 
 
-def _attention_chain(qkv, heads, scale):
+def _attention_chain(qkv, heads):
     """Attention as a chain of numpy primitives: slice, reshape and transpose
-    to split q, k and v into heads; transpose, matmul, scale, softmax and
-    matmul; transpose and reshape to merge the heads. Returns the merged
-    heads, the scaled scores and the values."""
+    to split q, k and v into heads; transpose, matmul, scale by 1/sqrt(d_h),
+    softmax and matmul; transpose and reshape to merge the heads. Returns
+    the merged heads, the scaled scores and the values."""
     b, n, d3 = qkv.shape
     d = d3 // 3
+    scale = 1.0 / math.sqrt(d // heads)
 
     def split(i):
         t = np.ascontiguousarray(qkv[..., i * d:(i + 1) * d]).reshape((b, n, heads, d // heads))
@@ -323,33 +324,37 @@ def _attention_chain(qkv, heads, scale):
     return out, scores, v
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 17, 8), (2, 2, 17, 8), (1, 4, 197, 8)],
+@pytest.mark.parametrize("shape", [(1, 1, 17, 8), (2, 2, 17, 8), (1, 4, 197, 8),
+                                   (1, 2, 17, 3), (2, 3, 11, 5)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_attention_matches_the_primitive_chain(shape):
-    # the scale goes into k^T and the softmax is normalized on the head
-    # outputs, so the scores, probabilities and output round differently
-    # from the chain: measured at most 1.2e-15 relative on these shapes.
-    # The values are copied, not computed, and stay bit-equal.
+    # the scale 1/sqrt(d_h), derived from the head width, goes into k^T and
+    # the softmax is normalized on the head outputs, so the scores,
+    # probabilities and output round differently from the chain: measured
+    # at most 1.2e-15 relative on these shapes. The values are copied, not
+    # computed, and stay bit-equal.
     x0, _ = _attention_inputs(shape, seed=shape[1] * 100 + shape[2])
-    heads, scale = shape[1], 1.0 / math.sqrt(shape[-1])
-    ref_out, ref_scores, ref_v = _attention_chain(x0, heads, scale)
+    heads = shape[1]
+    ref_out, ref_scores, ref_v = _attention_chain(x0, heads)
     ref_probs = kernels.softmax_rows(ref_scores.reshape(-1, shape[2]), 1.0).reshape(
         ref_scores.shape)
-    out, kept, saved = attention_arrays(x0, heads, scale, True)
+    out, kept, saved = attention_arrays(x0, heads, True)
     assert grad_rel_error(out, ref_out) < 4e-15
     assert grad_rel_error(kept, ref_scores[:, :, :1]) < 4e-15
     assert grad_rel_error(saved.e / saved.l[..., None], ref_probs) < 4e-15
     assert bit_equal(saved.vx[..., :-1], ref_v)
     assert (saved.vx[..., -1] == 1.0).all()
-    assert attention_arrays(x0, heads, scale)[1] is None
+    assert attention_arrays(x0, heads)[1] is None
 
 
-def _attention_vjp(qkv, heads, scale, w, cls_only):
+def _attention_vjp(qkv, heads, w, cls_only):
     """A hand-written VJP of plain softmax attention: the gradient of
     sum(out * w) with respect to qkv, through p = softmax(q k^T * scale)
-    and out = p v, with the softmax's Jacobian p (dp - rowsum(p dp))."""
+    with scale = 1/sqrt(d_h) and out = p v, with the softmax's Jacobian
+    p (dp - rowsum(p dp))."""
     b, n, d3 = qkv.shape
     d, m = d3 // 3, 1 if cls_only else n
+    scale = 1.0 / math.sqrt(d // heads)
     q, k, v = (qkv[..., i * d:(i + 1) * d].reshape(b, n, heads, -1).transpose(0, 2, 1, 3)
                for i in range(3))
     q = q[:, :, :m]
@@ -370,35 +375,35 @@ def test_attention_grad_matches_a_reference_vjp(cls_only):
     # float64 arithmetic against float64 arithmetic, not finite differences
     x0, w_all = _attention_inputs((2, 4, 23, 8), seed=11)
     w = w_all[:, :1] if cls_only else w_all
-    _, _, saved = attention_arrays(x0, 4, 0.35, False, cls_only)
-    grad = attention_grad(w, saved, 0.35, {})
-    assert grad_rel_error(grad, _attention_vjp(x0, 4, 0.35, w, cls_only)) <= 1e-12
+    _, _, saved = attention_arrays(x0, 4, False, cls_only)
+    grad = attention_grad(w, saved, {})
+    assert grad_rel_error(grad, _attention_vjp(x0, 4, w, cls_only)) <= 1e-12
 
 
-def _attention_node(g, x, heads, scale):
+def _attention_node(g, x, heads):
     """attention_arrays as a test-local stage whose backward is attention_grad."""
-    out, _, saved = attention_arrays(x, heads, scale)
-    return out, Node("attention", lambda grad: attention_grad(grad, saved, scale, g.scratch))
+    out, _, saved = attention_arrays(x, heads)
+    return out, Node("attention", lambda grad: attention_grad(grad, saved, g.scratch))
 
 
 def test_attention_nodes_share_work_arrays_during_a_walk():
     x0, w = _attention_inputs((2, 2, 17, 8), seed=9)
-    heads, scale = 2, 0.5
+    heads = 2
 
     def stack3(t):
         return np.concatenate([t] * 3, axis=-1), Node(
             "concat", lambda grad: sum(np.split(grad, 3, axis=-1)))
 
     g = Graph()
-    first = on(g, _attention_node(g, x0, heads, scale))
-    second = on(g, _attention_node(g, on(g, stack3(first)), heads, scale))   # same score shape
+    first = on(g, _attention_node(g, x0, heads))
+    second = on(g, _attention_node(g, on(g, stack3(first)), heads))   # same score shape
     root = total(g, on(g, times(second, w)))
 
     # the same arithmetic with work arrays of its own for each node
-    _, _, saved2 = attention_arrays(np.concatenate([first] * 3, axis=-1), heads, scale)
-    _, _, saved1 = attention_arrays(x0, heads, scale)
-    dmid = attention_grad(w, saved2, scale, {})
-    ref = attention_grad(sum(np.split(dmid, 3, axis=-1)), saved1, scale, {})
+    _, _, saved2 = attention_arrays(np.concatenate([first] * 3, axis=-1), heads)
+    _, _, saved1 = attention_arrays(x0, heads)
+    dmid = attention_grad(w, saved2, {})
+    ref = attention_grad(sum(np.split(dmid, 3, axis=-1)), saved1, {})
 
     for _ in range(2):                                 # a second walk reuses nothing stale
         g.backward(root)
@@ -409,15 +414,15 @@ def test_attention_nodes_share_work_arrays_during_a_walk():
 def test_attention_gradients_match_finite_differences():
     # for every query row, and for the CLS row alone
     x0, w_all = _attention_inputs((1, 2, 5, 3), seed=7)
-    heads, scale = 2, 0.7
+    heads = 2
     for cls_only in (False, True):
         w = w_all[:, :1] if cls_only else w_all
 
         def loss(x):
-            return float((attention_arrays(x, heads, scale, False, cls_only)[0] * w).sum())
+            return float((attention_arrays(x, heads, False, cls_only)[0] * w).sum())
 
-        _, _, saved = attention_arrays(x0, heads, scale, False, cls_only)
-        grad = attention_grad(w, saved, scale, {})
+        _, _, saved = attention_arrays(x0, heads, False, cls_only)
+        grad = attention_grad(w, saved, {})
         assert grad_rel_error(grad, finite_difference(loss, x0)) < 1e-7
 
 
@@ -425,20 +430,10 @@ def test_attention_gradients_match_finite_differences():
 def test_attention_checks_operands():
     x = np.zeros((1, 3, 6))
     with pytest.raises(DimensionError):
-        attention_arrays(np.zeros((1, 1, 3, 6)), 1, 1.0)   # not [B, N, 3d]
+        attention_arrays(np.zeros((1, 1, 3, 6)), 1)   # not [B, N, 3d]
     with pytest.raises(DimensionError):
-        attention_arrays(x, 4, 1.0)                        # d = 2 is not 4 heads
+        attention_arrays(x, 4)                        # d = 2 is not 4 heads
     with pytest.raises(DimensionError):
-        attention_arrays(x, 0, 1.0)
-    with pytest.raises(NumericError, match="^non-finite values produced by scale$"):
-        attention_arrays(x + 1e150, 1, 1e10)               # scores 2e300, then inf
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("scale", [1e300, -1e300, math.nan])
-def test_attention_checks_a_scale_that_can_overflow(scale):
-    # finite q and k give finite scores of 2e10; the scaled-score check is
-    # skipped only for a scale of at most 1 in magnitude
-    x = np.full((1, 3, 6), 1e5)
-    with pytest.raises(NumericError, match="^non-finite values produced by scale$"):
-        attention_arrays(x, 1, scale)
+        attention_arrays(x, 0)
+    with pytest.raises(NumericError, match="^non-finite values produced by matmul$"):
+        attention_arrays(x + 1e200, 1)                # scores 1.4e400, so inf

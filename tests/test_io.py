@@ -79,6 +79,27 @@ def test_pgm_threshold_at_127(tmp_path):
     assert np.array_equal(read_pgm(str(p)), [[0, 0, 1, 1]])
 
 
+def test_binary_writers_write_the_exact_bytes(tmp_path):
+    # a 3-wide, 2-high image: the header gives width then height, and the
+    # samples follow row by row, each pixel's R, G and B together
+    rgb = [[(0, 1, 2), (3, 4, 250), (255, 128, 7)],
+           [(9, 10, 11), (200, 13, 14), (15, 16, 17)]]
+    samples = bytes(c for row in rgb for pixel in row for c in pixel)
+    p6 = b"P6\n3 2\n255\n" + samples
+    pixels = np.array(rgb, dtype=np.uint8)
+    write_ppm(str(tmp_path / "a.ppm"), pixels.transpose(2, 0, 1) / 255.0)
+    assert (tmp_path / "a.ppm").read_bytes() == p6
+    write_rendered(str(tmp_path / "b.ppm"), pixels)
+    assert (tmp_path / "b.ppm").read_bytes() == p6
+
+    mask = [[1, 0, 1], [0, 0, 1]]
+    write_pgm(str(tmp_path / "m.pgm"), np.array(mask))
+    assert (tmp_path / "m.pgm").read_bytes() == (
+        b"P5\n3 2\n255\n" + bytes(255 * v for row in mask for v in row))
+    with pytest.raises(DataFormatError):   # a P5 file holds one sample per pixel
+        write_pgm(str(tmp_path / "m.pgm"), np.zeros((2, 3, 3)))
+
+
 def test_pgm_ascii_p2(tmp_path):
     p = tmp_path / "a.pgm"
     p.write_text("P2\n3 2\n255\n0 200 10\n255 0 130\n")

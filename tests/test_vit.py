@@ -811,8 +811,8 @@ def test_one_score_sized_work_array_per_backward_walk(tiny_config, shape, monkey
     model = new_model(cfg, seed=9)
     seen = []
 
-    def recording(grad, saved, scale, scratch):
-        out = attention_grad(grad, saved, scale, scratch)
+    def recording(grad, saved, scratch):
+        out = attention_grad(grad, saved, scratch)
         seen.append([(id(a), a.shape) for a in scratch.values()])
         return out
 
