@@ -508,15 +508,43 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
     return build_parser()
 
 
+def _may_name_config(argv: list[str]) -> bool:
+    """Whether an argument could be read as --config: argparse also takes
+    a unique prefix of an option's name, such as ``--conf``."""
+    return any(len(opt) > 2 and "--config".startswith(opt)
+               for opt in (a.partition("=")[0] for a in argv))
+
+
+def _config_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of a call that may name --config, built for that call.
+
+    A first pass finds --config and the command with no option required;
+    argparse checks required options against the command line alone, so
+    the file could not supply one otherwise. The file's values then become
+    the subcommand's defaults, and an option the file supplies is no longer
+    required."""
+    parser, registry = build_parser()
+    required = [a for sub in registry.values() for a in sub._actions if a.required]
+    for action in required:
+        action.required = False
+    args = parser.parse_args(argv)
+    supplied = {}
+    if args.config:
+        sub = registry[args.command]
+        supplied = _config_defaults(args.config, sub, args.command)
+        sub.set_defaults(**supplied)
+    for action in required:
+        action.required = action.dest not in supplied
+    return parser
+
+
 def main(argv=None) -> int:
     parser, _ = _shared_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        if _may_name_config(argv):
+            parser = _config_parser(argv)
         args = parser.parse_args(argv)
-        if args.config:
-            parser, registry = build_parser()
-            sub = registry[args.command]
-            sub.set_defaults(**_config_defaults(args.config, sub, args.command))
-            args = parser.parse_args(argv)
         return args.func(args)
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)

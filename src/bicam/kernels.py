@@ -10,12 +10,59 @@ benchmark's tracer (``bench_e2e/tracing.py``) wraps it by name.
 The layer norm gradient works in place: it overwrites its ``dxhat`` input
 with the input gradient and returns it. The softmax kernels allocate their
 result and reuse it for their temporaries.
+
+GELU needs scipy's ``erf`` ufunc alone, and ``import scipy.special`` costs
+most of the CLI's start-up (its package init loads scipy's array-API layer,
+``numpy.f2py`` and ``numpy.testing``). So ``_load_erf`` loads the compiled
+module that holds the ufunc, ``scipy/special/_special_ufuncs``, by file
+path under its dotted name, and registers it in ``sys.modules``: a later
+``import scipy.special`` reuses that module, so ``scipy.special.erf`` is the
+very ufunc GELU calls. Where that file is missing or has no ``erf`` (scipy
+releases before the module existed), it falls back to
+``from scipy.special import erf``.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.special import erf as _erf
+
+_ERF_MODULE = "scipy.special._special_ufuncs"
+
+
+def _load_erf(special_dir):
+    """scipy's erf ufunc, from the ``_special_ufuncs`` extension file in
+    ``special_dir`` if it is there and not loaded yet, else from
+    ``scipy.special``."""
+    module = sys.modules.get(_ERF_MODULE)
+    if module is None:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(special_dir, "_special_ufuncs" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_ERF_MODULE, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[_ERF_MODULE] = module
+                spec.loader.exec_module(module)
+                break
+    erf = getattr(module, "erf", None)
+    if erf is None:
+        from scipy.special import erf
+    return erf
+
+
+def _scipy_special_dir():
+    """Where scipy.special's files are, found without running scipy's
+    ``__init__``; "" when scipy is not installed."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        return ""
+    return os.path.join(spec.submodule_search_locations[0], "special")
+
+
+_erf = _load_erf(_scipy_special_dir())
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)

@@ -371,6 +371,26 @@ def test_a_config_call_leaves_the_next_call_the_built_in_defaults(tmp_path, monk
     assert shapes == [(4, 2), (2, 4), (4, 2), (4, 2)]
 
 
+def test_a_config_file_can_supply_a_required_option(tmp_path, model_file, image_dir, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"model={model_file}\nseeds=0\n")
+    common = ["--images", image_dir, "--out-prefix"]
+    assert run(["--config", cfgfile, "eval-faith", *common, tmp_path / "file"]) == 0
+    assert run(["eval-faith", "--model", model_file, "--seeds", 0,
+                *common, tmp_path / "flags"]) == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+    # the command line overrides the file's value
+    assert run(["eval-faith", "--config", cfgfile, "--model", tmp_path / "missing.bw",
+                *common, tmp_path / "over"]) == 3
+    assert "missing.bw" in capsys.readouterr().err
+    # an option the file does not supply stays required
+    with pytest.raises(SystemExit) as e:
+        run(["eval-faith", "--config", cfgfile, "--images", image_dir])
+    assert e.value.code == 2
+    assert "required: --out-prefix" in capsys.readouterr().err
+    assert not (tmp_path / "over.csv").exists()
+
+
 def test_config_file_parsing(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("# comment\nalpha=3\nbeta=0.5\ngamma=hello\nflag=true\n\n")
@@ -696,6 +716,23 @@ def test_detect_from_bad_records_exits_3(tmp_path, body, capsys):
     assert run(["detect-from-records", "--records", p]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "auroc" not in captured.out
+
+
+def test_start_up_loads_erf_without_the_scipy_special_package():
+    # scipy.special's package init (its array-API layer, numpy.f2py) was
+    # most of the CLI's start-up; GELU needs its erf ufunc alone
+    script = ("import sys\n"
+              "import numpy as np\n"
+              "import bicam.cli\n"
+              "from bicam import kernels\n"
+              "kernels.gelu(np.linspace(-3.0, 3.0, 7))\n"
+              "print(sorted({'scipy.special', 'numpy.f2py', 'scipy._lib._array_api'}\n"
+              "             & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(weightfile.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_forged_layer_count_fails_fast_under_an_address_space_cap(tmp_path, model_file,

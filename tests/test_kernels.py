@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,27 @@ def test_gelu_matches_reference_values():
     # gelu(1) = 0.5 * (1 + erf(1/sqrt2)) = 0.841344746...
     out = kernels.gelu(np.array([[1.0]]))
     assert out[0, 0] == pytest.approx(0.8413447460685429, abs=1e-12)
+
+
+def _erf_inputs():
+    edges = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]
+    return np.concatenate([np.linspace(-40.0, 40.0, 200_001), edges])
+
+
+def test_loaded_erf_is_scipy_special_erf():
+    # kernels loads erf's extension module by path; a later import of
+    # scipy.special must reuse that module, not load a second one
+    from scipy.special import erf
+    assert kernels._erf is erf
+    x = _erf_inputs()
+    assert np.array_equal(kernels._erf(x).view(np.int64), erf(x).view(np.int64))
+
+
+def test_erf_falls_back_to_the_scipy_special_import(tmp_path, monkeypatch):
+    # no extension file in the directory, as in scipy releases without it
+    from scipy.special import erf
+    monkeypatch.delitem(sys.modules, kernels._ERF_MODULE)
+    assert kernels._load_erf(str(tmp_path)) is erf
 
 
 def _layernorm_rows_by_mean(x, eps):

@@ -590,7 +590,49 @@ def test_graphs_are_freed_without_the_cycle_collector(tiny_model):
         gc.enable()
 
 
-def test_retained_backward_class_peak_memory_is_lower(tiny_model):
+def _least_peak(run):
+    """The least tracemalloc peak of three calls of ``run()``, in bytes. A
+    one-off allocation (a cache or a free list filled, a global dict grown)
+    lands in one call; what the code under test keeps lands in every call."""
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+def _reference_peak(config):
+    """The peak of a reference forward in this process: the tape-free
+    forward of a one-block model of ``config``'s width (the embedding, one
+    CLS-only block and the head). The bounds below are set over it, so the
+    array headers and allocator caches of the numpy and CPython at hand, and
+    what ran before in the process, move both sides alike."""
+    model = new_model(dataclasses.replace(config, num_layers=1, layer_window=1), seed=0)
+    img = np.random.default_rng(2).random((1, 3, 16, 16))
+    model.forward(img, tape=False)   # warm up lazy imports and caches
+    return _least_peak(lambda: model.forward(img, tape=False))
+
+
+# The bounds over the reference forward's peak are the absolute bounds these
+# tests had before, less that peak as measured with this file alone (20,904
+# bytes, numpy 2.4, CPython 3.11; 20,680 in a full tier-1 run, where the
+# forward peaks moved with it): the retained backward's peak stays at or
+# under that of the DAG walk that kept the image gradient alone and freed
+# every other once passed on (23,685 bytes), and the forward peaks at or
+# under those of the forwards whose blocks were still two stages, attention
+# and MLP (35,504, 50,760 and 118,112 bytes). An uncaptured layer's exps
+# ([1, 2, 17, 17] here, 4,624 bytes) alive while the next layer allocates its
+# own, or its attention arrays kept through its MLP half, exceed them
+BACKWARD_PEAK_OVER_REFERENCE = 2_781
+FORWARD_PEAK_OVER_REFERENCE = {"tape-free": 14_600, "tape-free capture": 29_856,
+                               "taped capture": 97_208}
+
+
+def test_retained_backward_class_peak_memory_is_lower(tiny_model, tiny_config):
     img = np.random.default_rng(24).random((1, 3, 16, 16))
 
     def traced():
@@ -604,7 +646,9 @@ def test_retained_backward_class_peak_memory_is_lower(tiny_model):
             tracemalloc.stop()
 
     traced()  # warm up lazy imports
-    res, held, peak = traced()
+    runs = [traced() for _ in range(3)]   # the least of three, as _least_peak
+    res = runs[-1][0]
+    held, peak = (min(run[i] for run in runs) for i in (1, 2))
     # what a caller reads: the image gradient and the captures' CLS rows;
     # the slack covers array headers, the dict and numpy's own caches
     # (measured 2,360 bytes), and one stage gradient left behind, [1, 17, 16]
@@ -612,21 +656,11 @@ def test_retained_backward_class_peak_memory_is_lower(tiny_model):
     payload = res.graph.gradients[res.image_node].nbytes + sum(
         cap.cls_out_grad.nbytes for cap in res.captures)
     assert held <= payload + 3072, (held, payload)
-    # no higher than the DAG walk's that kept the image gradient alone, and
-    # freed every other once passed on: 23,685 bytes (numpy 2.4, CPython 3.11)
-    assert peak <= 23_685, peak
+    reference = _reference_peak(tiny_config)
+    assert peak - reference <= BACKWARD_PEAK_OVER_REFERENCE, (peak, reference)
 
 
-# the tracemalloc peaks measured in a tier-1 run while a block was still two
-# stages, attention and MLP (numpy 2.4, CPython 3.11). An uncaptured layer's
-# exps ([1, 2, 17, 17] here, 4,624 bytes) alive while the next layer
-# allocates its own, or its attention arrays kept through its MLP half,
-# exceed them
-FORWARD_PEAK_BOUNDS = {"tape-free": 35_504, "tape-free capture": 50_760,
-                       "taped capture": 118_112}
-
-
-def test_forward_peak_memory_is_bounded(tiny_model):
+def test_forward_peak_memory_is_bounded(tiny_model, tiny_config):
     # an uncaptured layer's scores, and the statistics and output of its ln1,
     # are freed before the MLP half and the next layer allocate their own
     img = np.random.default_rng(2).random((1, 3, 16, 16))
@@ -635,15 +669,12 @@ def test_forward_peak_memory_is_bounded(tiny_model):
 
     def peak(kwargs):
         tiny_model.forward(img, **kwargs)   # warm up lazy imports and caches
-        tracemalloc.start()
-        try:
-            tiny_model.forward(img, **kwargs)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _least_peak(lambda: tiny_model.forward(img, **kwargs))
 
-    peaks = {kind: peak(kwargs) for kind, kwargs in kinds.items()}
-    assert all(peaks[kind] <= bound for kind, bound in FORWARD_PEAK_BOUNDS.items()), peaks
+    reference = _reference_peak(tiny_config)
+    over = {kind: peak(kwargs) - reference for kind, kwargs in kinds.items()}
+    assert all(over[kind] <= bound for kind, bound in FORWARD_PEAK_OVER_REFERENCE.items()), (
+        over, reference)
 
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
