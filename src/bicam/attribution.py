@@ -92,10 +92,9 @@ def bicam(model: VisionTransformer, image: np.ndarray, class_index: int,
     the model config; ``attribution_alpha`` checks the temperature.
     """
     cfg = model.config
-    window = cfg.layer_window if layer_window is None else int(layer_window)
     temp = cfg.temperature if temperature is None else float(temperature)
 
-    res = model.forward(image, capture=True, layer_window=window)
+    res = model.forward(image, capture=True, layer_window=layer_window)
     model.backward_class(res, class_index)
 
     total = None

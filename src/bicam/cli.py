@@ -21,10 +21,12 @@ items in sorted-filename order, so results do not depend on execution
 order or --jobs. Floats in CSV output are written with repr-exact
 precision (%.17g), making re-runs byte-identical.
 
-A flat key=value config file (--config, before or after the subcommand)
-supplies defaults for the invoked subcommand; explicit flags win; unknown
-keys are rejected. Values pass through the same argparse type and choice
-checks as flags, and flag options take only true or false.
+A flat key=value config file (--config PATH, --config=PATH or a unique
+prefix such as --conf, before or after the subcommand) supplies options of
+the invoked subcommand: its values become --flag=value items right after
+the command name, so they pass the same argparse type and choice checks as
+typed flags and a flag on the command line wins. Unknown keys are
+rejected, and flag options take only true or false.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def read_grid_csv(path: str) -> np.ndarray:
 
 def load_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; '#' comments; keys and values stripped, values
-    kept as strings (``_config_defaults`` gives them the flags' checks)."""
+    kept as strings (``_with_config_flags`` gives them the flags' checks)."""
     out = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -394,15 +396,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="bicam",
         description="Signed attribution maps and PNR adversarial detection "
                     "for small vision transformers.")
-    parser.add_argument("--config", help="flat key=value defaults file")
+    # main's pre-pass takes --config out of argv, before or after the command
+    parser.add_argument("--config", help="flat key=value file of the command's options, "
+                                         "before or after the command")
     subs = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary):
         sp = subs.add_parser(name, help=summary)
         sp.set_defaults(func=func)
-        # SUPPRESS: a --config given before the subcommand must survive
-        sp.add_argument("--config", default=argparse.SUPPRESS,
-                        help="flat key=value defaults file")
         return sp
 
     sp = command("init-model", cmd_init_model, "create and save a seeded model")
@@ -478,72 +479,55 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subs.choices
 
 
-def _config_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> dict:
-    """The config file's values as defaults that argparse type-checks."""
-    overrides = load_config_file(path)
-    actions = {a.dest: a for a in sub._actions}
-    unknown = sorted(set(overrides) - set(actions))
+def _with_config_flags(argv: list[str], path: str, commands: dict) -> list[str]:
+    """argv with the config file's values placed right after the command
+    name as ``--flag=value`` items, so argparse checks them as it checks
+    typed flags and a flag typed later wins. A flag option set to true
+    becomes the bare flag; set to false it is left out."""
+    command = next((a for a in argv if not a.startswith("-")), None)
+    if command not in commands:
+        return argv  # argparse reports the missing or unknown command
+    actions = {a.dest: a for a in commands[command]._actions if a.dest != "help"}
+    values = load_config_file(path)
+    unknown = sorted(set(values) - set(actions))
     if unknown:
         raise DataFormatError(f"unknown config keys for {command}: {', '.join(unknown)}")
-    out = {}
-    for key, value in overrides.items():
-        choices = actions[key].choices
-        if choices is not None and value not in choices:
-            # argparse checks the choices of flags, not of defaults
-            raise ParameterError(f"{path}: {key} must be one of {', '.join(choices)}, "
+    flags = []
+    for key, value in values.items():
+        action = actions[key]
+        option = action.option_strings[0]
+        if action.choices is not None and value not in action.choices:
+            raise ParameterError(f"{path}: {key} must be one of {', '.join(action.choices)}, "
                                  f"got {value!r}")
-        if actions[key].nargs != 0:
-            out[key] = value  # argparse converts (and checks) string defaults
+        if action.nargs != 0:
+            flags.append(f"{option}={value}")
         elif value.lower() in ("true", "false"):
-            out[key] = value.lower() == "true"
+            flags += [option] * (value.lower() == "true")
         else:
             raise DataFormatError(f"{path}: {key} takes true or false, got {value!r}")
-    return out
+    at = argv.index(command) + 1
+    return argv[:at] + flags + argv[at:]
 
 
 @functools.cache
-def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser of every call without --config, built once per process.
-    A --config call sets its subparser's defaults, so it builds its own."""
-    return build_parser()
-
-
-def _may_name_config(argv: list[str]) -> bool:
-    """Whether an argument could be read as --config: argparse also takes
-    a unique prefix of an option's name, such as ``--conf``."""
-    return any(len(opt) > 2 and "--config".startswith(opt)
-               for opt in (a.partition("=")[0] for a in argv))
-
-
-def _config_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of a call that may name --config, built for that call.
-
-    A first pass finds --config and the command with no option required;
-    argparse checks required options against the command line alone, so
-    the file could not supply one otherwise. The file's values then become
-    the subcommand's defaults, and an option the file supplies is no longer
-    required."""
-    parser, registry = build_parser()
-    required = [a for sub in registry.values() for a in sub._actions if a.required]
-    for action in required:
-        action.required = False
-    args = parser.parse_args(argv)
-    supplied = {}
-    if args.config:
-        sub = registry[args.command]
-        supplied = _config_defaults(args.config, sub, args.command)
-        sub.set_defaults(**supplied)
-    for action in required:
-        action.required = action.dest not in supplied
-    return parser
+def _parsers() -> tuple[argparse.ArgumentParser, dict, argparse.ArgumentParser]:
+    """The command parser, its subparsers and the --config pre-pass, built
+    once per process and never changed."""
+    parser, commands = build_parser()
+    prepass = argparse.ArgumentParser(prog=parser.prog, usage=argparse.SUPPRESS,
+                                      add_help=False)
+    prepass.add_argument("--config")
+    return parser, commands, prepass
 
 
 def main(argv=None) -> int:
-    parser, _ = _shared_parser()
+    parser, commands, prepass = _parsers()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if _may_name_config(argv):
-            parser = _config_parser(argv)
+        # --config PATH, --config=PATH or a prefix, anywhere in argv
+        known, argv = prepass.parse_known_args(argv)
+        if known.config:
+            argv = _with_config_flags(argv, known.config, commands)
         args = parser.parse_args(argv)
         return args.func(args)
     except NumericError as e:

@@ -354,18 +354,17 @@ def test_config_file_defaults_and_rejection(tmp_path, model_file, image_dir, cap
 
 
 def test_a_config_call_leaves_the_next_call_the_built_in_defaults(tmp_path, monkeypatch):
-    # plain calls share one parser; a --config call sets the defaults of a
-    # parser of its own
+    # every call, with --config or without, shares one parser that no call changes
     built = []
     build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
-    cli._shared_parser.cache_clear()
+    cli._parsers.cache_clear()
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("layers=2\nheads=4\n")
     for name, config in (("a", False), ("b", True), ("c", False), ("d", False)):
         argv = ["init-model", "--out", tmp_path / f"{name}.bw"]
         assert run(argv + (["--config", cfgfile] if config else [])) == 0
-    assert len(built) == 2   # the shared parser and the --config call's
+    assert len(built) == 1
     shapes = [(cfg.num_layers, cfg.num_heads) for cfg in
               (weightfile.load_model(str(tmp_path / f"{name}.bw")).config for name in "abcd")]
     assert shapes == [(4, 2), (2, 4), (4, 2), (4, 2)]
@@ -389,6 +388,35 @@ def test_a_config_file_can_supply_a_required_option(tmp_path, model_file, image_
     assert e.value.code == 2
     assert "required: --out-prefix" in capsys.readouterr().err
     assert not (tmp_path / "over.csv").exists()
+
+
+CONFIG_FORMS = [
+    ("--conf before the command", "seeds=0", ["--conf", "{cfg}", "eval-faith"], 0),
+    ("--conf after the command", "seeds=0", ["eval-faith", "--conf", "{cfg}"], 0),
+    ("--config=PATH", "seeds=0", ["eval-faith", "--config={cfg}"], 0),
+    ("a value that starts with a dash", "class_index=-1", ["eval-faith", "--config", "{cfg}"], 2),
+    ("a help key", "help=true", ["eval-faith", "--config", "{cfg}"], 3),
+    ("a config key", "config=other.cfg", ["eval-faith", "--config", "{cfg}"], 3)]
+
+
+@pytest.mark.parametrize("line, head, code", [form[1:] for form in CONFIG_FORMS],
+                         ids=[form[0] for form in CONFIG_FORMS])
+def test_config_forms(tmp_path, model_file, image_dir, line, head, code, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    common = ["--model", model_file, "--images", image_dir, "--out-prefix"]
+    argv = [a.format(cfg=cfgfile) for a in head]
+    assert run([*argv, *common, tmp_path / "file"]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert run(["eval-faith", "--seeds", 0, *common, tmp_path / "flags"]) == 0
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+    elif code == 2:
+        # -1 reached the range check as the value, not as an option
+        assert err.startswith("usage error: class index -1 out of range [0, 2)")
+    else:
+        assert err == f"error: unknown config keys for eval-faith: {line.partition('=')[0]}\n"
+    assert (tmp_path / "file.csv").exists() == (code == 0)
 
 
 def test_config_file_parsing(tmp_path):
