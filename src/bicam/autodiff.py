@@ -20,9 +20,8 @@ scale 1/sqrt(d_h) from its operands' head width. As in FlashAttention
 (Dao et al. 2022), the forward leaves the softmax unnormalized and divides
 the head outputs by the row sums, and the backward takes the softmax
 gradient's row term from the outputs, so a block passes over its scores
-six times forward and five times backward. The backward's one
-score-sized work array lives in ``graph.scratch``, shared during one walk
-by every attention backward over all query rows.
+six times forward and five times backward. Each backward allocates its
+one score-sized work array and drops it on return.
 
 ``check_finite`` is the one check every forward runs (a finite forward
 pass is an invariant rather than a hope). A graph is single-threaded
@@ -66,8 +65,6 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
         self.gradients: dict[int, np.ndarray] = {}
-        # shape -> work arrays that backward closures share during one walk
-        self.scratch: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
     def backward(self, root: "Tensor") -> dict[int, np.ndarray]:
         """Set self.gradients to {INPUT: d(root)/d(chain input)}.
@@ -90,7 +87,6 @@ class Graph:
         grad = [root.grad]   # popped into each call, so the walk holds no handed-on gradient
         for node in reversed(self.nodes):
             grad.append(node.backward(grad.pop()))
-        self.scratch.clear()
         self.gradients = {INPUT: grad.pop()}
         return self.gradients
 
@@ -181,7 +177,7 @@ def attention_arrays(qkv, heads: int, keep_scores: bool = False, cls_only: bool 
     return out, kept, AttentionSaved(q, split[1], vx, e, ol[..., dh], out)
 
 
-def attention_grad(grad, saved: AttentionSaved, scratch: dict) -> np.ndarray:
+def attention_grad(grad, saved: AttentionSaved) -> np.ndarray:
     """Backward of attention_arrays: the gradient of ``qkv`` [B, N, 3d] from
     the gradient ``grad`` [B, M, d] of the merged heads and the saved
     arrays of its forward.
@@ -196,11 +192,8 @@ def attention_grad(grad, saved: AttentionSaved, scratch: dict) -> np.ndarray:
     write x and read x twice, and x *= e.
     dq, dk and dv are written into one [B, N, 3, H, d_h] array; with M = 1
     (``cls_only``) dq fills the CLS row, and the q columns of the other
-    rows, which the forward did not read, are zero. With M = N, x is kept in
-    ``scratch`` under e's shape, so every such attention backward of a walk
-    reuses one work array instead of a fresh [B, H, N, N] one per layer,
-    which the allocator would otherwise return to the system and fault in
-    again once the walk drops the gradients above them.
+    rows, which the forward did not read, are zero. x, the one score-sized
+    work array, is allocated here and freed on return.
     """
     q, k, vx, e, l, out = saved
     b, h, m, dh = q.shape
@@ -211,11 +204,7 @@ def attention_grad(grad, saved: AttentionSaved, scratch: dict) -> np.ndarray:
     gl = np.einsum("bmhj,bhm->bhmj", grad.reshape(b, m, h, dh), 1.0 / l, out=gx[..., :dh])
     delta = np.einsum("bhmj,bmhj->bhm", gl, out.reshape(b, m, h, dh), out=gx[..., dh])
     np.negative(delta, out=delta)
-    x = scratch.get(e.shape)
-    if x is None:
-        x = np.empty(e.shape)
-        if m == n:   # a CLS-row array serves one layer: not kept for the walk
-            scratch[e.shape] = x
+    x = np.empty(e.shape)
     dqkv = np.empty((b, n, 3, h, dh))
     dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)   # [B, H, N, d_h] views
     dq[:, :, m:] = 0.0

@@ -526,7 +526,7 @@ def main(argv=None) -> int:
     try:
         # --config PATH, --config=PATH or a prefix, anywhere in argv
         known, argv = prepass.parse_known_args(argv)
-        if known.config:
+        if known.config is not None:   # an empty path fails to read, as a missing one
             argv = _with_config_flags(argv, known.config, commands)
         args = parser.parse_args(argv)
         return args.func(args)

@@ -301,9 +301,11 @@ class ForwardResult:
     logits: Tensor
     captures: list[LayerCapture]
     graph: Graph
-    image_node: int   # the key of the image's gradient in graph.gradients
     # tensor name -> gradient, filled by a backward; None without weight_grads
     weight_grads: dict[str, np.ndarray] | None
+    # the key of the image's gradient in graph.gradients, the same for every
+    # result: a class constant, not a field
+    image_node = INPUT
 
 
 def _unchecked(out, op):
@@ -359,9 +361,9 @@ class _Stages:
     gradient). ``captures`` collects the captured layers' records in layer
     order."""
 
-    def __init__(self, weights, check, taped: bool, grads: dict | None, scratch: dict):
+    def __init__(self, weights, check, taped: bool, grads: dict | None):
         self.weights, self.check = weights, check
-        self.taped, self.grads, self.scratch = taped, grads, scratch
+        self.taped, self.grads = taped, grads
         self.captures: list[LayerCapture] = []
 
     def embedding(self, img):
@@ -438,7 +440,6 @@ class _Stages:
         x2 = check(x1 + _linear(f, w["ffn.fc2.weight"], w["ffn.fc2.bias"], check), "add")
         if not taped:
             return x2, None
-        scratch = self.scratch
         h2, f = (h2, f) if grads is not None else (None, None)
 
         # reads the weights from ``w`` and the rows from dx1: each name the
@@ -468,7 +469,7 @@ class _Stages:
             dx1 = None
             if cap is not None:
                 cap.cls_out_grad = dmerged[:, 0, :].copy()
-            dqkv = attention_grad(dmerged, saved, scratch)
+            dqkv = attention_grad(dmerged, saved)
             dmerged = None
             dh = np.matmul(dqkv, w["attn.qkv.weight"].T)
             if grads is not None:
@@ -567,7 +568,7 @@ class VisionTransformer:
 
         With tape on, the graph holds the L + 2 stage nodes (the embedding,
         one per block and the head), a backward stores the image's gradient
-        under image_node in graph.gradients, and a captured layer's block
+        under INPUT in graph.gradients, and a captured layer's block
         backward stores its capture's cls_out_grad on every walk. With tape
         off the same body records nothing: the logits are a Tensor with no
         graph, the graph is empty, and backward_class refuses the result. The
@@ -612,7 +613,7 @@ class VisionTransformer:
         ``check(out, op)`` after every op."""
         graph = Graph()
         grads = {} if tape and weight_grads else None
-        stages = _Stages(self.weights, check, tape, grads, graph.scratch)
+        stages = _Stages(self.weights, check, tape, grads)
 
         img = check_finite(np.ascontiguousarray(img), "leaf")
 
@@ -636,7 +637,7 @@ class VisionTransformer:
 
         return ForwardResult(
             logits=Tensor(logits, graph if tape else None), captures=stages.captures,
-            graph=graph, image_node=INPUT, weight_grads=grads)
+            graph=graph, weight_grads=grads)
 
     # -- gradients ------------------------------------------------------------
 
@@ -645,7 +646,7 @@ class VisionTransformer:
         backward fills its capture's cls_out_grad on the way.
 
         The graph keeps the image's gradient alone, in
-        ``graph.gradients[result.image_node]``. The tape outlives the walk,
+        ``graph.gradients[INPUT]``. The tape outlives the walk,
         so a later call on the same result (another class, say) gives the
         same bits as a fresh forward and backward.
         """
@@ -661,7 +662,7 @@ class VisionTransformer:
         one gradient a backward keeps), in the image's shape."""
         res = self.forward(image, capture=False)
         loss = cross_entropy(res.logits, labels)
-        grad = res.graph.backward(loss)[res.image_node]
+        grad = res.graph.backward(loss)[INPUT]
         return loss.item(), grad.reshape(np.shape(image))
 
     # -- inference ------------------------------------------------------------

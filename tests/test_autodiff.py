@@ -376,17 +376,17 @@ def test_attention_grad_matches_a_reference_vjp(cls_only):
     x0, w_all = _attention_inputs((2, 4, 23, 8), seed=11)
     w = w_all[:, :1] if cls_only else w_all
     _, _, saved = attention_arrays(x0, 4, False, cls_only)
-    grad = attention_grad(w, saved, {})
+    grad = attention_grad(w, saved)
     assert grad_rel_error(grad, _attention_vjp(x0, 4, w, cls_only)) <= 1e-12
 
 
-def _attention_node(g, x, heads):
+def _attention_node(x, heads):
     """attention_arrays as a test-local stage whose backward is attention_grad."""
     out, _, saved = attention_arrays(x, heads)
-    return out, Node("attention", lambda grad: attention_grad(grad, saved, g.scratch))
+    return out, Node("attention", lambda grad: attention_grad(grad, saved))
 
 
-def test_attention_nodes_share_work_arrays_during_a_walk():
+def test_attention_nodes_give_the_same_bits_on_every_walk():
     x0, w = _attention_inputs((2, 2, 17, 8), seed=9)
     heads = 2
 
@@ -395,19 +395,18 @@ def test_attention_nodes_share_work_arrays_during_a_walk():
             "concat", lambda grad: sum(np.split(grad, 3, axis=-1)))
 
     g = Graph()
-    first = on(g, _attention_node(g, x0, heads))
-    second = on(g, _attention_node(g, on(g, stack3(first)), heads))   # same score shape
+    first = on(g, _attention_node(x0, heads))
+    second = on(g, _attention_node(on(g, stack3(first)), heads))
     root = total(g, on(g, times(second, w)))
 
-    # the same arithmetic with work arrays of its own for each node
+    # the same arithmetic, called directly
     _, _, saved2 = attention_arrays(np.concatenate([first] * 3, axis=-1), heads)
     _, _, saved1 = attention_arrays(x0, heads)
-    dmid = attention_grad(w, saved2, {})
-    ref = attention_grad(sum(np.split(dmid, 3, axis=-1)), saved1, {})
+    dmid = attention_grad(w, saved2)
+    ref = attention_grad(sum(np.split(dmid, 3, axis=-1)), saved1)
 
     for _ in range(2):                                 # a second walk reuses nothing stale
         g.backward(root)
-        assert g.scratch == {}
         assert bit_equal(g.gradients[INPUT], ref)
 
 
@@ -422,7 +421,7 @@ def test_attention_gradients_match_finite_differences():
             return float((attention_arrays(x, heads, False, cls_only)[0] * w).sum())
 
         _, _, saved = attention_arrays(x0, heads, False, cls_only)
-        grad = attention_grad(w, saved, {})
+        grad = attention_grad(w, saved)
         assert grad_rel_error(grad, finite_difference(loss, x0)) < 1e-7
 
 

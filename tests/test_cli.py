@@ -419,6 +419,15 @@ def test_config_forms(tmp_path, model_file, image_dir, line, head, code, capsys)
     assert (tmp_path / "file.csv").exists() == (code == 0)
 
 
+@pytest.mark.parametrize("config", [["--config", ""], ["--config="]], ids=["spaced", "equals"])
+def test_an_empty_config_path_exits_3(tmp_path, model_file, image_dir, config, capsys):
+    img_path = sorted(image_dir.glob("*.ppm"))[0]
+    assert run(["attribute", *config, "--model", model_file, "--image", img_path,
+                "--out-prefix", tmp_path / "a"]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot read config file: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_parsing(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("# comment\nalpha=3\nbeta=0.5\ngamma=hello\nflag=true\n\n")
@@ -574,9 +583,11 @@ def test_config_before_and_after_the_command_agree(tmp_path, model_file, image_d
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["eval-faith", "eval-loc"])
+@pytest.mark.parametrize("command", ["attack", "eval-faith", "eval-loc"])
 def test_jobs_two_writes_the_same_bytes_as_jobs_one(tmp_path, model_file, image_dir,
                                                     command, capsys):
+    # the files and the stdout summary; attack's pool threads walk one graph
+    # per PGD step at once
     data = image_dir
     if command == "eval-loc":
         data = tmp_path / "loc"
@@ -589,13 +600,15 @@ def test_jobs_two_writes_the_same_bytes_as_jobs_one(tmp_path, model_file, image_
     flag = "--data" if command == "eval-loc" else "--images"
     outs = []
     for jobs in (1, 2):
-        prefix = tmp_path / f"j{jobs}"
-        argv = [command, "--model", model_file, flag, data, "--out-prefix", prefix,
+        out = tmp_path / f"j{jobs}"
+        option = "--out" if command == "attack" else "--out-prefix"
+        argv = [command, "--model", model_file, flag, data, option, out,
                 "--jobs", jobs] + (["--seeds", 2] if command == "eval-faith" else [])
         assert run(argv) == 0
-        outs.append({p.name[2:]: p.read_bytes() for p in tmp_path.glob(f"j{jobs}.*")})
-    assert outs[0] == outs[1] and outs[0]
-    capsys.readouterr()
+        written = out.iterdir() if command == "attack" else tmp_path.glob(f"j{jobs}.*")
+        outs.append(({p.name.removeprefix(out.name): p.read_bytes() for p in written},
+                     capsys.readouterr().out))
+    assert outs[0] == outs[1] and outs[0][0] and outs[0][1]
 
 
 @pytest.mark.parametrize("command", ["attack", "pnr-detect", "eval-loc", "eval-faith"])
