@@ -84,17 +84,21 @@ def _tokens_to_map(token_mask: np.ndarray, model: VisionTransformer, class_index
 def bicam(model: VisionTransformer, image: np.ndarray, class_index: int,
           layer_window: int | None = None, temperature: float | None = None,
           interpolation: str = "bilinear") -> AttributionMap:
-    """Signed attribution map for one class, in one forward + one backward.
+    """Signed attribution map for one class, in one forward and one
+    backward that stops at the lowest captured layer.
 
-    Layer masks from the last ``layer_window`` blocks are summed, the
-    special-token entries dropped, and the per-patch grid upsampled to
+    The map reads the class score's gradient at the captured layers' CLS
+    attention outputs alone, so the forward tapes only the captured blocks
+    and the head (``input_grad=False``), and no gradient below them is
+    computed. Layer masks from the last ``layer_window`` blocks are summed,
+    the special-token entries dropped, and the per-patch grid upsampled to
     image resolution. Defaults for the window and temperature come from
     the model config; ``attribution_alpha`` checks the temperature.
     """
     cfg = model.config
     temp = cfg.temperature if temperature is None else float(temperature)
 
-    res = model.forward(image, capture=True, layer_window=layer_window)
+    res = model.forward(image, capture=True, layer_window=layer_window, input_grad=False)
     model.backward_class(res, class_index)
 
     total = None

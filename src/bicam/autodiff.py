@@ -11,7 +11,10 @@ its own gradient with respect to that output. backward(root) walks the
 nodes in reverse from that gradient and keeps only the chain's input
 gradient, in ``graph.gradients[INPUT]``: each node's output gradient is
 freed once the node has passed it on, so a walk holds one gradient at a
-time. A root is no node, so one forward serves any number of backwards.
+time. A tape may begin above the chain's input (``vit``'s forward with
+input_grad=False): its first node then hands on no gradient, returning
+None, and the walk leaves ``graph.gradients`` empty. A root is no node,
+so one forward serves any number of backwards.
 
 ``attention_arrays`` is multi-head scaled dot-product attention on the
 fused q|k|v projection [B, N, 3d], for every query row or for the CLS
@@ -67,7 +70,8 @@ class Graph:
         self.gradients: dict[int, np.ndarray] = {}
 
     def backward(self, root: "Tensor") -> dict[int, np.ndarray]:
-        """Set self.gradients to {INPUT: d(root)/d(chain input)}.
+        """Set self.gradients to {INPUT: d(root)/d(chain input)}, or to {}
+        when the first node hands on no gradient (returns None).
 
         The root must be a scalar of this graph's output that carries its
         gradient (``vit.class_score``, ``vit.cross_entropy``). The nodes are
@@ -87,7 +91,8 @@ class Graph:
         grad = [root.grad]   # popped into each call, so the walk holds no handed-on gradient
         for node in reversed(self.nodes):
             grad.append(node.backward(grad.pop()))
-        self.gradients = {INPUT: grad.pop()}
+        first = grad.pop()
+        self.gradients = {} if first is None else {INPUT: first}
         return self.gradients
 
 

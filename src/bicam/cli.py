@@ -78,6 +78,8 @@ def read_grid_csv(path: str) -> np.ndarray:
 def load_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; '#' comments; keys and values stripped, values
     kept as strings (``_with_config_flags`` gives them the flags' checks)."""
+    if not path:   # Path("") is the working directory
+        raise DataFormatError("cannot read config file: the path is empty")
     out = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -203,6 +205,7 @@ def cmd_init_model(args) -> int:
 
 def cmd_attribute(args) -> int:
     model = weightfile.load_model(args.model)
+    _check_class_index(model, args)
     check_pnr_epsilon(args.pnr_epsilon)
     _, c, amap = _attribute(model, args.image, args, args.interpolation)
     value = pnr(amap, args.pnr_epsilon)
@@ -526,7 +529,7 @@ def main(argv=None) -> int:
     try:
         # --config PATH, --config=PATH or a prefix, anywhere in argv
         known, argv = prepass.parse_known_args(argv)
-        if known.config is not None:   # an empty path fails to read, as a missing one
+        if known.config is not None:   # an empty path is refused, as a missing one
             argv = _with_config_flags(argv, known.config, commands)
         args = parser.parse_args(argv)
         return args.func(args)

@@ -22,10 +22,14 @@ is asked for, each stage returns its hand-chained VJP (vector-Jacobian
 product) on the same kernels, one output gradient to one input gradient,
 and the tape records the chain of L + 2 nodes: the embedding, one per
 block (which walks back its MLP, then its attention, and adds the
-residual's gradient to ln1's) and the head. The backward roots,
-``class_score`` and ``cross_entropy``, are scalars of the logits that carry
-their gradient, not nodes. Weights are never nodes; a backward asked for
-weight gradients stores them by name.
+residual's gradient to ln1's) and the head. An attribution reads the
+gradient at the captured layers alone and asks for no input gradient
+(input_grad=False): then only the captured blocks and the head are taped,
+the stages below run as off the tape, and the lowest captured block's
+backward stops once it has stored its capture's gradient, before its
+attention. The backward roots, ``class_score`` and ``cross_entropy``, are
+scalars of the logits that carry their gradient, not nodes. Weights are
+never nodes; a backward asked for weight gradients stores them by name.
 
 The logits read only the final CLS state, so the last block computes only
 the CLS row after its ln1 and q|k|v product (which cover every token, as
@@ -330,8 +334,9 @@ def _linear_grads(x, grad):
 
 
 def _layernorm(x, gain, bias, check, taped):
-    """Layer norm over the last axis: (out, xhat, inv_std). Off the tape the
-    gain and bias are applied to xhat in place, on it xhat is kept."""
+    """Layer norm over the last axis: (out, xhat, inv_std). With ``taped``
+    (a backward will read xhat) xhat is kept, else the gain and bias are
+    applied to it in place."""
     xhat, inv_std = kernels.layernorm_rows(x.reshape(-1, x.shape[-1]), LAYERNORM_EPS)
     out = np.multiply(xhat, gain, out=None if taped else xhat)
     out += bias
@@ -350,20 +355,24 @@ def _layernorm_grads(grad, xhat, inv_std, gain, grads, name):
 
 
 class _Stages:
-    """The stages of one forward on ``weights``: the embedding, a block
-    and the head; ``check(out, op)`` runs after every op. Each stage returns
-    its output and, when ``taped``, its backward, else None. Weights are
-    constants on the tape, so a backward maps the output gradient to the
-    gradient of the stage's input.
+    """The stages of one forward on ``weights``, numbered in chain order:
+    0 the embedding, 1..L the blocks and L + 1 the head; ``check(out, op)``
+    runs after every op. Stage i returns its output and, when i >=
+    ``first_taped``, its backward, else None (off the tape
+    ``first_taped`` is L + 2). Weights are constants on the tape, so a
+    backward maps the output gradient to the gradient of the stage's input;
+    the lowest block on the tape above an untaped stage hands on no
+    gradient and returns None.
     When ``grads`` is a dict, a backward also stores there the gradient of
     every weight its stage read, under the weight's name in
     ``ViTWeights.tensors`` (q, k and v as the column thirds of the fused
-    gradient). ``captures`` collects the captured layers' records in layer
-    order."""
+    gradient). Blocks ``first_captured``..L are captured, and ``captures``
+    collects their records in layer order."""
 
-    def __init__(self, weights, check, taped: bool, grads: dict | None):
-        self.weights, self.check = weights, check
-        self.taped, self.grads = taped, grads
+    def __init__(self, weights, check, first_taped: int, first_captured: int,
+                 grads: dict | None):
+        self.weights, self.check, self.grads = weights, check, grads
+        self.first_taped, self.first_captured = first_taped, first_captured
         self.captures: list[LayerCapture] = []
 
     def embedding(self, img):
@@ -379,7 +388,7 @@ class _Stages:
                             for name in specials] + [tok], axis=1)
         x += w["pos_embed"]
         x = check(x, "add")
-        if not self.taped:
+        if self.first_taped > 0:
             return x, None
         grads, pe_weight, shape = self.grads, w["patch_embed.weight"], img.shape
         patches = patches if grads is not None else None
@@ -398,37 +407,43 @@ class _Stages:
 
         return x, backward
 
-    def block(self, blk: BlockWeights, x, layer: int | None, offset, cls_only: bool):
-        """One transformer block: ln1, the fused q|k|v product, attention,
-        the output projection and its residual add, ln2, the MLP and its
-        residual add: (next x, backward). For a captured ``layer`` (1-based;
-        None for any other) it appends that layer's LayerCapture to
-        ``captures``, and its backward stores the CLS row of the merged
-        heads' gradient there as ``cls_out_grad``. ``offset`` is a [B, d]
-        term added to the merged CLS row, or None. ln1 and the product cover
-        every token; with ``cls_only`` only the CLS token queries, so the
-        merged heads and every op after them are its row alone, [B, 1, d]."""
-        cfg, check, w, taped = self.weights.config, self.check, blk.arrays, self.taped
+    def block(self, blk: BlockWeights, x, layer: int, offset):
+        """Block ``layer`` (1-based): ln1, the fused q|k|v product,
+        attention, the output projection and its residual add, ln2, the MLP
+        and its residual add: (next x, backward). A captured layer appends
+        its LayerCapture to ``captures``, and its backward stores the CLS
+        row of the merged heads' gradient there as ``cls_out_grad``; the
+        lowest block on the tape returns there, before attention's
+        backward. ``offset`` is a [B, d] term added to the merged CLS row,
+        or None. ln1 and the product cover every token; in the last block
+        only the CLS token queries, so the merged heads and every op after
+        them are its row alone, [B, 1, d]."""
+        cfg, check, w = self.weights.config, self.check, blk.arrays
         grads, prefix = self.grads, blk.prefix
-        h, xhat1, inv_std1 = _layernorm(x, w["ln1.gain"], w["ln1.bias"], check, taped)
+        taped = layer >= self.first_taped
+        hand_on = layer > self.first_taped   # the stage below is on the tape
+        captured = layer >= self.first_captured
+        h, xhat1, inv_std1 = _layernorm(x, w["ln1.gain"], w["ln1.bias"], check, hand_on)
         merged, kept, saved = attention_arrays(
             _linear(h, w["attn.qkv.weight"], w["attn.qkv.bias"], check), cfg.num_heads,
-            layer is not None, cls_only)
+            captured, layer == cfg.num_layers)
         if offset is not None:
             pad = np.zeros(merged.shape)
             pad[:, 0, :] = offset
             merged = check(merged + pad, "add")
         cap = None
-        if layer is not None:
+        if captured:
             cap = LayerCapture(layer=layer, attn_logits=kept, values=saved.vx[..., :-1],
                                cls_out=merged[:, 0, :].copy(), attn_exp=saved.e,
                                attn_rowsums=saved.l[..., None])
             self.captures.append(cap)
-        # ln1's output is read again by a weight gradient alone, and off the
-        # tape an uncaptured layer's scores by nothing: both are freed before
-        # the MLP half allocates, and the merged heads after their product
+        # ln1's output is read again by a weight gradient alone, and ln1's
+        # statistics and attention's saved arrays by a backward that hands on
+        # its input gradient alone: they are freed before the MLP half
+        # allocates (an uncaptured layer's scores with them), and the merged
+        # heads after their product
         h = h if grads is not None else None
-        if not taped:
+        if not hand_on:
             saved = xhat1 = inv_std1 = None
         rows, shape = merged.shape[1], x.shape
         x1 = check(x[:, :rows] + _linear(merged, w["attn.out.weight"], w["attn.out.bias"], check),
@@ -461,14 +476,16 @@ class _Stages:
                 grads[prefix + "attn.out.weight"], grads[prefix + "attn.out.bias"] = (
                     _linear_grads(merged, dx1))
             dmerged = np.matmul(dx1, w["attn.out.weight"].T)
+            if cap is not None:
+                cap.cls_out_grad = dmerged[:, 0, :].copy()
+            if not hand_on:
+                return None   # no stage below reads a gradient
             if dx1.shape == shape:
                 dres = dx1
             else:
                 dres = np.zeros(shape)   # the residual read the CLS row alone
                 dres[:, :1] = dx1
             dx1 = None
-            if cap is not None:
-                cap.cls_out_grad = dmerged[:, 0, :].copy()
             dqkv = attention_grad(dmerged, saved)
             dmerged = None
             dh = np.matmul(dqkv, w["attn.qkv.weight"].T)
@@ -487,10 +504,11 @@ class _Stages:
         """ln_f and the classifier on the final CLS state ``x`` [B, 1, d]:
         (logits, backward)."""
         w, check = self.weights.tensors, self.check
-        xf, xhat, inv_std = _layernorm(x, w["ln_f.gain"], w["ln_f.bias"], check, self.taped)
+        taped = self.first_taped <= self.weights.config.num_layers + 1
+        xf, xhat, inv_std = _layernorm(x, w["ln_f.gain"], w["ln_f.bias"], check, taped)
         cls_state = _check_stage(xf)[:, 0]
         logits = _linear(cls_state, w["head.weight"], w["head.bias"], check)
-        if not self.taped:
+        if not taped:
             return logits, None
         grads, gain, head_weight = self.grads, w["ln_f.gain"], w["head.weight"]
         cls_state = cls_state if grads is not None else None
@@ -557,7 +575,8 @@ class VisionTransformer:
     def forward(self, image: np.ndarray, capture: bool = False,
                 layer_window: int | None = None,
                 cls_out_offsets: dict[int, np.ndarray] | None = None,
-                tape: bool = True, *, weight_grads: bool = False) -> ForwardResult:
+                tape: bool = True, *, weight_grads: bool = False,
+                input_grad: bool = True) -> ForwardResult:
         """Run the network; optionally record LayerCaptures.
 
         With capture on, layers L-window+1 .. L are recorded. The forward
@@ -573,6 +592,15 @@ class VisionTransformer:
         off the same body records nothing: the logits are a Tensor with no
         graph, the graph is empty, and backward_class refuses the result. The
         logits and captures are the same bits either way.
+
+        With input_grad=False (it needs capture on and weight_grads off, or
+        raises ContractError) the tape starts at the lowest captured layer:
+        the embedding and the blocks below it run as off the tape, record
+        no node and save nothing, and the graph holds window + 1 nodes. A
+        backward then stops once the lowest captured block has stored its
+        cls_out_grad, before that block's attention backward, and leaves
+        graph.gradients empty; the cls_out_grads are the same bits as on
+        the full tape. It has no effect with tape off.
 
         Weights are never tape nodes: each stage's backward maps its output
         gradient to the gradient of its input. By default the result's
@@ -597,46 +625,52 @@ class VisionTransformer:
         window = cfg.layer_window if layer_window is None else int(layer_window)
         if not 1 <= window <= cfg.num_layers:
             raise ParameterError(f"layer_window must be in [1, {cfg.num_layers}]")
+        if not input_grad and (not capture or weight_grads):
+            raise ContractError("input_grad=False needs capture=True and weight_grads=False")
         first_captured = cfg.num_layers + 1 - (window if capture else 0)
+        # the chain's stages are 0 (the embedding) .. L + 1 (the head)
+        off_tape = cfg.num_layers + 2
+        first_taped = off_tape if not tape else (0 if input_grad else first_captured)
 
         counters.bump("forward")
         args = (img, first_captured, cls_out_offsets or {})
         try:
-            return self._run(*args, tape, weight_grads, _unchecked)
+            return self._run(*args, first_taped, tape and weight_grads, _unchecked)
         except NumericError:
-            self._run(*args, False, False, check_finite)  # raises the named error
+            self._run(*args, off_tape, False, check_finite)  # raises the named error
             raise
 
     def _run(self, img: np.ndarray, first_captured: int, cls_out_offsets,
-             tape: bool, weight_grads: bool, check) -> ForwardResult:
-        """The forward body, capturing layers first_captured..L, with
-        ``check(out, op)`` after every op."""
+             first_taped: int, weight_grads: bool, check) -> ForwardResult:
+        """The forward body, capturing layers first_captured..L and taping
+        stages first_taped..L + 1 (see _Stages), with ``check(out, op)``
+        after every op."""
         graph = Graph()
-        grads = {} if tape and weight_grads else None
-        stages = _Stages(self.weights, check, tape, grads)
+        grads = {} if weight_grads else None
+        stages = _Stages(self.weights, check, first_taped, first_captured, grads)
 
         img = check_finite(np.ascontiguousarray(img), "leaf")
 
         def stage(op, name, run, *args):
-            """One stage: its output, checked, and its node on the tape."""
+            """One stage: its output, checked, and its node on the tape if
+            it returned a backward."""
             try:
                 out, backward = run(*args)
                 _check_stage(out)
             except NumericError as e:
                 raise NumericError(f"{name}: {e}") from None
-            if tape:
+            if backward is not None:
                 graph.nodes.append(Node(op, backward))
             return out
 
         x = stage("embedding", "patch embedding", stages.embedding, img)
         for layer, blk in enumerate(self.weights.blocks, 1):
-            x = stage("block", f"block {layer}", stages.block, blk, x,
-                      layer if layer >= first_captured else None,
-                      cls_out_offsets.get(layer), layer == self.config.num_layers)
+            x = stage("block", f"block {layer}", stages.block, blk, x, layer,
+                      cls_out_offsets.get(layer))
         logits = stage("head", "classifier head", stages.head, x)
 
         return ForwardResult(
-            logits=Tensor(logits, graph if tape else None), captures=stages.captures,
+            logits=Tensor(logits, graph if graph.nodes else None), captures=stages.captures,
             graph=graph, weight_grads=grads)
 
     # -- gradients ------------------------------------------------------------
@@ -646,7 +680,9 @@ class VisionTransformer:
         backward fills its capture's cls_out_grad on the way.
 
         The graph keeps the image's gradient alone, in
-        ``graph.gradients[INPUT]``. The tape outlives the walk,
+        ``graph.gradients[INPUT]``; on a forward with input_grad=False the
+        walk stops at the lowest captured layer and graph.gradients is
+        empty, with the same cls_out_grads. The tape outlives the walk,
         so a later call on the same result (another class, say) gives the
         same bits as a fresh forward and backward.
         """

@@ -7,6 +7,9 @@ from bicam.vit import ViTConfig
 # the small-but-complete model used across the suite: 4x4 patch grid
 TINY = dict(image_height=16, image_width=16, patch_size=4, num_layers=4,
             num_heads=2, embed_dim=16, ffn_dim=32)
+# the attribute-56 model shape: 14x14 patch grid, N = 197 tokens
+SHAPE_56 = dict(image_height=56, image_width=56, patch_size=4, num_layers=6, num_heads=4,
+                embed_dim=32, ffn_dim=64, num_classes=10)
 
 
 def finite_difference(f, x, h=1e-5):

@@ -9,7 +9,9 @@ from bicam.attribution import (AttributionMap, attention_rollout,
                                attribution_alpha, bicam, layer_mask,
                                rollout_chain, split_channels)
 from bicam.errors import ParameterError, StateError
-from bicam.vit import LayerCapture
+from bicam.vit import LayerCapture, ViTConfig, new_model
+
+from conftest import SHAPE_56, bit_equal
 
 
 def make_capture(rng, b=1, h=2, n=6, dh=4, with_grad=True):
@@ -140,6 +142,29 @@ def test_bicam_window_one_equals_final_layer_mask(tiny_model, tiny_config, rnd_i
     mask = layer_mask(cap, attribution_alpha(cap, tiny_config.temperature))
     patch = mask[:, tiny_config.num_special_tokens:].reshape(1, 4, 4)
     assert np.array_equal(amap.patch_scores, patch)
+
+
+@pytest.mark.parametrize("shape", ["tiny", "distillation", "56x56"])
+def test_bicam_maps_are_those_of_the_full_walk(tiny_config, shape):
+    # bicam tapes and walks only its captured layers; the maps are the bits
+    # of a full-tape forward and backward_class, for every window
+    cfg = {"tiny": tiny_config,
+           "distillation": dataclasses.replace(tiny_config, distillation_token=True),
+           "56x56": ViTConfig(**SHAPE_56)}[shape]
+    model = new_model(cfg, seed=3)
+    img = np.random.default_rng(12).random((2, 3, cfg.image_height, cfg.image_width))
+    classes = range(cfg.num_classes) if shape != "56x56" else (0, cfg.num_classes - 1)
+    for window in range(1, cfg.num_layers + 1):
+        res = model.forward(img, capture=True, layer_window=window)
+        for c in classes:
+            model.backward_class(res, c)
+            total = None
+            for cap in res.captures:
+                m = layer_mask(cap, attribution_alpha(cap, cfg.temperature))
+                total = m if total is None else total + m
+            patch = total[:, cfg.num_special_tokens:].reshape(2, cfg.grid_height, cfg.grid_width)
+            amap = bicam(model, img, c, layer_window=window)
+            assert bit_equal(amap.patch_scores, patch), (window, c)
 
 
 def test_bicam_equals_sum_of_independent_layer_masks(tiny_model, tiny_config, rnd_image):

@@ -424,7 +424,9 @@ def test_an_empty_config_path_exits_3(tmp_path, model_file, image_dir, config, c
     img_path = sorted(image_dir.glob("*.ppm"))[0]
     assert run(["attribute", *config, "--model", model_file, "--image", img_path,
                 "--out-prefix", tmp_path / "a"]) == 3
-    assert capsys.readouterr().err.startswith("error: cannot read config file: ")
+    # Path("") is the working directory: the message names the empty path,
+    # not a directory the user never typed
+    assert capsys.readouterr().err == "error: cannot read config file: the path is empty\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -501,6 +503,20 @@ def test_attack_class_index_out_of_range_is_a_usage_error(tmp_path, model_file, 
     assert run(["attack", "--model", model_file, "--images", image_dir, "--out",
                 tmp_path / "adv", "--steps", 1, "--class-index", class_index]) == 2
     assert "usage error: class index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("image", ["present", "missing"])
+def test_attribute_class_index_out_of_range_is_a_usage_error(tmp_path, model_file, image_dir,
+                                                             image, capsys):
+    # checked before the image is read, as in pnr-detect, eval-loc and
+    # eval-faith: no forward runs, and a missing image is not what is reported
+    img_path = sorted(image_dir.glob("*.ppm"))[0] if image == "present" else tmp_path / "no.ppm"
+    counters.reset()
+    assert run(["attribute", "--model", model_file, "--image", img_path, "--class-index", 7,
+                "--out-prefix", tmp_path / "a"]) == 2
+    assert capsys.readouterr().err == "usage error: class index 7 out of range [0, 2)\n"
+    assert counters.snapshot() == {"forward": 0, "backward": 0}
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

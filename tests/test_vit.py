@@ -19,7 +19,7 @@ from bicam.vit import (ViTConfig, ViTWeights, VisionTransformer, class_score,
                        cross_entropy, default_layer_window, expected_shapes, init_weights,
                        new_model, tensor_count)
 
-from conftest import TINY, bit_equal, finite_difference, grad_rel_error
+from conftest import SHAPE_56, TINY, bit_equal, finite_difference, grad_rel_error
 
 
 def test_config_validation():
@@ -452,6 +452,38 @@ def test_attention_is_one_tape_node_per_block(tiny_config, distillation, weight_
     assert len(ops) == cfg.num_layers + 2
 
 
+@pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
+def test_an_attribution_tape_starts_at_the_lowest_captured_layer(tiny_config, distillation):
+    # with input_grad=False the embedding and the blocks below the window run
+    # off the tape, and a walk stops at the lowest captured block with the
+    # full walk's cls_out_grads and no input gradient
+    cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
+    model = new_model(cfg, seed=4)
+    img = np.random.default_rng(27).random((2, 3, 16, 16))
+    for window in range(1, cfg.num_layers + 1):
+        res = model.forward(img, capture=True, layer_window=window, input_grad=False)
+        assert [node.op for node in res.graph.nodes] == ["block"] * window + ["head"]
+        full = model.forward(img, capture=True, layer_window=window)
+        assert bit_equal(res.logits.data, full.logits.data)
+        for c in range(cfg.num_classes):
+            assert model.backward_class(res, c) is res
+            assert res.graph.gradients == {}
+            model.backward_class(full, c)
+            for cap, want in zip(res.captures, full.captures, strict=True):
+                assert bit_equal(cap.cls_out_grad, want.cls_out_grad), (window, c, cap.layer)
+
+
+@pytest.mark.parametrize("kwargs", [dict(), dict(weight_grads=True),
+                                    dict(capture=True, weight_grads=True)],
+                         ids=["no-capture", "weight_grads", "capture-weight_grads"])
+def test_input_grad_off_needs_a_capture_and_no_weight_gradients(tiny_model, kwargs):
+    img = np.random.default_rng(28).random((1, 3, 16, 16))
+    counters.reset()
+    with pytest.raises(ContractError, match="input_grad=False needs capture=True"):
+        tiny_model.forward(img, input_grad=False, **kwargs)
+    assert counters.snapshot()["forward"] == 0
+
+
 def _capture_forwards(model, monkeypatch):
     """Record every ForwardResult the model's own methods produce."""
     results = []
@@ -576,9 +608,9 @@ def test_graphs_are_freed_without_the_cycle_collector(tiny_model):
              lambda res: res.graph.backward(class_score(res.logits, 0))]
     gc.disable()
     try:
-        for weight_grads in (False, True):
+        for kwargs in (dict(), dict(weight_grads=True), dict(input_grad=False)):
             for run in roots:
-                res = tiny_model.forward(img, capture=True, weight_grads=weight_grads)
+                res = tiny_model.forward(img, capture=True, **kwargs)
                 run(res)
                 graph = weakref.ref(res.graph)
                 del res
@@ -708,11 +740,6 @@ def test_tensor_count_matches_expected_shapes(tiny_config, distillation):
         cfg = dataclasses.replace(tiny_config, num_layers=layers, layer_window=1,
                                   distillation_token=distillation)
         assert tensor_count(cfg) == len(expected_shapes(cfg))
-
-
-# the attribute-56 model shape: 14x14 patch grid, N = 197 tokens
-SHAPE_56 = dict(image_height=56, image_width=56, patch_size=4, num_layers=6, num_heads=4,
-                embed_dim=32, ffn_dim=64, num_classes=10)
 
 
 @pytest.mark.parametrize("shape", ["tiny", "56x56"])
@@ -857,6 +884,39 @@ def test_softmax_elements_per_forward_and_backward(tiny_config, shape, monkeypat
             model.backward_class(res, 1)
             assert counted == {"forward": want, "backward": want, "softmax_rows": 0,
                                "softmax_rows_grad": 0}
+
+
+@pytest.mark.parametrize("shape", ["tiny", "56x56"])
+def test_an_attribution_walk_runs_attention_backward_above_its_lowest_layer(
+        tiny_config, shape, monkeypatch):
+    # the lowest captured block stops before attention's backward, so of a
+    # window of w the blocks above it run theirs: w - 2 of [N, N] scores per
+    # head and the last block's CLS row, (w - 2) H N^2 + H N elements, and
+    # none for w = 1; the forward softmaxes every layer as before
+    cfg = tiny_config if shape == "tiny" else ViTConfig(**SHAPE_56)
+    model = new_model(cfg, seed=9)
+    counted = dict.fromkeys(["forward", "backward"], 0)
+
+    def counting_forward(*args):
+        out = attention_arrays(*args)
+        counted["forward"] += out[2].e.size
+        return out
+
+    def counting_backward(grad, saved):
+        counted["backward"] += saved.e.size
+        return attention_grad(grad, saved)
+
+    attention_arrays, attention_grad = vit.attention_arrays, vit.attention_grad
+    monkeypatch.setattr(vit, "attention_arrays", counting_forward)
+    monkeypatch.setattr(vit, "attention_grad", counting_backward)
+    n, h, layers = cfg.num_tokens, cfg.num_heads, cfg.num_layers
+    img = np.random.default_rng(20).random((1, 3, cfg.image_height, cfg.image_width))
+    for window in range(1, layers + 1):
+        counted.update(dict.fromkeys(counted, 0))
+        res = model.forward(img, capture=True, layer_window=window, input_grad=False)
+        model.backward_class(res, 1)
+        walked = (window - 2) * h * n * n + h * n if window >= 2 else 0
+        assert counted == {"forward": (layers - 1) * h * n * n + h * n, "backward": walked}
 
 
 def test_tape_free_forward_reads_weights_updated_in_place(tiny_config):
