@@ -89,7 +89,7 @@ def bicam(model: VisionTransformer, image: np.ndarray, class_index: int,
 
     The map reads the class score's gradient at the captured layers' CLS
     attention outputs alone, so the forward tapes only the captured blocks
-    and the head (``input_grad=False``), and no gradient below them is
+    and the head (``wrt="captures"``), and no gradient below them is
     computed. Layer masks from the last ``layer_window`` blocks are summed,
     the special-token entries dropped, and the per-patch grid upsampled to
     image resolution. Defaults for the window and temperature come from
@@ -98,7 +98,7 @@ def bicam(model: VisionTransformer, image: np.ndarray, class_index: int,
     cfg = model.config
     temp = cfg.temperature if temperature is None else float(temperature)
 
-    res = model.forward(image, capture=True, layer_window=layer_window, input_grad=False)
+    res = model.forward(image, capture=True, layer_window=layer_window, wrt="captures")
     model.backward_class(res, class_index)
 
     total = None
@@ -137,7 +137,7 @@ def attention_rollout(model: VisionTransformer, image: np.ndarray,
     alone) over heads, add identity, row-normalize, and multiply through
     all layers; the CLS row of the product gives unsigned patch scores."""
     cfg = model.config
-    res = model.forward(image, capture=True, layer_window=cfg.num_layers, tape=False)
+    res = model.forward(image, capture=True, layer_window=cfg.num_layers, wrt=None)
     rollout = rollout_chain(cap.attn_probs.mean(axis=1) for cap in res.captures)
     cls_row = rollout[:, 0, :]
     return _tokens_to_map(cls_row, model, None, interpolation)

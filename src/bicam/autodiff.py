@@ -11,10 +11,10 @@ its own gradient with respect to that output. backward(root) walks the
 nodes in reverse from that gradient and keeps only the chain's input
 gradient, in ``graph.gradients[INPUT]``: each node's output gradient is
 freed once the node has passed it on, so a walk holds one gradient at a
-time. A tape may begin above the chain's input (``vit``'s forward with
-input_grad=False): its first node then hands on no gradient, returning
-None, and the walk leaves ``graph.gradients`` empty. A root is no node,
-so one forward serves any number of backwards.
+time. A tape's first node may hand on no gradient, returning None (in
+``vit``, a tape that begins above the chain's input, or one whose walk
+stores the weights' gradients): the walk then leaves ``graph.gradients``
+empty. A root is no node, so one forward serves any number of backwards.
 
 ``attention_arrays`` is multi-head scaled dot-product attention on the
 fused q|k|v projection [B, N, 3d], for every query row or for the CLS

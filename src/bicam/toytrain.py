@@ -76,7 +76,7 @@ class AdamState:
 
 def train_step(model: VisionTransformer, opt: AdamState,
                images: np.ndarray, labels: np.ndarray) -> float:
-    res = model.forward(images, weight_grads=True)
+    res = model.forward(images, wrt="weights")
     loss = cross_entropy(res.logits, labels)
     res.graph.backward(loss)
     opt.update(model.weights, res.weight_grads)

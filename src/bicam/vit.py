@@ -22,14 +22,14 @@ is asked for, each stage returns its hand-chained VJP (vector-Jacobian
 product) on the same kernels, one output gradient to one input gradient,
 and the tape records the chain of L + 2 nodes: the embedding, one per
 block (which walks back its MLP, then its attention, and adds the
-residual's gradient to ln1's) and the head. An attribution reads the
-gradient at the captured layers alone and asks for no input gradient
-(input_grad=False): then only the captured blocks and the head are taped,
-the stages below run as off the tape, and the lowest captured block's
-backward stops once it has stored its capture's gradient, before its
-attention. The backward roots, ``class_score`` and ``cross_entropy``, are
-scalars of the logits that carry their gradient, not nodes. Weights are
-never nodes; a backward asked for weight gradients stores them by name.
+residual's gradient to ln1's) and the head. A forward names the one
+gradient its backwards read (``wrt``) and computes none below it: an
+attribution reads the captured layers' CLS outputs, so only the captured
+blocks and the head are taped and the lowest captured block's backward
+stops after storing its capture's gradient, before its attention;
+training reads the weights', stored by name, so the embedding's backward
+makes no image gradient. The backward roots, ``class_score`` and
+``cross_entropy``, are scalars of the logits that carry their gradient.
 
 The logits read only the final CLS state, so the last block computes only
 the CLS row after its ln1 and q|k|v product (which cover every token, as
@@ -305,7 +305,7 @@ class ForwardResult:
     logits: Tensor
     captures: list[LayerCapture]
     graph: Graph
-    # tensor name -> gradient, filled by a backward; None without weight_grads
+    # tensor name -> gradient, filled by a backward; None unless wrt="weights"
     weight_grads: dict[str, np.ndarray] | None
     # the key of the image's gradient in graph.gradients, the same for every
     # result: a class constant, not a field
@@ -366,8 +366,8 @@ class _Stages:
     When ``grads`` is a dict, a backward also stores there the gradient of
     every weight its stage read, under the weight's name in
     ``ViTWeights.tensors`` (q, k and v as the column thirds of the fused
-    gradient). Blocks ``first_captured``..L are captured, and ``captures``
-    collects their records in layer order."""
+    gradient), and the embedding's returns None, making no image gradient.
+    Blocks ``first_captured``..L are captured, into ``captures`` in layer order."""
 
     def __init__(self, weights, check, first_taped: int, first_captured: int,
                  grads: dict | None):
@@ -395,15 +395,14 @@ class _Stages:
 
         def backward(g):
             dtok = np.ascontiguousarray(g[:, ns:])
-            dpatches = np.matmul(dtok, pe_weight.T).reshape(b, gh, gw, 3, p, p)
-            dimg = np.ascontiguousarray(dpatches.transpose(0, 3, 1, 4, 2, 5)).reshape(shape)
-            if grads is not None:
-                for i, name in enumerate(specials):
-                    grads[name] = np.ascontiguousarray(g[:, i:i + 1]).sum(axis=0).reshape(d)
-                grads["patch_embed.weight"], grads["patch_embed.bias"] = (
-                    _linear_grads(patches, dtok))
-                grads["pos_embed"] = g.sum(axis=0)
-            return dimg
+            if grads is None:
+                dpatches = np.matmul(dtok, pe_weight.T).reshape(b, gh, gw, 3, p, p)
+                return np.ascontiguousarray(dpatches.transpose(0, 3, 1, 4, 2, 5)).reshape(shape)
+            for i, name in enumerate(specials):
+                grads[name] = np.ascontiguousarray(g[:, i:i + 1]).sum(axis=0).reshape(d)
+            grads["patch_embed.weight"], grads["patch_embed.bias"] = _linear_grads(patches, dtok)
+            grads["pos_embed"] = g.sum(axis=0)
+            return None
 
         return x, backward
 
@@ -575,8 +574,7 @@ class VisionTransformer:
     def forward(self, image: np.ndarray, capture: bool = False,
                 layer_window: int | None = None,
                 cls_out_offsets: dict[int, np.ndarray] | None = None,
-                tape: bool = True, *, weight_grads: bool = False,
-                input_grad: bool = True) -> ForwardResult:
+                *, wrt: str | None = "input") -> ForwardResult:
         """Run the network; optionally record LayerCaptures.
 
         With capture on, layers L-window+1 .. L are recorded. The forward
@@ -585,31 +583,31 @@ class VisionTransformer:
         maps a 1-based layer index to a [B, d] perturbation added to that
         layer's CLS attention output (a probe point for sensitivity checks).
 
-        With tape on, the graph holds the L + 2 stage nodes (the embedding,
-        one per block and the head), a backward stores the image's gradient
-        under INPUT in graph.gradients, and a captured layer's block
-        backward stores its capture's cls_out_grad on every walk. With tape
-        off the same body records nothing: the logits are a Tensor with no
-        graph, the graph is empty, and backward_class refuses the result. The
-        logits and captures are the same bits either way.
+        ``wrt`` names the one gradient a backward of the result reads; the
+        logits and captures are the same bits for every value. Weights are
+        never tape nodes: each stage's backward maps its output gradient to
+        the gradient of its input.
 
-        With input_grad=False (it needs capture on and weight_grads off, or
-        raises ContractError) the tape starts at the lowest captured layer:
-        the embedding and the blocks below it run as off the tape, record
-        no node and save nothing, and the graph holds window + 1 nodes. A
-        backward then stops once the lowest captured block has stored its
-        cls_out_grad, before that block's attention backward, and leaves
-        graph.gradients empty; the cls_out_grads are the same bits as on
-        the full tape. It has no effect with tape off.
+        "input" (the default): the graph holds the L + 2 stage nodes (the
+        embedding, one per block and the head), a backward stores the
+        image's gradient under INPUT in graph.gradients, and a captured
+        layer's block backward stores its cls_out_grad on every walk.
 
-        Weights are never tape nodes: each stage's backward maps its output
-        gradient to the gradient of its input. By default the result's
-        weight_grads is None, and a backward computes no weight gradient.
-        With weight_grads=True it is a dict that a backward fills with the
-        gradient of every weight tensor, under its name in
-        ``ViTWeights.tensors`` (for training); every weight is read by
-        exactly one stage, which stores its gradient once. It has no effect
-        with tape off.
+        "captures" (needs capture on, else ContractError): the tape starts
+        at the lowest captured layer, and the graph holds window + 1 nodes.
+        A backward stops once that layer has stored its cls_out_grad (the
+        same bits as under "input"), before its attention backward, and
+        leaves graph.gradients empty.
+
+        "weights": the tape of "input", and weight_grads is a dict that a
+        backward fills with every weight tensor's gradient, under its name
+        in ``ViTWeights.tensors`` (for training), leaving graph.gradients
+        empty. Under any other value weight_grads is None.
+
+        None: no tape. The logits are a Tensor with no graph, the graph is
+        empty, and backward_class refuses the result.
+
+        Another value raises ParameterError. Neither check counts a forward.
 
         A non-finite value raises NumericError naming the stage and the op
         that made it, with tape on or off (see the module docstring).
@@ -625,17 +623,19 @@ class VisionTransformer:
         window = cfg.layer_window if layer_window is None else int(layer_window)
         if not 1 <= window <= cfg.num_layers:
             raise ParameterError(f"layer_window must be in [1, {cfg.num_layers}]")
-        if not input_grad and (not capture or weight_grads):
-            raise ContractError("input_grad=False needs capture=True and weight_grads=False")
+        if wrt not in (None, "input", "captures", "weights"):
+            raise ParameterError(f"wrt {wrt!r} is not None, 'input', 'captures' or 'weights'")
+        if wrt == "captures" and not capture:
+            raise ContractError("wrt='captures' needs capture=True")
         first_captured = cfg.num_layers + 1 - (window if capture else 0)
         # the chain's stages are 0 (the embedding) .. L + 1 (the head)
         off_tape = cfg.num_layers + 2
-        first_taped = off_tape if not tape else (0 if input_grad else first_captured)
+        first_taped = {None: off_tape, "captures": first_captured}.get(wrt, 0)
 
         counters.bump("forward")
         args = (img, first_captured, cls_out_offsets or {})
         try:
-            return self._run(*args, first_taped, tape and weight_grads, _unchecked)
+            return self._run(*args, first_taped, wrt == "weights", _unchecked)
         except NumericError:
             self._run(*args, off_tape, False, check_finite)  # raises the named error
             raise
@@ -680,14 +680,14 @@ class VisionTransformer:
         backward fills its capture's cls_out_grad on the way.
 
         The graph keeps the image's gradient alone, in
-        ``graph.gradients[INPUT]``; on a forward with input_grad=False the
+        ``graph.gradients[INPUT]``; on a forward with wrt="captures" the
         walk stops at the lowest captured layer and graph.gradients is
         empty, with the same cls_out_grads. The tape outlives the walk,
         so a later call on the same result (another class, say) gives the
         same bits as a fresh forward and backward.
         """
         if not result.graph.nodes:
-            raise StateError("forward ran without a tape; backward_class needs tape=True")
+            raise StateError("forward ran without a tape (wrt=None); backward_class needs one")
         if not result.captures:
             raise StateError("backward_class requires a forward run with capture=True")
         result.graph.backward(class_score(result.logits, class_index))
@@ -705,7 +705,7 @@ class VisionTransformer:
 
     def predict_logits(self, image: np.ndarray) -> np.ndarray:
         """The tape-free forward's own logits array, fresh on each call."""
-        return self.forward(image, tape=False).logits.data
+        return self.forward(image, wrt=None).logits.data
 
     def predict_proba(self, image: np.ndarray) -> np.ndarray:
         logits = self.predict_logits(image)

@@ -167,6 +167,28 @@ def test_bicam_maps_are_those_of_the_full_walk(tiny_config, shape):
             assert bit_equal(amap.patch_scores, patch), (window, c)
 
 
+@pytest.mark.parametrize("shape", ["tiny", "distillation", "56x56"])
+def test_a_layer_mask_at_temperature_one_sums_to_the_cls_output_term(tiny_config, shape):
+    # at temperature 1 alpha is the forward's own CLS attention row, and
+    # each head's CLS output is sum_j p_hj V_hj, so a layer's mask summed
+    # over tokens is cls_out . cls_out_grad: the map splits the first-order
+    # term of the class score at each captured CLS output, token by token
+    cfg = {"tiny": tiny_config,
+           "distillation": dataclasses.replace(tiny_config, distillation_token=True),
+           "56x56": ViTConfig(**SHAPE_56)}[shape]
+    model = new_model(cfg, seed=7)
+    img = np.random.default_rng(16).random((2, 3, cfg.image_height, cfg.image_width))
+    for wrt in ("input", "captures"):
+        for window in range(1, cfg.num_layers + 1):
+            res = model.forward(img, capture=True, layer_window=window, wrt=wrt)
+            model.backward_class(res, window % cfg.num_classes)
+            for cap in res.captures:
+                total = layer_mask(cap, attribution_alpha(cap, 1.0)).sum(axis=-1)
+                want = (cap.cls_out * cap.cls_out_grad).sum(axis=-1)
+                err = np.abs(total - want).max() / np.abs(want).max()
+                assert err <= 1e-12, (wrt, window, cap.layer, err)
+
+
 def test_bicam_equals_sum_of_independent_layer_masks(tiny_model, tiny_config, rnd_image):
     c = 2
     for window in (1, math.ceil(2 * tiny_config.num_layers / 3), tiny_config.num_layers):
@@ -339,18 +361,16 @@ def test_rollout_tape_free_matches_tape_captures(tiny_model, rnd_image, monkeypa
     forward = tiny_model.forward
     tape_nodes = []
 
-    def recording(tape=None):
+    def recording(**override):
         def fwd(*args, **kwargs):
-            if tape is not None:
-                kwargs["tape"] = tape
-            res = forward(*args, **kwargs)
+            res = forward(*args, **{**kwargs, **override})
             tape_nodes.append(len(res.graph.nodes))
             return res
         return fwd
 
     monkeypatch.setattr(tiny_model, "forward", recording())
     plain = attention_rollout(tiny_model, rnd_image)
-    monkeypatch.setattr(tiny_model, "forward", recording(tape=True))
+    monkeypatch.setattr(tiny_model, "forward", recording(wrt="input"))
     taped = attention_rollout(tiny_model, rnd_image)
     assert tape_nodes[0] == 0 and tape_nodes[1] > 0
     assert np.array_equal(plain.patch_scores, taped.patch_scores)
@@ -377,7 +397,7 @@ def test_rollout_reads_the_forward_probabilities(tiny_model, rnd_image, monkeypa
     assert calls == {"exp": tiny_model.config.num_layers, "softmax_rows": 0}
     monkeypatch.undo()
     res = tiny_model.forward(rnd_image, capture=True,
-                             layer_window=tiny_model.config.num_layers, tape=False)
+                             layer_window=tiny_model.config.num_layers, wrt=None)
     want = rollout_chain(cap.attn_probs.mean(axis=1) for cap in res.captures)[:, 0, 1:]
     assert np.array_equal(amap.patch_scores, want.reshape(amap.patch_scores.shape))
 

@@ -257,9 +257,9 @@ def test_nonfinite_result_raises_numeric_error():
     model = vit.new_model(vit.ViTConfig(num_classes=3, **TINY), 0)
     img = np.zeros((1, 3, 16, 16))
     img[0, 1, 2, 3] = np.nan
-    for tape in (True, False):
+    for wrt in ("input", None):
         with pytest.raises(NumericError, match="^non-finite values produced by leaf$"):
-            model.forward(img, tape=tape)
+            model.forward(img, wrt=wrt)
 
 
 def test_tensor_data_is_row_major_float64():
@@ -267,9 +267,9 @@ def test_tensor_data_is_row_major_float64():
     # from them, are float64 whatever the image's dtype and order
     model = vit.new_model(vit.ViTConfig(num_classes=3, **TINY), 0)
     img = np.random.default_rng(3).random((1, 3, 16, 16)).astype(np.float32)
-    for tape in (False, True):   # the taped logits last, for the roots below
-        ref = model.forward(img.astype(np.float64), tape=tape).logits.data
-        logits = model.forward(np.asfortranarray(img), tape=tape).logits
+    for wrt in (None, "input"):   # the taped logits last, for the roots below
+        ref = model.forward(img.astype(np.float64), wrt=wrt).logits.data
+        logits = model.forward(np.asfortranarray(img), wrt=wrt).logits
         assert logits.data.dtype == np.float64
         assert logits.data.flags.c_contiguous
         assert bit_equal(logits.data, ref)
@@ -284,8 +284,8 @@ def test_tape_is_topologically_ordered():
     cfg = vit.ViTConfig(num_classes=3, distillation_token=True, **TINY)
     model = vit.new_model(cfg, 12)
     img = np.random.default_rng(12).random((1, 3, 16, 16))
-    for weight_grads in (False, True):
-        res = model.forward(img, weight_grads=weight_grads)
+    for wrt in ("input", "weights"):
+        res = model.forward(img, wrt=wrt)
         nodes = list(res.graph.nodes)
         vit.cross_entropy(res.logits, [1])
         vit.class_score(res.logits, 0)

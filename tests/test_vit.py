@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import tracemalloc
 import weakref
 
@@ -124,7 +125,7 @@ def test_tape_free_forward_is_bit_equal_to_tape(tiny_model, tiny_config, probe):
     img = np.random.default_rng(13).random((2, 3, 16, 16))
     taped = model.forward(img, capture=True, layer_window=tiny_config.num_layers, **kwargs)
     plain = model.forward(img, capture=True, layer_window=tiny_config.num_layers,
-                          tape=False, **kwargs)
+                          wrt=None, **kwargs)
     assert np.array_equal(plain.logits.data, taped.logits.data)
     assert len(plain.captures) == len(taped.captures) == tiny_config.num_layers
     for a, b in zip(plain.captures, taped.captures):
@@ -159,7 +160,7 @@ def test_predict_logits_hands_each_caller_its_own_array(tiny_model):
 
 
 def test_backward_class_refuses_tape_free_result(tiny_model):
-    res = tiny_model.forward(np.zeros((1, 3, 16, 16)), capture=True, tape=False)
+    res = tiny_model.forward(np.zeros((1, 3, 16, 16)), capture=True, wrt=None)
     with pytest.raises(StateError, match="forward ran without a tape"):
         tiny_model.backward_class(res, 0)
     # and neither backward root takes detached logits
@@ -278,19 +279,19 @@ def test_head_row_scaling_scales_gradient_linearly(tiny_model, tiny_config):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("tape", [True, False], ids=["tape", "tape_free"])
+@pytest.mark.parametrize("wrt", ["input", None], ids=["tape", "tape_free"])
 @pytest.mark.parametrize("weight, prefix", [
     ("patch_embed.weight", "patch embedding: "),
     ("blocks.1.attn.q.weight", "block 2: "),
     ("head.weight", "classifier head: "),
 ], ids=["patch_embed", "block", "head"])
-def test_numeric_error_names_the_layer(tiny_config, weight, prefix, tape):
+def test_numeric_error_names_the_layer(tiny_config, weight, prefix, wrt):
     weights = init_weights(tiny_config, seed=0)
     tensors = {k: v.copy() for k, v in weights.tensors.items()}
     tensors[weight][:] = 1e308
     model = VisionTransformer(ViTWeights(tiny_config, tensors))
     with pytest.raises(NumericError, match=f"^{prefix}non-finite values produced by matmul$"):
-        model.forward(np.random.default_rng(0).random((1, 3, 16, 16)), tape=tape)
+        model.forward(np.random.default_rng(0).random((1, 3, 16, 16)), wrt=wrt)
 
 
 def test_full_input_gradient_matches_finite_differences(tiny_model):
@@ -336,9 +337,10 @@ def test_weight_grads_are_filled_only_when_asked(tiny_config, distillation):
 
     plain = model.forward(img)
     assert plain.weight_grads is None
-    assert model.forward(img, tape=False, weight_grads=True).weight_grads is None
+    assert model.forward(img, wrt=None).weight_grads is None
+    assert model.forward(img, capture=True, wrt="captures").weight_grads is None
 
-    full = model.forward(img, weight_grads=True)
+    full = model.forward(img, wrt="weights")
     assert full.weight_grads == {}   # filled by the backward, not the forward
     full.graph.backward(cross_entropy(full.logits, [1]))
     assert list(full.weight_grads) != list(shapes)   # stored in walk order, by name
@@ -347,32 +349,34 @@ def test_weight_grads_are_filled_only_when_asked(tiny_config, distillation):
         assert grad.shape == shapes[name] and grad.flags.c_contiguous, name
     # the weights are no tape node: the tape is the same stage chain either way
     assert [n.op for n in full.graph.nodes] == [n.op for n in plain.graph.nodes]
-    assert list(full.graph.gradients) == [INPUT]
+    # and the weights are the walk's one target: the embedding's backward
+    # hands on no image gradient
+    assert full.graph.gradients == {}
 
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["cls", "distillation"])
 def test_input_gradients_do_not_depend_on_weight_grads(tiny_config, distillation):
+    # the gradient each stage hands to the stage below is the same bits with
+    # the weights as the target, as every layer's cls_out_grad shows; only
+    # the embedding hands on no image gradient
     cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
     model = new_model(cfg, seed=2)
     img = np.random.default_rng(21).random((2, 3, 16, 16))
     runs = []
-    for weight_grads in (False, True):
-        res = model.forward(img, capture=True, layer_window=cfg.num_layers,
-                            weight_grads=weight_grads)
+    for wrt in ("input", "weights"):
+        res = model.forward(img, capture=True, layer_window=cfg.num_layers, wrt=wrt)
         model.backward_class(res, 1)
         runs.append(res)
-    const, leaves = runs
-    assert bit_equal(const.logits.data, leaves.logits.data)
-    for a, b in zip(const.captures, leaves.captures):
-        assert bit_equal(a.cls_out_grad, b.cls_out_grad)
-    assert bit_equal(const.graph.gradients[INPUT], leaves.graph.gradients[INPUT])
+    image, weights = runs
+    assert bit_equal(image.logits.data, weights.logits.data)
+    for a, b in zip(image.captures, weights.captures, strict=True):
+        assert bit_equal(a.cls_out_grad, b.cls_out_grad), a.layer
+    assert list(image.graph.gradients) == [INPUT]
+    assert weights.graph.gradients == {}
 
-    loss, grad = model.loss_and_input_grad(img, [0, 2])
-    res = model.forward(img, weight_grads=True)
-    ce = cross_entropy(res.logits, [0, 2])
-    res.graph.backward(ce)
-    assert loss == ce.item()
-    assert bit_equal(grad, res.graph.gradients[INPUT])
+    loss, _ = model.loss_and_input_grad(img, [0, 2])
+    res = model.forward(img, wrt="weights")
+    assert cross_entropy(res.logits, [0, 2]).item() == loss
 
 
 def test_train_step_weight_gradient_matches_finite_differences(toy_config):
@@ -437,14 +441,14 @@ def test_train_step_counts_one_forward_and_one_backward(toy_config):
     assert counters.snapshot() == {"forward": 1, "backward": 1}
 
 
-@pytest.mark.parametrize("distillation, weight_grads",
-                         [(False, False), (True, False), (False, True), (True, True)],
+@pytest.mark.parametrize("distillation, wrt", [(False, "input"), (True, "input"),
+                                               (False, "weights"), (True, "weights")],
                          ids=["plain", "distillation", "plain-weight_grads",
                               "distillation-weight_grads"])
-def test_attention_is_one_tape_node_per_block(tiny_config, distillation, weight_grads):
+def test_attention_is_one_tape_node_per_block(tiny_config, distillation, wrt):
     cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
     res = new_model(cfg, seed=0).forward(np.random.default_rng(0).random((1, 3, 16, 16)),
-                                         weight_grads=weight_grads)
+                                         wrt=wrt)
     ops = [node.op for node in res.graph.nodes]
     # one node per stage, a block's attention and MLP halves in one: L + 2,
     # with or without weight gradients
@@ -454,14 +458,14 @@ def test_attention_is_one_tape_node_per_block(tiny_config, distillation, weight_
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
 def test_an_attribution_tape_starts_at_the_lowest_captured_layer(tiny_config, distillation):
-    # with input_grad=False the embedding and the blocks below the window run
+    # with wrt="captures" the embedding and the blocks below the window run
     # off the tape, and a walk stops at the lowest captured block with the
     # full walk's cls_out_grads and no input gradient
     cfg = dataclasses.replace(tiny_config, distillation_token=distillation)
     model = new_model(cfg, seed=4)
     img = np.random.default_rng(27).random((2, 3, 16, 16))
     for window in range(1, cfg.num_layers + 1):
-        res = model.forward(img, capture=True, layer_window=window, input_grad=False)
+        res = model.forward(img, capture=True, layer_window=window, wrt="captures")
         assert [node.op for node in res.graph.nodes] == ["block"] * window + ["head"]
         full = model.forward(img, capture=True, layer_window=window)
         assert bit_equal(res.logits.data, full.logits.data)
@@ -473,14 +477,16 @@ def test_an_attribution_tape_starts_at_the_lowest_captured_layer(tiny_config, di
                 assert bit_equal(cap.cls_out_grad, want.cls_out_grad), (window, c, cap.layer)
 
 
-@pytest.mark.parametrize("kwargs", [dict(), dict(weight_grads=True),
-                                    dict(capture=True, weight_grads=True)],
-                         ids=["no-capture", "weight_grads", "capture-weight_grads"])
-def test_input_grad_off_needs_a_capture_and_no_weight_gradients(tiny_model, kwargs):
+@pytest.mark.parametrize("wrt, error, message", [
+    ("image", ParameterError, "wrt 'image' is not None, 'input', 'captures' or 'weights'"),
+    (True, ParameterError, "wrt True is not None"),
+    ("captures", ContractError, "wrt='captures' needs capture=True"),
+], ids=["unknown", "boolean", "captures-without-capture"])
+def test_wrt_is_checked_before_a_forward_counts(tiny_model, wrt, error, message):
     img = np.random.default_rng(28).random((1, 3, 16, 16))
     counters.reset()
-    with pytest.raises(ContractError, match="input_grad=False needs capture=True"):
-        tiny_model.forward(img, input_grad=False, **kwargs)
+    with pytest.raises(error, match=re.escape(message)):
+        tiny_model.forward(img, wrt=wrt)
     assert counters.snapshot()["forward"] == 0
 
 
@@ -544,11 +550,11 @@ def test_a_second_backward_on_one_forward_is_a_fresh_one(tiny_config, distillati
 
     roots = [lambda logits: cross_entropy(logits, [0, 2]),
              lambda logits: class_score(logits, 1)]
-    res = model.forward(img, weight_grads=True)
+    res = model.forward(img, wrt="weights")
     for root in roots:
         res.graph.backward(root(res.logits))
-        ref = _fresh(model, img, lambda r: r.graph.backward(root(r.logits)), weight_grads=True)
-        assert bit_equal(res.graph.gradients[INPUT], ref.graph.gradients[INPUT])
+        ref = _fresh(model, img, lambda r: r.graph.backward(root(r.logits)), wrt="weights")
+        assert res.graph.gradients == ref.graph.gradients == {}
         assert list(res.weight_grads) == list(ref.weight_grads)
         for name, grad in ref.weight_grads.items():
             assert bit_equal(res.weight_grads[name], grad), name
@@ -573,8 +579,7 @@ def test_loss_and_input_grad_keeps_only_the_image_gradient(tiny_config, distilla
 
 
 @pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
-def test_train_step_keeps_the_weight_and_image_gradients(toy_config, distillation,
-                                                         monkeypatch):
+def test_train_step_keeps_only_the_weight_gradients(toy_config, distillation, monkeypatch):
     cfg = dataclasses.replace(toy_config, distillation_token=distillation)
     model = new_model(cfg, seed=6)
     images, labels = make_pattern_dataset(cfg, per_class=2, seed=7)
@@ -587,12 +592,13 @@ def test_train_step_keeps_the_weight_and_image_gradients(toy_config, distillatio
     results = _capture_forwards(model, monkeypatch)
     train_step(model, opt, images, labels)
     (res,) = results
-    # the weight gradients are not tape gradients: the tape keeps the image's
-    assert list(res.graph.gradients) == [INPUT]
+    # the weight gradients are not tape gradients, and the walk computes no
+    # image gradient below them: the tape keeps none
+    assert res.graph.gradients == {}
     assert opt.grads is res.weight_grads
     assert set(opt.grads) == set(expected_shapes(cfg))
 
-    again = model.forward(images, weight_grads=True)
+    again = model.forward(images, wrt="weights")
     again.graph.backward(cross_entropy(again.logits, labels))
     assert list(again.weight_grads) == list(opt.grads)
     for name, grad in again.weight_grads.items():
@@ -608,9 +614,9 @@ def test_graphs_are_freed_without_the_cycle_collector(tiny_model):
              lambda res: res.graph.backward(class_score(res.logits, 0))]
     gc.disable()
     try:
-        for kwargs in (dict(), dict(weight_grads=True), dict(input_grad=False)):
+        for wrt in ("input", "weights", "captures"):
             for run in roots:
-                res = tiny_model.forward(img, capture=True, **kwargs)
+                res = tiny_model.forward(img, capture=True, wrt=wrt)
                 run(res)
                 graph = weakref.ref(res.graph)
                 del res
@@ -647,8 +653,8 @@ def _one_block_model(config):
 def _reference_peak(config):
     """The peak of the one-block model's tape-free forward."""
     model, img = _one_block_model(config)
-    model.forward(img, tape=False)   # warm up lazy imports and caches
-    return _least_peak(lambda: model.forward(img, tape=False))
+    model.forward(img, wrt=None)   # warm up lazy imports and caches
+    return _least_peak(lambda: model.forward(img, wrt=None))
 
 
 def _traced_backward(model, img):
@@ -721,7 +727,7 @@ def test_forward_peak_memory_is_bounded(tiny_model, tiny_config):
     # an uncaptured layer's scores, and the statistics and output of its ln1,
     # are freed before the MLP half and the next layer allocate their own
     img = np.random.default_rng(2).random((1, 3, 16, 16))
-    kinds = {"tape-free": dict(tape=False), "tape-free capture": dict(capture=True, tape=False),
+    kinds = {"tape-free": dict(wrt=None), "tape-free capture": dict(capture=True, wrt=None),
              "taped capture": dict(capture=True)}
 
     def peak(kwargs):
@@ -751,7 +757,7 @@ def test_fused_qkv_forward_is_bit_equal_to_tape(tiny_config, shape):
     batch = 2 if shape == "tiny" else 1
     img = np.random.default_rng(15).random((batch, 3, cfg.image_height, cfg.image_width))
     taped = model.forward(img, capture=True, layer_window=cfg.num_layers)
-    plain = model.forward(img, capture=True, layer_window=cfg.num_layers, tape=False)
+    plain = model.forward(img, capture=True, layer_window=cfg.num_layers, wrt=None)
     assert plain.captures[0].attn_logits.shape[-1] == cfg.num_tokens
     assert bit_equal(plain.logits.data, taped.logits.data)
     assert len(plain.captures) == len(taped.captures) == cfg.num_layers
@@ -814,8 +820,8 @@ def test_forward_matches_a_full_rows_reference(tiny_config, shape):
     model = new_model(cfg, seed=8)
     img = np.random.default_rng(19).random((2, 3, cfg.image_height, cfg.image_width))
     ref_logits, ref_layers = _full_rows_forward(model.weights, img)
-    for tape in (True, False):
-        res = model.forward(img, capture=True, layer_window=cfg.num_layers, tape=tape)
+    for wrt in ("input", None):
+        res = model.forward(img, capture=True, layer_window=cfg.num_layers, wrt=wrt)
         assert _rel_error(res.logits.data, ref_logits) < 1e-12
         for cap, (scores, values, cls_out, _) in zip(res.captures, ref_layers, strict=True):
             assert _rel_error(cap.attn_logits, scores) < 1e-12
@@ -832,8 +838,8 @@ def test_attn_probs_are_the_reference_probabilities(tiny_config, shape):
     model = new_model(cfg, seed=8)
     img = np.random.default_rng(21).random((2, 3, cfg.image_height, cfg.image_width))
     _, ref_layers = _full_rows_forward(model.weights, img)
-    for tape in (True, False):
-        res = model.forward(img, capture=True, layer_window=cfg.num_layers, tape=tape)
+    for wrt in ("input", None):
+        res = model.forward(img, capture=True, layer_window=cfg.num_layers, wrt=wrt)
         for cap, (*_, probs) in zip(res.captures, ref_layers, strict=True):
             rows = cap.attn_probs.shape[2]
             assert rows == (1 if cap.layer == cfg.num_layers else cfg.num_tokens)
@@ -873,14 +879,14 @@ def test_softmax_elements_per_forward_and_backward(tiny_config, shape, monkeypat
     n, h, layers = cfg.num_tokens, cfg.num_heads, cfg.num_layers
     want = (layers - 1) * h * n * n + h * n
     img = np.random.default_rng(20).random((1, 3, cfg.image_height, cfg.image_width))
-    for tape in (True, False):
+    for wrt in ("input", None):
         counted.update(dict.fromkeys(counted, 0))
-        res = model.forward(img, capture=True, layer_window=layers, tape=tape)
+        res = model.forward(img, capture=True, layer_window=layers, wrt=wrt)
         assert counted == {"forward": want, "backward": 0, "softmax_rows": 0,
                            "softmax_rows_grad": 0}
         assert [cap.attn_probs.shape for cap in res.captures] == (
             [(1, h, n, n)] * (layers - 1) + [(1, h, 1, n)])
-        if tape:
+        if wrt:
             model.backward_class(res, 1)
             assert counted == {"forward": want, "backward": want, "softmax_rows": 0,
                                "softmax_rows_grad": 0}
@@ -913,17 +919,15 @@ def test_an_attribution_walk_runs_attention_backward_above_its_lowest_layer(
     img = np.random.default_rng(20).random((1, 3, cfg.image_height, cfg.image_width))
     for window in range(1, layers + 1):
         counted.update(dict.fromkeys(counted, 0))
-        res = model.forward(img, capture=True, layer_window=window, input_grad=False)
+        res = model.forward(img, capture=True, layer_window=window, wrt="captures")
         model.backward_class(res, 1)
         walked = (window - 2) * h * n * n + h * n if window >= 2 else 0
         assert counted == {"forward": (layers - 1) * h * n * n + h * n, "backward": walked}
 
 
 def test_tape_free_forward_reads_weights_updated_in_place(tiny_config):
-    # on every path: off the tape, on it, and either with weight gradients
-    # asked for (which has no effect off the tape)
-    paths = [dict(tape=False), dict(tape=True), dict(tape=True, weight_grads=True),
-             dict(tape=False, weight_grads=True)]
+    # on every path: off the tape, on it, and on it with weight gradients
+    paths = [dict(wrt=None), dict(wrt="input"), dict(wrt="weights")]
     model = new_model(tiny_config, seed=6)
     img = np.random.default_rng(16).random((1, 3, 16, 16))
     before = [model.forward(img, **kw).logits.data for kw in paths]
@@ -982,9 +986,9 @@ def test_numeric_error_text_is_the_same_on_both_paths(tiny_config, case):
     model = VisionTransformer(ViTWeights(tiny_config, tensors))
     img = np.random.default_rng(0).random((1, 3, 16, 16))
     messages = []
-    for tape in (True, False):
+    for wrt in ("input", None):
         with pytest.raises(NumericError) as info:
-            model.forward(img, tape=tape)
+            model.forward(img, wrt=wrt)
         messages.append(str(info.value))
     assert messages == [f"block 2: non-finite values produced by {op}"] * 2
 
@@ -1054,10 +1058,10 @@ HIDDEN = {
 }
 
 
-def _forward_outcome(model, img, tape):
+def _forward_outcome(model, img, wrt):
     """The logits, or the NumericError text."""
     try:
-        return model.forward(img, tape=tape).logits.data
+        return model.forward(img, wrt=wrt).logits.data
     except NumericError as e:
         return str(e)
 
@@ -1073,7 +1077,7 @@ def test_numeric_error_text_is_the_same_where_a_non_finite_can_hide(tiny_config,
     edit(tensors)
     model = VisionTransformer(ViTWeights(tiny_config, tensors))
     img = np.random.default_rng(0).random((1, 3, 16, 16))
-    taped, plain = (_forward_outcome(model, img, tape) for tape in (True, False))
+    taped, plain = (_forward_outcome(model, img, wrt) for wrt in ("input", None))
     if message is None:
         assert np.isfinite(taped).all() and bit_equal(taped, plain)
     else:
@@ -1097,16 +1101,16 @@ def test_huge_weights_raise_the_same_text_or_give_the_same_logits(tiny_config, s
         t *= sign * 10.0 ** exponent
     model = VisionTransformer(ViTWeights(tiny_config, tensors))
     img = np.random.default_rng(18).random((1, 3, 16, 16))
-    taped, plain = (_forward_outcome(model, img, tape) for tape in (True, False))
+    taped, plain = (_forward_outcome(model, img, wrt) for wrt in ("input", None))
     if isinstance(taped, str) or isinstance(plain, str):
         assert taped == plain
     else:
         assert bit_equal(taped, plain)
 
 
-@pytest.mark.parametrize("tape, products", [(True, 6 * 4 + 2), (False, 6 * 4 + 2)],
+@pytest.mark.parametrize("wrt, products", [("input", 6 * 4 + 2), (None, 6 * 4 + 2)],
                          ids=["tape", "tape_free"])
-def test_matmul_calls_per_forward(tiny_model, tiny_config, monkeypatch, tape, products):
+def test_matmul_calls_per_forward(tiny_model, tiny_config, monkeypatch, wrt, products):
     # per block: the fused q|k|v product, out, fc1, fc2 and attention's two;
     # plus the patch embedding and the head
     calls = []
@@ -1117,7 +1121,7 @@ def test_matmul_calls_per_forward(tiny_model, tiny_config, monkeypatch, tape, pr
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counting)
-    tiny_model.forward(np.random.default_rng(17).random((1, 3, 16, 16)), tape=tape)
+    tiny_model.forward(np.random.default_rng(17).random((1, 3, 16, 16)), wrt=wrt)
     assert tiny_config.num_layers == 4 and len(calls) == products
 
 
@@ -1133,9 +1137,9 @@ def test_finite_checks_per_tape_free_forward(tiny_model, tiny_config, monkeypatc
 
     monkeypatch.setattr(autodiff, "check_finite", counting)
     monkeypatch.setattr(vit, "check_finite", counting)
-    for tape in (False, True):
+    for wrt in (None, "input"):
         ops.clear()
-        tiny_model.forward(np.random.default_rng(17).random((1, 3, 16, 16)), tape=tape)
+        tiny_model.forward(np.random.default_rng(17).random((1, 3, 16, 16)), wrt=wrt)
         assert tiny_config.num_layers == 4 and len(ops) == 3 * 4 + 4
 
 
@@ -1148,5 +1152,5 @@ def test_failing_tape_free_forward_counts_one_forward(tiny_config):
     message = "^classifier head: non-finite values produced by matmul$"
     counters.reset()
     with pytest.raises(NumericError, match=message):
-        model.forward(np.random.default_rng(0).random((1, 3, 16, 16)), tape=False)
+        model.forward(np.random.default_rng(0).random((1, 3, 16, 16)), wrt=None)
     assert counters.snapshot() == {"forward": 1, "backward": 0}
