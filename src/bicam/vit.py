@@ -11,8 +11,11 @@ the concatenated per-head CLS attention output *before* the block's output
 projection, together with its gradient after a class-score backward pass,
 which the layer's block backward stores in its LayerCapture.
 Attention keeps its softmax unnormalized (see ``autodiff.attention_arrays``),
-so a capture holds the exps of its scores and their row sums, and its
-``attn_probs`` divides one by the other when read (rollout reads them).
+so a capture of a tape-free forward (``wrt=None``, rollout's) also holds
+the exps of its scores and their row sums, and its ``attn_probs`` divides
+one by the other when read. A taped capture holds neither: only rollout
+reads them, and the tape keeps its own for the backward, so the lowest
+captured block of an attribution frees its exps as it returns.
 
 The forward body is written once, on plain ndarrays, as one loop over
 L + 2 stages: the embedding, each block (x -> next x) and the head. A
@@ -287,16 +290,21 @@ class LayerCapture:
     # [B, d], the gradient of cls_out that the layer's attention backward
     # stores on each walk (so after several, the last walk's); None before one
     cls_out_grad: np.ndarray | None = None
-    # the forward's own softmax numerators exp(logits - row max) (not a
-    # copy): [B, H, N, N], or for the last layer its CLS row alone,
-    # [B, H, 1, N]; and their row sums, [B, H, N, 1] or [B, H, 1, 1]
+    # on a tape-free forward (wrt=None) alone, else None: the forward's own
+    # softmax numerators exp(logits - row max) (not a copy): [B, H, N, N],
+    # or for the last layer its CLS row alone, [B, H, 1, N]; and their row
+    # sums, [B, H, N, 1] or [B, H, 1, 1]
     attn_exp: np.ndarray | None = field(default=None, repr=False)
     attn_rowsums: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def attn_probs(self) -> np.ndarray:
         """The attention probabilities attn_exp / attn_rowsums, made on each
-        read: a forward keeps its scores unnormalized."""
+        read: a forward keeps its scores unnormalized. StateError on a
+        taped capture, which holds no exps."""
+        if self.attn_exp is None:
+            raise StateError(f"layer {self.layer} capture holds no attention exps: "
+                             "only a tape-free forward (wrt=None) keeps them")
         return self.attn_exp / self.attn_rowsums
 
 
@@ -410,13 +418,14 @@ class _Stages:
         """Block ``layer`` (1-based): ln1, the fused q|k|v product,
         attention, the output projection and its residual add, ln2, the MLP
         and its residual add: (next x, backward). A captured layer appends
-        its LayerCapture to ``captures``, and its backward stores the CLS
-        row of the merged heads' gradient there as ``cls_out_grad``; the
-        lowest block on the tape returns there, before attention's
-        backward. ``offset`` is a [B, d] term added to the merged CLS row,
-        or None. ln1 and the product cover every token; in the last block
-        only the CLS token queries, so the merged heads and every op after
-        them are its row alone, [B, 1, d]."""
+        its LayerCapture to ``captures`` (with the exps and row sums off the
+        tape alone), and its backward stores the CLS row of the merged
+        heads' gradient there as ``cls_out_grad``; the lowest block on the
+        tape returns there, before attention's backward. ``offset`` is a
+        [B, d] term added to the merged CLS row, or None. ln1 and the
+        product cover every token; in the last block only the CLS token
+        queries, so the merged heads and every op after them are its row
+        alone, [B, 1, d]."""
         cfg, check, w = self.weights.config, self.check, blk.arrays
         grads, prefix = self.grads, blk.prefix
         taped = layer >= self.first_taped
@@ -433,14 +442,15 @@ class _Stages:
         cap = None
         if captured:
             cap = LayerCapture(layer=layer, attn_logits=kept, values=saved.vx[..., :-1],
-                               cls_out=merged[:, 0, :].copy(), attn_exp=saved.e,
-                               attn_rowsums=saved.l[..., None])
+                               cls_out=merged[:, 0, :].copy())
+            if not taped:   # rollout's exps; on the tape only the backward reads them
+                cap.attn_exp, cap.attn_rowsums = saved.e, saved.l[..., None]
             self.captures.append(cap)
         # ln1's output is read again by a weight gradient alone, and ln1's
         # statistics and attention's saved arrays by a backward that hands on
         # its input gradient alone: they are freed before the MLP half
-        # allocates (an uncaptured layer's scores with them), and the merged
-        # heads after their product
+        # allocates (the scores with them, unless a tape-free capture holds
+        # them), and the merged heads after their product
         h = h if grads is not None else None
         if not hand_on:
             saved = xhat1 = inv_std1 = None

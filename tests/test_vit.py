@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from bicam import autodiff, counters, kernels, vit
+from bicam.attribution import bicam
 from bicam.autodiff import INPUT
 from bicam.errors import (ContractError, DimensionError, NumericError, ParameterError,
                           StateError)
@@ -740,6 +741,30 @@ def test_forward_peak_memory_is_bounded(tiny_model, tiny_config):
         over, reference)
 
 
+# The 56x56 model's peaks over its own tape-free forward's peak (1,815,088
+# bytes, numpy 2.4, CPython 3.11), each 256 KB over what it measured with
+# this test alone: bicam 3,781,200 and loss_and_input_grad 8,835,240.
+# A score-sized array there, [1, 4, 197, 197], is 1,241,888 bytes: the
+# lowest captured layer's exps kept in its capture raised bicam's by
+# 1,299,584, and a second score-sized array in attention's backward would
+# raise both by about as much
+PEAK_56_OVER_FORWARD = {"bicam": 4_043_344, "loss_and_input_grad": 9_097_384}
+
+
+def test_attribution_and_input_gradient_peaks_on_the_56x56_model():
+    model = new_model(ViTConfig(**SHAPE_56), seed=0)
+    img = np.random.default_rng(2).random((1, 3, 56, 56))
+    runs = {"forward": lambda: model.forward(img, wrt=None),
+            "bicam": lambda: bicam(model, img, 0),
+            "loss_and_input_grad": lambda: model.loss_and_input_grad(img, [0])}
+    for run in runs.values():
+        run()   # warm up lazy imports and caches
+    peaks = {name: _least_peak(run) for name, run in runs.items()}
+    over = {name: peaks[name] - peaks["forward"] for name in PEAK_56_OVER_FORWARD}
+    assert all(over[name] <= bound for name, bound in PEAK_56_OVER_FORWARD.items()), (
+        over, peaks["forward"])
+
+
 @pytest.mark.parametrize("distillation", [False, True], ids=["plain", "distillation"])
 def test_tensor_count_matches_expected_shapes(tiny_config, distillation):
     for layers in (1, 2, 4):
@@ -748,22 +773,53 @@ def test_tensor_count_matches_expected_shapes(tiny_config, distillation):
         assert tensor_count(cfg) == len(expected_shapes(cfg))
 
 
+def _no_exps(captures):
+    """Whether every capture holds neither exps nor row sums, as a taped one."""
+    return all(cap.attn_exp is None and cap.attn_rowsums is None for cap in captures)
+
+
 @pytest.mark.parametrize("shape", ["tiny", "56x56"])
-def test_fused_qkv_forward_is_bit_equal_to_tape(tiny_config, shape):
+def test_fused_qkv_forward_is_bit_equal_to_tape(tiny_config, shape, monkeypatch):
     # both paths run one [Wq|Wk|Wv] product per block, and attention splits
-    # and merges the heads the same way on each
+    # and merges the heads the same way on each; a taped capture holds no
+    # exps, so the tape's own, recorded from attention, are compared with
+    # the tape-free captures'
     cfg = tiny_config if shape == "tiny" else ViTConfig(**SHAPE_56)
     model = new_model(cfg, seed=5)
     batch = 2 if shape == "tiny" else 1
     img = np.random.default_rng(15).random((batch, 3, cfg.image_height, cfg.image_width))
+    saved = []
+
+    def recording(*args):
+        out = attention_arrays(*args)
+        saved.append(out[2])
+        return out
+
+    attention_arrays = vit.attention_arrays
+    monkeypatch.setattr(vit, "attention_arrays", recording)
     taped = model.forward(img, capture=True, layer_window=cfg.num_layers)
+    monkeypatch.undo()
     plain = model.forward(img, capture=True, layer_window=cfg.num_layers, wrt=None)
     assert plain.captures[0].attn_logits.shape[-1] == cfg.num_tokens
     assert bit_equal(plain.logits.data, taped.logits.data)
-    assert len(plain.captures) == len(taped.captures) == cfg.num_layers
-    for a, b in zip(plain.captures, taped.captures):
-        for name in ("attn_logits", "attn_probs", "values", "cls_out"):
+    assert len(plain.captures) == len(taped.captures) == len(saved) == cfg.num_layers
+    assert _no_exps(taped.captures)
+    for a, b, tape in zip(plain.captures, taped.captures, saved):
+        for name in ("attn_logits", "values", "cls_out"):
             assert bit_equal(getattr(a, name), getattr(b, name)), (a.layer, name)
+        assert bit_equal(a.attn_exp, tape.e), a.layer
+        assert bit_equal(a.attn_rowsums, tape.l[..., None]), a.layer
+
+
+@pytest.mark.parametrize("wrt", ["input", "captures", "weights"])
+def test_attn_probs_of_a_taped_capture_is_a_state_error(tiny_model, wrt):
+    # only a tape-free forward keeps the exps that attn_probs divides
+    img = np.random.default_rng(26).random((1, 3, 16, 16))
+    res = tiny_model.forward(img, capture=True, wrt=wrt)
+    assert res.captures and _no_exps(res.captures)
+    for cap in res.captures:
+        with pytest.raises(StateError, match=rf"layer {cap.layer} .*wrt=None"):
+            cap.attn_probs
 
 
 def _full_rows_forward(weights, img):
@@ -838,13 +894,15 @@ def test_attn_probs_are_the_reference_probabilities(tiny_config, shape):
     model = new_model(cfg, seed=8)
     img = np.random.default_rng(21).random((2, 3, cfg.image_height, cfg.image_width))
     _, ref_layers = _full_rows_forward(model.weights, img)
-    for wrt in ("input", None):
-        res = model.forward(img, capture=True, layer_window=cfg.num_layers, wrt=wrt)
-        for cap, (*_, probs) in zip(res.captures, ref_layers, strict=True):
-            rows = cap.attn_probs.shape[2]
-            assert rows == (1 if cap.layer == cfg.num_layers else cfg.num_tokens)
-            assert np.abs(cap.attn_probs.sum(axis=-1) - 1.0).max() < 1e-14
-            assert _rel_error(cap.attn_probs, probs[:, :, :rows]) < 1e-12
+    # a taped capture holds no exps: they are read from a tape-free one
+    taped = model.forward(img, capture=True, layer_window=cfg.num_layers)
+    assert len(taped.captures) == cfg.num_layers and _no_exps(taped.captures)
+    res = model.forward(img, capture=True, layer_window=cfg.num_layers, wrt=None)
+    for cap, (*_, probs) in zip(res.captures, ref_layers, strict=True):
+        rows = cap.attn_probs.shape[2]
+        assert rows == (1 if cap.layer == cfg.num_layers else cfg.num_tokens)
+        assert np.abs(cap.attn_probs.sum(axis=-1) - 1.0).max() < 1e-14
+        assert _rel_error(cap.attn_probs, probs[:, :, :rows]) < 1e-12
 
 
 @pytest.mark.parametrize("shape", ["tiny", "56x56"])
@@ -884,12 +942,14 @@ def test_softmax_elements_per_forward_and_backward(tiny_config, shape, monkeypat
         res = model.forward(img, capture=True, layer_window=layers, wrt=wrt)
         assert counted == {"forward": want, "backward": 0, "softmax_rows": 0,
                            "softmax_rows_grad": 0}
-        assert [cap.attn_probs.shape for cap in res.captures] == (
-            [(1, h, n, n)] * (layers - 1) + [(1, h, 1, n)])
         if wrt:
+            assert _no_exps(res.captures)   # only the tape holds them
             model.backward_class(res, 1)
             assert counted == {"forward": want, "backward": want, "softmax_rows": 0,
                                "softmax_rows_grad": 0}
+        else:
+            assert [cap.attn_probs.shape for cap in res.captures] == (
+                [(1, h, n, n)] * (layers - 1) + [(1, h, 1, n)])
 
 
 @pytest.mark.parametrize("shape", ["tiny", "56x56"])
