@@ -1,20 +1,21 @@
 """Reverse-mode automatic differentiation over float64 ndarrays, for a
 model that is a chain of stages.
 
-A Graph is the tape of one forward: its ``nodes`` are the stages in
-forward order, each an op tag and a backward closure holding the stage's
-saved forward values, which maps the stage's output gradient to its input
-gradient (the stage's hand-chained VJP, vector-Jacobian product; see
-``vit``). A Tensor is the raw data plus the owning graph; a backward root
-is a scalar Tensor made from the chain's output (the logits) that carries
-its own gradient with respect to that output. backward(root) walks the
-nodes in reverse from that gradient and keeps only the chain's input
-gradient, in ``graph.gradients[INPUT]``: each node's output gradient is
-freed once the node has passed it on, so a walk holds one gradient at a
-time. A tape's first node may hand on no gradient, returning None (in
-``vit``, a tape that begins above the chain's input, or one whose walk
-stores the weights' gradients): the walk then leaves ``graph.gradients``
-empty. A root is no node, so one forward serves any number of backwards.
+A Graph is the tape of one forward: its ``nodes`` are the stages'
+backward closures in forward order, with no op tag (a closure's
+``__qualname__`` names its stage). Each holds its stage's saved forward
+values and maps the stage's output gradient to its input gradient (the
+stage's hand-chained VJP, vector-Jacobian product; see ``vit``). A Tensor
+is the raw data plus the owning graph; a backward root is a scalar Tensor
+made from the chain's output (the logits) that carries its own gradient
+with respect to that output. backward(root) walks the nodes in reverse
+from that gradient and keeps only the chain's input gradient, in
+``graph.gradients[INPUT]``: each node's output gradient is freed once the
+node has passed it on, so a walk holds one gradient at a time. A tape's
+first node may hand on no gradient, returning None (in ``vit``, a tape
+that begins above the chain's input, or one whose walk stores the
+weights' gradients): the walk then leaves ``graph.gradients`` empty. A
+root is no node, so one forward serves any number of backwards.
 
 ``attention_arrays`` is multi-head scaled dot-product attention on the
 fused q|k|v projection [B, N, 3d], for every query row or for the CLS
@@ -54,19 +55,12 @@ def check_finite(out, op):
     return out
 
 
-class Node(NamedTuple):
-    """One stage of the chain: its op tag and its backward, which maps the
-    stage's output gradient to its input gradient."""
-
-    op: str
-    backward: Callable[[np.ndarray], np.ndarray]
-
-
 class Graph:
     """The stages of one forward, in order, and the input gradient."""
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        # each stage's backward: its output gradient to its input gradient
+        self.nodes: list[Callable[[np.ndarray], np.ndarray | None]] = []
         self.gradients: dict[int, np.ndarray] = {}
 
     def backward(self, root: "Tensor") -> dict[int, np.ndarray]:
@@ -89,8 +83,8 @@ class Graph:
             raise ContractError("backward root must be scalar, with its output gradient")
         counters.bump("backward")
         grad = [root.grad]   # popped into each call, so the walk holds no handed-on gradient
-        for node in reversed(self.nodes):
-            grad.append(node.backward(grad.pop()))
+        for backward in reversed(self.nodes):
+            grad.append(backward(grad.pop()))
         first = grad.pop()
         self.gradients = {} if first is None else {INPUT: first}
         return self.gradients
@@ -127,7 +121,7 @@ class AttentionSaved(NamedTuple):
     k: np.ndarray     # [B, H, N, d_h], a view of qkv's key columns
     vx: np.ndarray    # [B, H, N, d_h + 1], the values, then a column of ones
     e: np.ndarray     # [B, H, M, N], exp(scores - row max): not normalized
-    l: np.ndarray     # [B, H, M], the row sums of e
+    l: np.ndarray     # [B, H, M, 1], the row sums of e
     out: np.ndarray   # [B, M, d], the merged heads
 
 
@@ -177,9 +171,10 @@ def attention_arrays(qkv, heads: int, keep_scores: bool = False, cls_only: bool 
     s -= np.maximum.reduce(s, axis=-1, keepdims=True)
     e = np.exp(s, out=s)
     ol = np.matmul(e, vx)
-    out = np.ascontiguousarray(np.divide(ol[..., :dh], ol[..., dh:]).transpose(0, 2, 1, 3))
+    l = ol[..., dh:].copy()   # its own memory, so the saved arrays do not hold ol
+    out = np.ascontiguousarray(np.divide(ol[..., :dh], l).transpose(0, 2, 1, 3))
     out = check_finite(out.reshape(b, m, d3 // 3), "matmul")
-    return out, kept, AttentionSaved(q, split[1], vx, e, ol[..., dh], out)
+    return out, kept, AttentionSaved(q, split[1], vx, e, l, out)
 
 
 def attention_grad(grad, saved: AttentionSaved) -> np.ndarray:
@@ -206,7 +201,7 @@ def attention_grad(grad, saved: AttentionSaved) -> np.ndarray:
     gx = np.empty((b, h, m, dh + 1))
     # g / l as g * (1 / l) in einsum, which runs without the buffers numpy's
     # broadcast ops take, up to three times the array's size
-    gl = np.einsum("bmhj,bhm->bhmj", grad.reshape(b, m, h, dh), 1.0 / l, out=gx[..., :dh])
+    gl = np.einsum("bmhj,bhm->bhmj", grad.reshape(b, m, h, dh), 1.0 / l[..., 0], out=gx[..., :dh])
     delta = np.einsum("bhmj,bmhj->bhm", gl, out.reshape(b, m, h, dh), out=gx[..., dh])
     np.negative(delta, out=delta)
     x = np.empty(e.shape)

@@ -536,13 +536,10 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 4
-    except (DataFormatError, ContractError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except ParameterError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except BicamError as e:
+    except (BicamError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -56,7 +56,6 @@ class DetectionReport:
     delta_pnr_std: float
     num_clean: int
     num_adversarial: int
-    higher_is_adversarial: bool = True
 
 
 def check_pnr_epsilon(epsilon: float) -> None:
@@ -123,8 +122,9 @@ def _paired_deltas(records) -> np.ndarray:
     return np.array([by_label[ADVERSARIAL][i] - by_label[CLEAN][i] for i in common])
 
 
-def roc_analysis(records, higher_is_adversarial: bool = True) -> DetectionReport:
-    """Score a mixed set of clean/adversarial PNR records.
+def roc_analysis(records) -> DetectionReport:
+    """Score a mixed set of clean/adversarial PNR records, a higher PNR
+    scoring as more adversarial.
 
     Requires at least one record of each label. The scores are sorted
     once; AUROC equals pairwise comparison counting (ties at half credit);
@@ -135,8 +135,7 @@ def roc_analysis(records, higher_is_adversarial: bool = True) -> DetectionReport
     n1, n0 = int(labels.sum()), int((~labels).sum())
     if n1 == 0 or n0 == 0:
         raise ContractError("roc_analysis needs at least one record of each label")
-    raw = np.array([r.pnr for r in records], dtype=np.float64)
-    scores = raw if higher_is_adversarial else -raw
+    scores = np.array([r.pnr for r in records], dtype=np.float64)
 
     table = _count_table(scores, labels)
     thr, sens, spec = _youden(table, n1, n0)
@@ -144,14 +143,13 @@ def roc_analysis(records, higher_is_adversarial: bool = True) -> DetectionReport
     return DetectionReport(
         auroc=_auroc(table, n1, n0),
         aupr=_aupr(table, n1),
-        threshold=thr if higher_is_adversarial else -thr,
+        threshold=thr,
         sensitivity=sens,
         specificity=spec,
         delta_pnr_mean=float(deltas.mean()) if deltas.size else math.nan,
         delta_pnr_std=float(deltas.std()) if deltas.size else math.nan,
         num_clean=n0,
         num_adversarial=n1,
-        higher_is_adversarial=higher_is_adversarial,
     )
 
 

@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import counters, kernels
-from .autodiff import (INPUT, Graph, Node, Tensor, attention_arrays, attention_grad,
+from .autodiff import (INPUT, Graph, Tensor, attention_arrays, attention_grad,
                        check_finite)
 from .errors import ContractError, DimensionError, NumericError, ParameterError, StateError
 
@@ -270,7 +270,7 @@ def init_weights(config: ViTConfig, seed: int) -> ViTWeights:
     rng = np.random.Generator(np.random.PCG64(seed))
     tensors = {}
     for name, shape in expected_shapes(config).items():
-        if name.endswith(".bias") or name == "ln_f.bias":
+        if name.endswith(".bias"):
             tensors[name] = np.zeros(shape)
         elif name.endswith(".gain"):
             tensors[name] = np.ones(shape)
@@ -444,7 +444,7 @@ class _Stages:
             cap = LayerCapture(layer=layer, attn_logits=kept, values=saved.vx[..., :-1],
                                cls_out=merged[:, 0, :].copy())
             if not taped:   # rollout's exps; on the tape only the backward reads them
-                cap.attn_exp, cap.attn_rowsums = saved.e, saved.l[..., None]
+                cap.attn_exp, cap.attn_rowsums = saved.e, saved.l
             self.captures.append(cap)
         # ln1's output is read again by a weight gradient alone, and ln1's
         # statistics and attention's saved arrays by a backward that hands on
@@ -661,23 +661,22 @@ class VisionTransformer:
 
         img = check_finite(np.ascontiguousarray(img), "leaf")
 
-        def stage(op, name, run, *args):
-            """One stage: its output, checked, and its node on the tape if
-            it returned a backward."""
+        def stage(name, run, *args):
+            """One stage: its output, checked, and its backward appended to
+            the tape if it returned one."""
             try:
                 out, backward = run(*args)
                 _check_stage(out)
             except NumericError as e:
                 raise NumericError(f"{name}: {e}") from None
             if backward is not None:
-                graph.nodes.append(Node(op, backward))
+                graph.nodes.append(backward)
             return out
 
-        x = stage("embedding", "patch embedding", stages.embedding, img)
+        x = stage("patch embedding", stages.embedding, img)
         for layer, blk in enumerate(self.weights.blocks, 1):
-            x = stage("block", f"block {layer}", stages.block, blk, x, layer,
-                      cls_out_offsets.get(layer))
-        logits = stage("head", "classifier head", stages.head, x)
+            x = stage(f"block {layer}", stages.block, blk, x, layer, cls_out_offsets.get(layer))
+        logits = stage("classifier head", stages.head, x)
 
         return ForwardResult(
             logits=Tensor(logits, graph if graph.nodes else None), captures=stages.captures,

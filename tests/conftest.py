@@ -33,6 +33,12 @@ def bit_equal(a, b) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def stage_names(nodes) -> list[str]:
+    """The stage of each tape node, read from its backward closure's
+    qualified name (``_Stages.block.<locals>.backward`` -> ``block``)."""
+    return [backward.__qualname__.split(".")[1] for backward in nodes]
+
+
 def grad_rel_error(ad: np.ndarray, fd: np.ndarray) -> float:
     """Max abs difference scaled by the gradient's own magnitude."""
     denom = max(np.abs(fd).max(), np.abs(ad).max(), 1e-12)

@@ -8,21 +8,21 @@ from hypothesis.extra.numpy import arrays
 
 from bicam import kernels, vit
 from bicam.attribution import attribution_alpha
-from bicam.autodiff import (INPUT, Graph, Node, Tensor, attention_arrays, attention_grad,
+from bicam.autodiff import (INPUT, Graph, Tensor, attention_arrays, attention_grad,
                             check_finite)
 from bicam.errors import ContractError, DimensionError, NumericError, ParameterError
 from bicam.vit import LayerCapture
 
-from conftest import TINY, bit_equal, finite_difference, grad_rel_error
+from conftest import TINY, bit_equal, finite_difference, grad_rel_error, stage_names
 
 
-# -- test-local stages: each returns its output and a Node -----------------------
+# -- test-local stages: each returns its output and its backward -----------------
 
 
 def on(g, made):
-    """Append a stage's node to the chain ``g``; returns the stage's output."""
-    out, node = made
-    g.nodes.append(node)
+    """Append a stage's backward to the chain ``g``; returns the stage's output."""
+    out, backward = made
+    g.nodes.append(backward)
     return out
 
 
@@ -33,21 +33,21 @@ def total(g, x):
 
 def times(x, w):
     """x * w for a constant w."""
-    return x * w, Node("mul", lambda grad: grad * w)
+    return x * w, lambda grad: grad * w
 
 
 def matmul(x, w):
     """x @ w for a constant w."""
-    return x @ w, Node("matmul", lambda grad: grad @ w.T)
+    return x @ w, lambda grad: grad @ w.T
 
 
 def gelu(x):
-    return kernels.gelu(x), Node("gelu", lambda grad: kernels.gelu_grad(x, grad))
+    return kernels.gelu(x), lambda grad: kernels.gelu_grad(x, grad)
 
 
 def softmax(x, temperature):
     y = kernels.softmax_rows(x, temperature)
-    return y, Node("softmax", lambda grad: kernels.softmax_rows_grad(y, grad, temperature))
+    return y, lambda grad: kernels.softmax_rows_grad(y, grad, temperature)
 
 
 # -- kernels the model's stages chain --------------------------------------------
@@ -290,7 +290,7 @@ def test_tape_is_topologically_ordered():
         vit.cross_entropy(res.logits, [1])
         vit.class_score(res.logits, 0)
         assert res.graph.nodes == nodes
-        assert [n.op for n in nodes] == ["embedding", *["block"] * cfg.num_layers, "head"]
+        assert stage_names(nodes) == ["embedding", *["block"] * cfg.num_layers, "head"]
 
 
 # -- attention ------------------------------------------------------------------
@@ -341,7 +341,7 @@ def test_attention_matches_the_primitive_chain(shape):
     out, kept, saved = attention_arrays(x0, heads, True)
     assert grad_rel_error(out, ref_out) < 4e-15
     assert grad_rel_error(kept, ref_scores[:, :, :1]) < 4e-15
-    assert grad_rel_error(saved.e / saved.l[..., None], ref_probs) < 4e-15
+    assert grad_rel_error(saved.e / saved.l, ref_probs) < 4e-15
     assert bit_equal(saved.vx[..., :-1], ref_v)
     assert (saved.vx[..., -1] == 1.0).all()
     assert attention_arrays(x0, heads)[1] is None
@@ -380,10 +380,23 @@ def test_attention_grad_matches_a_reference_vjp(cls_only):
     assert grad_rel_error(grad, _attention_vjp(x0, 4, w, cls_only)) <= 1e-12
 
 
+@pytest.mark.parametrize("cls_only", [False, True], ids=["every_row", "cls_row"])
+def test_saved_row_sums_own_their_memory(cls_only):
+    # l is its own [B, H, M, 1] array, not a column view of the product of e
+    # with [v | 1], so a tape or capture that keeps l does not keep that product
+    b, h, n, dh = 2, 3, 19, 4
+    x0, _ = _attention_inputs((b, h, n, dh), seed=13)
+    _, _, saved = attention_arrays(x0, h, False, cls_only)
+    m = 1 if cls_only else n
+    assert saved.l.shape == (b, h, m, 1)
+    assert saved.l.base is None and saved.l.nbytes == b * h * m * 8
+    assert grad_rel_error(saved.l[..., 0], saved.e.sum(axis=-1)) < 1e-14
+
+
 def _attention_node(x, heads):
     """attention_arrays as a test-local stage whose backward is attention_grad."""
     out, _, saved = attention_arrays(x, heads)
-    return out, Node("attention", lambda grad: attention_grad(grad, saved))
+    return out, lambda grad: attention_grad(grad, saved)
 
 
 def test_attention_nodes_give_the_same_bits_on_every_walk():
@@ -391,8 +404,7 @@ def test_attention_nodes_give_the_same_bits_on_every_walk():
     heads = 2
 
     def stack3(t):
-        return np.concatenate([t] * 3, axis=-1), Node(
-            "concat", lambda grad: sum(np.split(grad, 3, axis=-1)))
+        return np.concatenate([t] * 3, axis=-1), lambda grad: sum(np.split(grad, 3, axis=-1))
 
     g = Graph()
     first = on(g, _attention_node(x0, heads))

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,23 @@ def test_a_pair_needs_both_sides():
     assert summary["w"]["images_per_s"]["change_better_pairs"] == "1/1"
     assert summary["w"]["images_per_s"]["parent_median"] == pytest.approx(10.5)
     assert bench_pairs.summarize(runs[:2], METRICS) == {"w": {}}
+
+
+def test_an_unknown_workload_is_a_usage_error_before_any_run(monkeypatch, tmp_path, capsys):
+    def never(*args):
+        raise AssertionError("no archive or run for a plan with an unknown workload")
+
+    monkeypatch.setattr(bench_pairs, "archive", never)
+    monkeypatch.setattr(bench_pairs, "run_once", never)
+    known = [w["name"] for w in
+             json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--pairs", f"{known[0]}=1",
+                          "--pairs", "no-such-workload=2", "--description", "x",
+                          "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown workload 'no-such-workload'" in err
+    assert ", ".join(known) in err
+    assert not out.exists()

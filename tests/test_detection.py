@@ -62,6 +62,33 @@ def test_pnr_scale_stability_bound():
         assert diff <= bound * (1 + 1e-9) + 1e-15
 
 
+def _single_signed_maps():
+    # no negative score (some exact zeros), as most toy-model maps are
+    rng = np.random.default_rng(3)
+    for shape in ((50,), (7, 7), (2, 14, 14)):
+        m = rng.random(shape)
+        m.reshape(-1)[::5] = 0.0
+        yield m
+
+
+def test_pnr_of_a_single_signed_map_is_its_mass_over_eps():
+    # N = 0, so PNR = P / eps, with P summed in the same order as M.sum()
+    for m in _single_signed_maps():
+        for eps in (1e-8, 1e-4, 1.0):
+            assert pnr(m, eps) == m.sum() / eps
+
+
+def test_pnr_of_a_single_signed_map_scales_with_the_map_and_as_one_over_eps():
+    # the two-signed bound above is loose here: P / eps is exactly linear in
+    # the map and in 1 / eps
+    eps = 1e-8
+    for m in _single_signed_maps():
+        base = pnr(m, eps)
+        for k in (0.25, 2.0, 1000.0):
+            assert pnr(k * m, eps) == pytest.approx(k * base, rel=1e-12, abs=0)
+            assert pnr(m, k * eps) == pytest.approx(base / k, rel=1e-12, abs=0)
+
+
 def test_pnr_accepts_attribution_map(tiny_model):
     from bicam.attribution import bicam
     img = np.random.default_rng(2).random((1, 3, 16, 16))
@@ -132,20 +159,17 @@ def test_roc_single_class_rejected():
 
 def test_roc_matches_bruteforce_random_sets():
     rng = np.random.default_rng(5)
-    # (decimals, higher_is_adversarial): scores rounded to 0-1 decimals tie
-    # heavily; with lower scores adversarial, the oracles see negated scores
-    for decimals, higher in ((2, True), (1, True), (0, True), (2, False), (0, False)):
-        sign = 1.0 if higher else -1.0
+    # scores rounded to 0-1 decimals tie heavily
+    for decimals in (2, 1, 0):
         for trial in range(30):
             n_c, n_a = rng.integers(2, 21, size=2)
             clean = np.round(rng.random(n_c) * 4, decimals)
             adv = np.round(rng.random(n_a) * 4 + rng.uniform(0, 1), decimals)
-            rep = roc_analysis(records_from(clean, adv), higher_is_adversarial=higher)
-            c, a = sign * clean, sign * adv
-            assert rep.auroc == auroc_bruteforce(c, a)
-            assert rep.aupr == pytest.approx(aupr_bruteforce(c, a), abs=1e-12)
-            j_best, t_best = youden_bruteforce(c, a)
-            assert rep.threshold == sign * t_best
+            rep = roc_analysis(records_from(clean, adv))
+            assert rep.auroc == auroc_bruteforce(clean, adv)
+            assert rep.aupr == pytest.approx(aupr_bruteforce(clean, adv), abs=1e-12)
+            j_best, t_best = youden_bruteforce(clean, adv)
+            assert rep.threshold == t_best
             assert rep.sensitivity + rep.specificity - 1.0 == pytest.approx(j_best, abs=1e-12)
 
 
@@ -161,14 +185,6 @@ def test_youden_threshold_exhaustively_optimal():
         spec = (clean < t).mean()
         assert j_star >= sens + spec - 1.0 - 1e-12
     assert scores.min() <= rep.threshold <= scores.max()
-
-
-def test_roc_direction_flag():
-    # lower scores mean adversarial in this synthetic regime
-    rep = roc_analysis(records_from([0.8, 0.9], [0.1, 0.2]),
-                       higher_is_adversarial=False)
-    assert rep.auroc == 1.0
-    assert rep.higher_is_adversarial is False
 
 
 def test_delta_stats_from_paired_ids():

@@ -5,7 +5,9 @@
         --pairs attack-56=10 --pairs faith-16=5 \\
         --description "..." --out BENCH_28.json
 
-The parent tree is the committed files of ``--parent``, extracted with
+Every ``--pairs`` name must be a workload of BENCHMARK.json: any other is
+a usage error (exit 2) before anything is extracted or run. The parent
+tree is the committed files of ``--parent``, extracted with
 ``git archive`` into a temporary directory; the change tree is this
 checkout. For each workload, seeds 1..n run ``bench_e2e/run.py --trace 0``
 once in each tree, in its own directory, for BENCHMARK.json's
@@ -111,14 +113,18 @@ def main(argv=None) -> int:
     ap.add_argument("--description", required=True)
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
+    known = [w["name"] for w in bench["workloads"]]
     plan = []
     for item in args.pairs:
         workload, _, n = item.partition("=")
         if not n.isdigit() or int(n) < 1:
             ap.error(f"--pairs wants WORKLOAD=N with N >= 1, got {item!r}")
+        if workload not in known:
+            ap.error(f"unknown workload {workload!r} in --pairs; BENCHMARK.json "
+                     f"declares {', '.join(known)}")
         plan.append((workload, int(n)))
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
 
     doc = {"description": args.description, "host": {}, "summary": {}, "runs": []}
     ok = True
