@@ -21,11 +21,15 @@ root is no node, so one forward serves any number of backwards.
 fused q|k|v projection [B, N, 3d], for every query row or for the CLS
 token's alone, and ``attention_grad`` its backward. Each derives the
 scale 1/sqrt(d_h) from its operands' head width. As in FlashAttention
-(Dao et al. 2022), the forward leaves the softmax unnormalized and divides
-the head outputs by the row sums, and the backward takes the softmax
-gradient's row term from the outputs, so a block passes over its scores
-six times forward and five times backward. Each backward allocates its
-one score-sized work array and drops it on return.
+(Dao et al. 2022, arXiv:2205.14135), the forward leaves the softmax
+unnormalized and divides the head outputs by the row sums, it saves for
+the backward only arrays of O(N d) elements (the rows' score maxima among
+them), and the backward rebuilds the exps from those with the forward's own
+ops, so bit for bit, and takes the softmax gradient's row term from the
+outputs. A block passes over its scores six times forward and eight times
+backward: the rebuild's product, subtraction and exp, then five passes.
+Each backward allocates its two score-sized arrays, the exps and one work
+array, and drops them on return; a tape holds none.
 
 ``check_finite`` is the one check every forward runs (a finite forward
 pass is an invariant rather than a hope). A graph is single-threaded
@@ -115,14 +119,29 @@ class Tensor:
 
 
 class AttentionSaved(NamedTuple):
-    """What ``attention_grad`` reads of one ``attention_arrays`` call."""
+    """What ``attention_grad`` reads of one ``attention_arrays`` call: no
+    array of O(N^2) elements, so no score-sized one."""
 
     q: np.ndarray     # [B, H, M, d_h], a view of qkv's query columns
     k: np.ndarray     # [B, H, N, d_h], a view of qkv's key columns
     vx: np.ndarray    # [B, H, N, d_h + 1], the values, then a column of ones
-    e: np.ndarray     # [B, H, M, N], exp(scores - row max): not normalized
-    l: np.ndarray     # [B, H, M, 1], the row sums of e
+    mx: np.ndarray    # [B, H, M, 1], each row's max of the scaled scores
+    l: np.ndarray     # [B, H, M, 1], the row sums of exp(scores - mx)
     out: np.ndarray   # [B, M, d], the merged heads
+
+
+def _scores(q, k):
+    """q @ k^T * scale, the scale 1/sqrt(d_h) put into a contiguous copy of
+    k^T: the scaled scores [B, H, M, N]."""
+    kt = np.ascontiguousarray(k.transpose(0, 1, 3, 2))
+    kt *= 1.0 / math.sqrt(k.shape[-1])
+    return np.matmul(q, kt)
+
+
+def _exps(s, mx):
+    """exp(s - mx), in place in the scores ``s``."""
+    s -= mx
+    return np.exp(s, out=s)
 
 
 def attention_arrays(qkv, heads: int, keep_scores: bool = False, cls_only: bool = False):
@@ -134,10 +153,11 @@ def attention_arrays(qkv, heads: int, keep_scores: bool = False, cls_only: bool 
     back into [B, M, d]. The queries are every token (M = N), or with
     ``cls_only`` the CLS token's alone (M = 1): its q row attends to the
     keys and values of every token, and the other q rows are not read.
-    Returns (out, kept, saved): out the merged heads, kept a copy of the
+    Returns (out, kept, e, saved): out the merged heads, kept a copy of the
     CLS row of the scaled scores [B, H, 1, N] when ``keep_scores`` is set
-    (else None), and saved the AttentionSaved that ``attention_grad``
-    reads.
+    (else None), e the exps below [B, H, M, N], for a caller that keeps them
+    (a tape-free capture; a tape does not), and saved the AttentionSaved
+    that ``attention_grad`` reads.
 
     The scale goes into k^T, so the scores come scaled out of their product.
     The softmax is not normalized on the scores: e = exp(scores - row max)
@@ -145,7 +165,8 @@ def attention_arrays(qkv, heads: int, keep_scores: bool = False, cls_only: bool 
     ones gives e v and the row sums l; the output is (e v) / l. So one pass
     over the score array makes it and five use it: the finite check, the
     row max, the subtraction, the exp and the product. The probabilities
-    are e / l (see ``LayerCapture``).
+    are e / l (see ``LayerCapture``). The row maxima are saved, so the
+    backward rebuilds e with these same ops (see ``_exps``).
 
     The scaled scores and the merged output are checked for NaN/Inf, and
     both checks name matmul: the scale is at most 1, so a non-finite score
@@ -160,21 +181,19 @@ def attention_arrays(qkv, heads: int, keep_scores: bool = False, cls_only: bool 
     dh = d3 // (3 * heads)
     m = 1 if cls_only else n
     split = qkv.reshape(b, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)   # [3, B, H, N, d_h]
-    q = split[0, :, :, :m]
-    kt = np.ascontiguousarray(split[1].transpose(0, 1, 3, 2))
-    kt *= 1.0 / math.sqrt(dh)
+    q, k = split[0, :, :, :m], split[1]
     vx = np.empty((b, heads, n, dh + 1))
     vx[..., :dh] = split[2]
     vx[..., dh] = 1.0
-    s = check_finite(np.matmul(q, kt), "matmul")
+    s = check_finite(_scores(q, k), "matmul")
     kept = s[:, :, :1].copy() if keep_scores else None
-    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
-    e = np.exp(s, out=s)
+    mx = np.maximum.reduce(s, axis=-1, keepdims=True)
+    e = _exps(s, mx)
     ol = np.matmul(e, vx)
     l = ol[..., dh:].copy()   # its own memory, so the saved arrays do not hold ol
     out = np.ascontiguousarray(np.divide(ol[..., :dh], l).transpose(0, 2, 1, 3))
     out = check_finite(out.reshape(b, m, d3 // 3), "matmul")
-    return out, kept, AttentionSaved(q, split[1], vx, e, l, out)
+    return out, kept, e, AttentionSaved(q, k, vx, mx, l, out)
 
 
 def attention_grad(grad, saved: AttentionSaved) -> np.ndarray:
@@ -182,20 +201,25 @@ def attention_grad(grad, saved: AttentionSaved) -> np.ndarray:
     the gradient ``grad`` [B, M, d] of the merged heads and the saved
     arrays of its forward.
 
-    Per head, with g the output gradient, o the output and p = e / l, the
+    The exps e are rebuilt first, by the forward's own ops on the same
+    operands (``_scores`` and ``_exps`` with the saved row maxima), so they
+    are the forward's bits; the forward checked those scores finite, so no
+    check runs here. Then, per head, with g the output gradient, o the
+    output and p = e / l, the
     softmax gradient's row term rowsum(p * (g v^T)) equals delta = g . o, so
     dv = e^T (g / l), the scores' gradient ds = p * (g v^T - delta) = e * x
     with x = [g / l | -delta / l] [v | 1]^T in one product, dq = scale ds k
     and dk = scale ds^T q, with the forward's scale 1/sqrt(d_h). The scale
     goes into [g / l | -delta / l] once dv is made, so x comes out scaled.
-    That is five passes over score-sized arrays: the products that read e,
-    write x and read x twice, and x *= e.
+    That is eight passes over score-sized arrays: the rebuild's product,
+    subtraction and exp, the products that read e, write x and read x
+    twice, and x *= e.
     dq, dk and dv are written into one [B, N, 3, H, d_h] array; with M = 1
     (``cls_only``) dq fills the CLS row, and the q columns of the other
-    rows, which the forward did not read, are zero. x, the one score-sized
-    work array, is allocated here and freed on return.
+    rows, which the forward did not read, are zero. e and x, the two
+    score-sized arrays, are allocated here and freed on return.
     """
-    q, k, vx, e, l, out = saved
+    q, k, vx, mx, l, out = saved
     b, h, m, dh = q.shape
     n = k.shape[2]
     gx = np.empty((b, h, m, dh + 1))
@@ -204,6 +228,7 @@ def attention_grad(grad, saved: AttentionSaved) -> np.ndarray:
     gl = np.einsum("bmhj,bhm->bhmj", grad.reshape(b, m, h, dh), 1.0 / l[..., 0], out=gx[..., :dh])
     delta = np.einsum("bhmj,bmhj->bhm", gl, out.reshape(b, m, h, dh), out=gx[..., dh])
     np.negative(delta, out=delta)
+    e = _exps(_scores(q, k), mx)
     x = np.empty(e.shape)
     dqkv = np.empty((b, n, 3, h, dh))
     dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)   # [B, H, N, d_h] views

@@ -9,7 +9,11 @@ benchmark's tracer (``bench_e2e/tracing.py``) wraps it by name.
 
 The layer norm gradient works in place: it overwrites its ``dxhat`` input
 with the input gradient and returns it. The softmax kernels allocate their
-result and reuse it for their temporaries.
+result and reuse it for their temporaries. ``gelu_grad(x)`` returns
+gelu(x) and its derivative, made from one erf: a taped block's forward
+calls it in place of ``gelu``, which serves the tape-free forwards, and
+keeps the derivative, which its backward multiplies by the output
+gradient.
 
 GELU needs scipy's ``erf`` ufunc alone, and ``import scipy.special`` costs
 most of the CLI's start-up (its package init loads scipy's array-API layer,
@@ -103,25 +107,30 @@ def gelu(x):
     return 0.5 * x * (1.0 + _erf(x * _INV_SQRT2))
 
 
-def gelu_grad(x, g):
-    """Backward of gelu: g * (cdf(x) + x * pdf(x)), in two arrays.
+def gelu_grad(x):
+    """gelu(x) and its derivative cdf(x) + x * pdf(x), from one erf:
+    (gelu(x), gelu'(x)), in three arrays.
 
-    The steps of ``g * (0.5 * (1 + erf(x * c1)) + x * (exp(-0.5 * x * x) * c2))``
-    (c1 = 1/sqrt(2), c2 = 1/sqrt(2 pi)), in that order and in place; a
-    product or sum with its operands swapped gives the same bits.
+    gelu(x) is (0.5 * x) * (1 + erf(x * c1)) and gelu'(x) the steps of
+    ``0.5 * (1 + erf(x * c1)) + x * (exp(-0.5 * x * x) * c2)`` (c1 =
+    1/sqrt(2), c2 = 1/sqrt(2 pi)), each in that order and in place; a
+    product or sum with its operands swapped gives the same bits, so the
+    first is ``gelu(x)`` bit for bit, and an output gradient times the
+    second is the input gradient.
     """
-    out = np.multiply(x, _INV_SQRT2)
-    _erf(out, out=out)
-    out += 1.0
-    out *= 0.5
+    cdf = np.multiply(x, _INV_SQRT2)
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    y = np.multiply(x, 0.5)
+    y *= cdf
+    cdf *= 0.5
     pdf = np.multiply(x, -0.5)
     pdf *= x
     np.exp(pdf, out=pdf)
     pdf *= _INV_SQRT2PI
     pdf *= x
-    out += pdf
-    out *= g
-    return out
+    cdf += pdf
+    return y, cdf
 
 
 # Row means are np.add.reduce(...) / d: the sum-then-divide ndarray.mean

@@ -13,9 +13,12 @@ which the layer's block backward stores in its LayerCapture.
 Attention keeps its softmax unnormalized (see ``autodiff.attention_arrays``),
 so a capture of a tape-free forward (``wrt=None``, rollout's) also holds
 the exps of its scores and their row sums, and its ``attn_probs`` divides
-one by the other when read. A taped capture holds neither: only rollout
-reads them, and the tape keeps its own for the backward, so the lowest
-captured block of an attribution frees its exps as it returns.
+one by the other when read. A taped capture holds neither, and neither
+does the tape: only rollout reads them, and attention's backward rebuilds
+the exps from the rows' score maxima, so every block frees its exps as it
+returns. A taped block makes gelu and its derivative from one erf
+(``kernels.gelu_grad``) and keeps the derivative in place of gelu's input,
+so its backward's gelu step is one product.
 
 The forward body is written once, on plain ndarrays, as one loop over
 L + 2 stages: the embedding, each block (x -> next x) and the head. A
@@ -432,7 +435,7 @@ class _Stages:
         hand_on = layer > self.first_taped   # the stage below is on the tape
         captured = layer >= self.first_captured
         h, xhat1, inv_std1 = _layernorm(x, w["ln1.gain"], w["ln1.bias"], check, hand_on)
-        merged, kept, saved = attention_arrays(
+        merged, kept, e, saved = attention_arrays(
             _linear(h, w["attn.qkv.weight"], w["attn.qkv.bias"], check), cfg.num_heads,
             captured, layer == cfg.num_layers)
         if offset is not None:
@@ -443,14 +446,15 @@ class _Stages:
         if captured:
             cap = LayerCapture(layer=layer, attn_logits=kept, values=saved.vx[..., :-1],
                                cls_out=merged[:, 0, :].copy())
-            if not taped:   # rollout's exps; on the tape only the backward reads them
-                cap.attn_exp, cap.attn_rowsums = saved.e, saved.l
+            if not taped:   # rollout's exps; a backward rebuilds its own
+                cap.attn_exp, cap.attn_rowsums = e, saved.l
             self.captures.append(cap)
         # ln1's output is read again by a weight gradient alone, and ln1's
         # statistics and attention's saved arrays by a backward that hands on
         # its input gradient alone: they are freed before the MLP half
-        # allocates (the scores with them, unless a tape-free capture holds
-        # them), and the merged heads after their product
+        # allocates, as are the exps unless a tape-free capture holds them,
+        # and the merged heads after their product
+        e = None
         h = h if grads is not None else None
         if not hand_on:
             saved = xhat1 = inv_std1 = None
@@ -460,7 +464,10 @@ class _Stages:
         merged = merged if grads is not None else None
         h2, xhat2, inv_std2 = _layernorm(x1, w["ln2.gain"], w["ln2.bias"], check, taped)
         a1 = _linear(h2, w["ffn.fc1.weight"], w["ffn.fc1.bias"], check)
-        f = check(kernels.gelu(a1), "gelu")
+        # a taped block's backward reads gelu'(a1), made from gelu's own erf
+        f, dgelu = kernels.gelu_grad(a1) if taped else (kernels.gelu(a1), None)
+        a1 = None
+        f = check(f, "gelu")
         x2 = check(x1 + _linear(f, w["ffn.fc2.weight"], w["ffn.fc2.bias"], check), "add")
         if not taped:
             return x2, None
@@ -470,7 +477,8 @@ class _Stages:
         # closure reads is a cell the forward holds from its first op, taped
         # or not
         def backward(g):
-            da1 = kernels.gelu_grad(a1, np.matmul(g, w["ffn.fc2.weight"].T))
+            da1 = np.matmul(g, w["ffn.fc2.weight"].T)
+            da1 *= dgelu
             dh2 = np.matmul(da1, w["ffn.fc1.weight"].T)
             if grads is not None:
                 grads[prefix + "ffn.fc1.weight"], grads[prefix + "ffn.fc1.bias"] = (

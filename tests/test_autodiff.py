@@ -42,7 +42,10 @@ def matmul(x, w):
 
 
 def gelu(x):
-    return kernels.gelu(x), lambda grad: kernels.gelu_grad(x, grad)
+    """gelu as a block tapes it: the output and, from the same erf, the
+    derivative that the backward multiplies by the output gradient."""
+    y, dy = kernels.gelu_grad(x)
+    return y, lambda grad: grad * dy
 
 
 def softmax(x, temperature):
@@ -138,8 +141,7 @@ H0 = RNG.standard_normal(6)
 PRIMITIVE_CASES = [
     ("softmax", _softmax_case(1.0), RNG.standard_normal((4, 6))),
     ("softmax_temp", _softmax_case(2.7), RNG.standard_normal((2, 3, 5))),
-    ("gelu", lambda x: (kernels.gelu(x), lambda g: kernels.gelu_grad(x, g)),
-     RNG.standard_normal((5, 5))),
+    ("gelu", gelu, RNG.standard_normal((5, 5))),
     ("layernorm", _layernorm_case, RNG.standard_normal((4, 6))),
 ]
 
@@ -338,10 +340,10 @@ def test_attention_matches_the_primitive_chain(shape):
     ref_out, ref_scores, ref_v = _attention_chain(x0, heads)
     ref_probs = kernels.softmax_rows(ref_scores.reshape(-1, shape[2]), 1.0).reshape(
         ref_scores.shape)
-    out, kept, saved = attention_arrays(x0, heads, True)
+    out, kept, e, saved = attention_arrays(x0, heads, True)
     assert grad_rel_error(out, ref_out) < 4e-15
     assert grad_rel_error(kept, ref_scores[:, :, :1]) < 4e-15
-    assert grad_rel_error(saved.e / saved.l, ref_probs) < 4e-15
+    assert grad_rel_error(e / saved.l, ref_probs) < 4e-15
     assert bit_equal(saved.vx[..., :-1], ref_v)
     assert (saved.vx[..., -1] == 1.0).all()
     assert attention_arrays(x0, heads)[1] is None
@@ -375,7 +377,7 @@ def test_attention_grad_matches_a_reference_vjp(cls_only):
     # float64 arithmetic against float64 arithmetic, not finite differences
     x0, w_all = _attention_inputs((2, 4, 23, 8), seed=11)
     w = w_all[:, :1] if cls_only else w_all
-    _, _, saved = attention_arrays(x0, 4, False, cls_only)
+    *_, saved = attention_arrays(x0, 4, False, cls_only)
     grad = attention_grad(w, saved)
     assert grad_rel_error(grad, _attention_vjp(x0, 4, w, cls_only)) <= 1e-12
 
@@ -386,16 +388,57 @@ def test_saved_row_sums_own_their_memory(cls_only):
     # with [v | 1], so a tape or capture that keeps l does not keep that product
     b, h, n, dh = 2, 3, 19, 4
     x0, _ = _attention_inputs((b, h, n, dh), seed=13)
-    _, _, saved = attention_arrays(x0, h, False, cls_only)
+    _, _, e, saved = attention_arrays(x0, h, False, cls_only)
     m = 1 if cls_only else n
     assert saved.l.shape == (b, h, m, 1)
     assert saved.l.base is None and saved.l.nbytes == b * h * m * 8
-    assert grad_rel_error(saved.l[..., 0], saved.e.sum(axis=-1)) < 1e-14
+    assert grad_rel_error(saved.l[..., 0], e.sum(axis=-1)) < 1e-14
+    # the row maxima too, and no saved array holds N^2 elements per head
+    assert saved.mx.shape == (b, h, m, 1) and saved.mx.base is None
+    assert max(arr.size for arr in saved) < b * h * n * n
+
+
+def _attention_grad_from_exps(grad, saved, e):
+    """attention_grad on the forward's own exps ``e``, as it ran when the
+    tape kept them: the same formula and ops, with no rebuild."""
+    q, k, vx, _, l, out = saved
+    b, h, m, dh = q.shape
+    gx = np.empty((b, h, m, dh + 1))
+    gl = np.einsum("bmhj,bhm->bhmj", grad.reshape(b, m, h, dh), 1.0 / l[..., 0], out=gx[..., :dh])
+    delta = np.einsum("bhmj,bmhj->bhm", gl, out.reshape(b, m, h, dh), out=gx[..., dh])
+    np.negative(delta, out=delta)
+    x = np.empty(e.shape)
+    dqkv = np.empty((b, k.shape[2], 3, h, dh))
+    dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+    dq[:, :, m:] = 0.0
+    np.matmul(np.swapaxes(e, -1, -2), gl, out=dv)
+    gx *= 1.0 / math.sqrt(dh)
+    np.matmul(gx, np.swapaxes(vx, -1, -2), out=x)
+    x *= e
+    np.matmul(x, k, out=dq[:, :, :m])
+    np.matmul(np.swapaxes(x, -1, -2), q, out=dk)
+    return dqkv.reshape(b, k.shape[2], 3 * h * dh)
+
+
+@pytest.mark.parametrize("cls_only", [False, True], ids=["every_row", "cls_row"])
+@pytest.mark.parametrize("shape", [(1, 2, 17, 3), (2, 3, 11, 5), (1, 4, 197, 8),
+                                   (2, 2, 23, 8)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_attention_grad_rebuilds_the_forward_exps_bit_for_bit(shape, cls_only):
+    # the backward keeps no exps: it rebuilds them with the forward's ops
+    # from the saved row maxima, so its gradient is the one the forward's
+    # own exps give, to the bit
+    x0, w_all = _attention_inputs(shape, seed=shape[1] * 10 + shape[3])
+    w = w_all[:, :1] if cls_only else w_all
+    _, _, e, saved = attention_arrays(x0, shape[1], False, cls_only)
+    want = _attention_grad_from_exps(w, saved, e)
+    assert bit_equal(attention_grad(w, saved), want)
+    assert bit_equal(attention_grad(w, saved), want)   # and the saved arrays are intact
 
 
 def _attention_node(x, heads):
     """attention_arrays as a test-local stage whose backward is attention_grad."""
-    out, _, saved = attention_arrays(x, heads)
+    out, _, _, saved = attention_arrays(x, heads)
     return out, lambda grad: attention_grad(grad, saved)
 
 
@@ -412,8 +455,8 @@ def test_attention_nodes_give_the_same_bits_on_every_walk():
     root = total(g, on(g, times(second, w)))
 
     # the same arithmetic, called directly
-    _, _, saved2 = attention_arrays(np.concatenate([first] * 3, axis=-1), heads)
-    _, _, saved1 = attention_arrays(x0, heads)
+    *_, saved2 = attention_arrays(np.concatenate([first] * 3, axis=-1), heads)
+    *_, saved1 = attention_arrays(x0, heads)
     dmid = attention_grad(w, saved2)
     ref = attention_grad(sum(np.split(dmid, 3, axis=-1)), saved1)
 
@@ -432,7 +475,7 @@ def test_attention_gradients_match_finite_differences():
         def loss(x):
             return float((attention_arrays(x, heads, False, cls_only)[0] * w).sum())
 
-        _, _, saved = attention_arrays(x0, heads, False, cls_only)
+        *_, saved = attention_arrays(x0, heads, False, cls_only)
         grad = attention_grad(w, saved)
         assert grad_rel_error(grad, finite_difference(loss, x0)) < 1e-7
 

@@ -88,6 +88,18 @@ def test_gelu_matches_reference_values():
     assert out[0, 0] == pytest.approx(0.8413447460685429, abs=1e-12)
 
 
+def test_gelu_grad_gives_gelu_and_its_derivative_bit_for_bit():
+    # from one erf: gelu's own bits, and a derivative whose product with an
+    # output gradient is the input gradient's chain g * (cdf + x * pdf)
+    x = np.concatenate([_erf_inputs()[::97], X.ravel()])
+    g = np.random.default_rng(1).standard_normal(x.shape)
+    y, dy = kernels.gelu_grad(x)
+    assert bit_equal(y, kernels.gelu(x))
+    c1, c2 = 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0 * np.pi)
+    assert bit_equal(g * dy, g * (0.5 * (1.0 + kernels._erf(x * c1))
+                                  + x * (np.exp(-0.5 * x * x) * c2)))
+
+
 def _erf_inputs():
     edges = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]
     return np.concatenate([np.linspace(-40.0, 40.0, 200_001), edges])

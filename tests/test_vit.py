@@ -696,12 +696,18 @@ def _payload(res):
 # bytes less its payload, array headers, the dict and numpy's own caches,
 # measured 1,272 (1,464 in a full run), and a stage gradient left behind,
 # [1, 17, 16] here, would add 2,176 to them. Over it, the tiny model's held
-# bytes less its extra payload measured 256, and its peak 5,672; a
-# [1, 2, 17, 17] work array (4,624 bytes) kept for the whole walk raised the
-# peak by 864.
+# bytes less its extra payload measured 256 (the tape's arrays predate the
+# walk, so the exps it no longer keeps do not show here), and its peak
+# 10,456. A score-sized array, [1, 2, 17, 17] here, is 4,624 bytes. When
+# the tape kept every full block's exps, the peak measured 5,672: a walk
+# allocated one score-sized work array per attention backward. It now
+# rebuilds the exps there too, a second score-sized array beside the work
+# array, so the peak rose by 4,784 (the array and its 160-byte header)
+# while the tape, and the end-to-end peaks below, lost L - 1 of them. A
+# work array kept for the whole walk raised the peak by 864.
 BACKWARD_HELD_OVER_PAYLOAD = 1_920
 BACKWARD_HELD_OVER_REFERENCE = 896
-BACKWARD_PEAK_OVER_REFERENCE = 6_312
+BACKWARD_PEAK_OVER_REFERENCE = 11_096
 # The forward bounds over the one-block model's tape-free forward peak are
 # the absolute bounds these tests had before, less that peak as measured
 # with this file alone (20,904 bytes, numpy 2.4, CPython 3.11; 20,680 in a
@@ -710,9 +716,11 @@ BACKWARD_PEAK_OVER_REFERENCE = 6_312
 # attention and MLP (35,504, 50,760 and 118,112 bytes). An uncaptured
 # layer's exps ([1, 2, 17, 17] here, 4,624 bytes) alive while the next layer
 # allocates its own, or its attention arrays kept through its MLP half,
-# exceed them
+# exceed them. The taped capture's bound is 640 bytes over what it
+# measured in a full tier-1 run, 74,896 (74,736 with this test alone): its
+# tape keeps no exps. With every full block's exps on it, it measured 88,128
 FORWARD_PEAK_OVER_REFERENCE = {"tape-free": 14_600, "tape-free capture": 29_856,
-                               "taped capture": 97_208}
+                               "taped capture": 75_536}
 
 
 def test_retained_backward_class_peak_memory_is_lower(tiny_model, tiny_config):
@@ -742,14 +750,14 @@ def test_forward_peak_memory_is_bounded(tiny_model, tiny_config):
         over, reference)
 
 
-# The 56x56 model's peaks over its own tape-free forward's peak (1,815,088
+# The 56x56 model's peaks over its own tape-free forward's peak (1,777,960
 # bytes, numpy 2.4, CPython 3.11), each 256 KB over what it measured with
-# this test alone: bicam 3,781,200 and loss_and_input_grad 8,835,240.
-# A score-sized array there, [1, 4, 197, 197], is 1,241,888 bytes: the
-# lowest captured layer's exps kept in its capture raised bicam's by
-# 1,299,584, and a second score-sized array in attention's backward would
-# raise both by about as much
-PEAK_56_OVER_FORWARD = {"bicam": 4_043_344, "loss_and_input_grad": 9_097_384}
+# this test alone: bicam 2,481,760 and loss_and_input_grad 3,676,688.
+# A score-sized array there, [1, 4, 197, 197], is 1,241,888 bytes. A tape
+# keeps none: with each full block's exps on it, the peaks measured
+# 3,672,960 and 8,575,080, and the lowest captured layer's exps kept in
+# its capture raised bicam's by 1,299,584
+PEAK_56_OVER_FORWARD = {"bicam": 2_743_904, "loss_and_input_grad": 3_938_832}
 
 
 def test_attribution_and_input_gradient_peaks_on_the_56x56_model():
@@ -783,8 +791,8 @@ def _no_exps(captures):
 def test_fused_qkv_forward_is_bit_equal_to_tape(tiny_config, shape, monkeypatch):
     # both paths run one [Wq|Wk|Wv] product per block, and attention splits
     # and merges the heads the same way on each; a taped capture holds no
-    # exps, so the tape's own, recorded from attention, are compared with
-    # the tape-free captures'
+    # exps, so the taped forward's own, recorded from attention, are
+    # compared with the tape-free captures'
     cfg = tiny_config if shape == "tiny" else ViTConfig(**SHAPE_56)
     model = new_model(cfg, seed=5)
     batch = 2 if shape == "tiny" else 1
@@ -793,7 +801,7 @@ def test_fused_qkv_forward_is_bit_equal_to_tape(tiny_config, shape, monkeypatch)
 
     def recording(*args):
         out = attention_arrays(*args)
-        saved.append(out[2])
+        saved.append(out[2:])
         return out
 
     attention_arrays = vit.attention_arrays
@@ -805,10 +813,10 @@ def test_fused_qkv_forward_is_bit_equal_to_tape(tiny_config, shape, monkeypatch)
     assert bit_equal(plain.logits.data, taped.logits.data)
     assert len(plain.captures) == len(taped.captures) == len(saved) == cfg.num_layers
     assert _no_exps(taped.captures)
-    for a, b, tape in zip(plain.captures, taped.captures, saved):
+    for a, b, (e, tape) in zip(plain.captures, taped.captures, saved):
         for name in ("attn_logits", "values", "cls_out"):
             assert bit_equal(getattr(a, name), getattr(b, name)), (a.layer, name)
-        assert bit_equal(a.attn_exp, tape.e), a.layer
+        assert bit_equal(a.attn_exp, e), a.layer
         assert bit_equal(a.attn_rowsums, tape.l), a.layer
 
 
@@ -917,11 +925,11 @@ def test_softmax_elements_per_forward_and_backward(tiny_config, shape, monkeypat
 
     def counting_forward(*args):
         out = attention_arrays(*args)
-        counted["forward"] += out[2].e.size
+        counted["forward"] += out[2].size
         return out
 
-    def counting_backward(grad, saved):
-        counted["backward"] += saved.e.size
+    def counting_backward(grad, saved):   # the exps it rebuilds: M x N per head
+        counted["backward"] += saved.l.size * saved.k.shape[2]
         return attention_grad(grad, saved)
 
     attention_arrays, attention_grad = vit.attention_arrays, vit.attention_grad
@@ -953,6 +961,26 @@ def test_softmax_elements_per_forward_and_backward(tiny_config, shape, monkeypat
                 [(1, h, n, n)] * (layers - 1) + [(1, h, 1, n)])
 
 
+@pytest.mark.parametrize("wrt", ["input", "captures", "weights", None])
+def test_a_forward_runs_one_erf_per_block_and_a_backward_none(tiny_model, wrt, monkeypatch):
+    # a taped block makes gelu and its derivative from one erf, so the
+    # backward's gelu step is a product alone
+    calls = []
+    erf = kernels._erf
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return erf(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_erf", counting)
+    img = np.random.default_rng(27).random((2, 3, 16, 16))
+    res = tiny_model.forward(img, capture=True, wrt=wrt)
+    assert len(calls) == tiny_model.config.num_layers
+    if wrt is not None:
+        res.graph.backward(cross_entropy(res.logits, [0, 1]))
+        assert len(calls) == tiny_model.config.num_layers
+
+
 @pytest.mark.parametrize("shape", ["tiny", "56x56"])
 def test_an_attribution_walk_runs_attention_backward_above_its_lowest_layer(
         tiny_config, shape, monkeypatch):
@@ -966,11 +994,11 @@ def test_an_attribution_walk_runs_attention_backward_above_its_lowest_layer(
 
     def counting_forward(*args):
         out = attention_arrays(*args)
-        counted["forward"] += out[2].e.size
+        counted["forward"] += out[2].size
         return out
 
-    def counting_backward(grad, saved):
-        counted["backward"] += saved.e.size
+    def counting_backward(grad, saved):   # the exps it rebuilds: M x N per head
+        counted["backward"] += saved.l.size * saved.k.shape[2]
         return attention_grad(grad, saved)
 
     attention_arrays, attention_grad = vit.attention_arrays, vit.attention_grad

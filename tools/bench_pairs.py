@@ -20,10 +20,16 @@ The output file has the schema of the earlier ``BENCH_*.json`` files:
 ``description``, ``host`` (from the first run's identity line), ``summary``
 and ``runs``. The summary gives, per workload and per end-to-end metric of
 ``BENCHMARK.json``, the parent and change medians, the change's relative
-difference, the interquartile range of the parent's runs and the pairs in
-which the change read better, rounded to 4 decimals. The file is rewritten
-after every run, so a cut run leaves the pairs it finished. The exit code
-is 1 when a run failed or reported ``correct: false``.
+difference, the interquartile ranges of the parent's and the change's
+runs and the pairs in which the change read better, rounded to 4
+decimals. It also applies the benchmark's acceptance rules:
+``gain_rule_met`` when at least 9 in 10 pairs read better and the change
+median is better than the parent's by more than the parent's
+interquartile range, and ``within_bound`` when the change median is no
+worse than the parent's by more than the metric's ``bound`` (a fraction
+of the parent median). The file is rewritten after every run, so a cut
+run leaves the pairs it finished. The exit code is 1 when a run failed or
+reported ``correct: false``.
 """
 
 from __future__ import annotations
@@ -75,10 +81,11 @@ def iqr(values: list[float]) -> float:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and metric (``{"name", "better"}`` items of
-    BENCHMARK.json's ``end_to_end``): medians, relative difference, the
-    parent's IQR and the pairs, matched by seed, in which the change read
-    strictly better."""
+    """Per workload and metric (``{"name", "better", "bound"}`` items of
+    BENCHMARK.json's ``end_to_end``): medians, relative difference, each
+    side's IQR, the pairs, matched by seed, in which the change read
+    strictly better, and the two acceptance rules, judged on unrounded
+    figures."""
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         mine = [run for run in runs if run["workload"] == workload]
@@ -95,12 +102,17 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             change = statistics.median(side["change"].values())
             better = sum((side["change"][s] > side["parent"][s]) if higher
                          else (side["change"][s] < side["parent"][s]) for s in seeds)
+            parent_iqr = iqr(list(side["parent"].values()))
+            gain = change - parent if higher else parent - change   # > 0: better
             summary[workload][name] = {
                 "parent_median": round(parent, 4),
                 "change_median": round(change, 4),
                 "change_vs_parent": round((change - parent) / parent, 4),
-                "parent_iqr": round(iqr(list(side["parent"].values())), 4),
+                "parent_iqr": round(parent_iqr, 4),
                 "change_better_pairs": f"{better}/{len(seeds)}",
+                "change_iqr": round(iqr(list(side["change"].values())), 4),
+                "gain_rule_met": 10 * better >= 9 * len(seeds) and gain > parent_iqr,
+                "within_bound": -gain <= metric["bound"] * abs(parent),
             }
     return summary
 
