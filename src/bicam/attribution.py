@@ -11,14 +11,13 @@ final map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import ParameterError, StateError
-from .vit import LayerCapture, VisionTransformer
+from .vit import LayerCapture, VisionTransformer, check_temperature
 
 INTERPOLATIONS = ("bilinear", "nearest")
 
@@ -32,13 +31,20 @@ class AttributionMap:
     class_index: int | None        # None for class-agnostic baselines
 
 
+def _upsampler(interpolation: str):
+    """The upsample kernel an interpolation name picks."""
+    if interpolation not in INTERPOLATIONS:
+        raise ParameterError(f"interpolation must be one of {INTERPOLATIONS}")
+    return (kernels.upsample_bilinear if interpolation == "bilinear"
+            else kernels.upsample_nearest)
+
+
 def attribution_alpha(capture: LayerCapture, temperature: float) -> np.ndarray:
     """Temperature-scaled softmax of the CLS attention-logit row, per head.
 
     Returns [B, H, N]; each (batch, head) slice sums to 1.
     """
-    if not 0 < temperature < math.inf:
-        raise ParameterError(f"temperature must be finite and > 0, got {temperature}")
+    check_temperature(temperature)
     cls_row = np.ascontiguousarray(capture.attn_logits[:, :, 0, :])
     b, h, n = cls_row.shape
     out = kernels.softmax_rows(cls_row.reshape(b * h, n), float(temperature))
@@ -59,25 +65,13 @@ def layer_mask(capture: LayerCapture, alpha: np.ndarray) -> np.ndarray:
     return (val_grad * alpha).sum(axis=1)
 
 
-def _grid_to_heatmap(patch_grid: np.ndarray, out_h: int, out_w: int,
-                     interpolation: str) -> np.ndarray:
-    if interpolation not in INTERPOLATIONS:
-        raise ParameterError(f"interpolation must be one of {INTERPOLATIONS}")
-    up = (kernels.upsample_bilinear if interpolation == "bilinear"
-          else kernels.upsample_nearest)
-    b = patch_grid.shape[0]
-    out = np.empty((b, 1, out_h, out_w))
-    for i in range(b):
-        out[i, 0] = up(np.ascontiguousarray(patch_grid[i]), out_h, out_w)
-    return out
-
-
 def _tokens_to_map(token_mask: np.ndarray, model: VisionTransformer, class_index,
-                   interpolation: str) -> AttributionMap:
+                   upsample) -> AttributionMap:
+    """The map of a [B, N] token mask; every row's grid upsampled in one call."""
     cfg = model.config
     patches = token_mask[:, cfg.num_special_tokens:]
     grid = patches.reshape(-1, cfg.grid_height, cfg.grid_width)
-    heat = _grid_to_heatmap(grid, cfg.image_height, cfg.image_width, interpolation)
+    heat = upsample(grid, cfg.image_height, cfg.image_width)[:, None]
     return AttributionMap(patch_scores=grid, heatmap=heat, class_index=class_index)
 
 
@@ -93,10 +87,13 @@ def bicam(model: VisionTransformer, image: np.ndarray, class_index: int,
     computed. Layer masks from the last ``layer_window`` blocks are summed,
     the special-token entries dropped, and the per-patch grid upsampled to
     image resolution. Defaults for the window and temperature come from
-    the model config; ``attribution_alpha`` checks the temperature.
+    the model config. The temperature and interpolation are checked before
+    the forward, so a bad one costs no pass.
     """
     cfg = model.config
     temp = cfg.temperature if temperature is None else float(temperature)
+    check_temperature(temp)
+    upsample = _upsampler(interpolation)
 
     res = model.forward(image, capture=True, layer_window=layer_window, wrt="captures")
     model.backward_class(res, class_index)
@@ -105,7 +102,7 @@ def bicam(model: VisionTransformer, image: np.ndarray, class_index: int,
     for cap in res.captures:  # ascending layer order
         m = layer_mask(cap, attribution_alpha(cap, temp))
         total = m if total is None else total + m
-    return _tokens_to_map(total, model, int(class_index), interpolation)
+    return _tokens_to_map(total, model, int(class_index), upsample)
 
 
 def rollout_chain(head_mean_attn) -> np.ndarray:
@@ -137,10 +134,11 @@ def attention_rollout(model: VisionTransformer, image: np.ndarray,
     alone) over heads, add identity, row-normalize, and multiply through
     all layers; the CLS row of the product gives unsigned patch scores."""
     cfg = model.config
+    upsample = _upsampler(interpolation)
     res = model.forward(image, capture=True, layer_window=cfg.num_layers, wrt=None)
     rollout = rollout_chain(cap.attn_probs.mean(axis=1) for cap in res.captures)
     cls_row = rollout[:, 0, :]
-    return _tokens_to_map(cls_row, model, None, interpolation)
+    return _tokens_to_map(cls_row, model, None, upsample)
 
 
 def split_channels(values) -> tuple[np.ndarray, np.ndarray]:

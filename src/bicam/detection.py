@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .attribution import split_channels
+from .attribution import AttributionMap, split_channels
 from .errors import ContractError, DataFormatError, ParameterError
 
 CLEAN = "clean"
@@ -64,8 +64,14 @@ def check_pnr_epsilon(epsilon: float) -> None:
 
 
 def pnr(attribution, epsilon: float = DEFAULT_PNR_EPSILON) -> float:
-    """sum(max(M, 0)) / (sum(max(-M, 0)) + epsilon) over patch scores."""
+    """sum(max(M, 0)) / (sum(max(-M, 0)) + epsilon) over patch scores.
+
+    PNR is a per-image statistic: an AttributionMap must hold one image
+    (ContractError otherwise), and a plain array is one grid.
+    """
     check_pnr_epsilon(epsilon)
+    if isinstance(attribution, AttributionMap) and attribution.patch_scores.shape[0] != 1:
+        raise ContractError("pnr expects a single-image map")
     pos, neg = split_channels(attribution)
     return float(pos.sum() / (neg.sum() + epsilon))
 

@@ -162,8 +162,9 @@ def layernorm_rows_grad(xhat, inv_std, dxhat):
 
 
 def upsample_bilinear(grid, out_h, out_w):
-    """Bilinear upsample of ``grid[gh, gw]`` using half-pixel centers."""
-    gh, gw = grid.shape
+    """Bilinear upsample of ``grid[..., gh, gw]``, each grid through the ops
+    of a single-grid call, using half-pixel centers."""
+    gh, gw = grid.shape[-2:]
     sy = (np.arange(out_h) + 0.5) * (gh / out_h) - 0.5
     sx = (np.arange(out_w) + 0.5) * (gw / out_w) - 0.5
     y0 = np.clip(np.floor(sy), 0, gh - 1).astype(np.int64)
@@ -172,14 +173,15 @@ def upsample_bilinear(grid, out_h, out_w):
     x1 = np.minimum(x0 + 1, gw - 1)
     wy = np.clip(sy - y0, 0.0, 1.0)[:, None]
     wx = np.clip(sx - x0, 0.0, 1.0)[None, :]
-    top = grid[np.ix_(y0, x0)] * (1.0 - wx) + grid[np.ix_(y0, x1)] * wx
-    bot = grid[np.ix_(y1, x0)] * (1.0 - wx) + grid[np.ix_(y1, x1)] * wx
+    top = grid[..., y0[:, None], x0] * (1.0 - wx) + grid[..., y0[:, None], x1] * wx
+    bot = grid[..., y1[:, None], x0] * (1.0 - wx) + grid[..., y1[:, None], x1] * wx
     return top * (1.0 - wy) + bot * wy
 
 
 def upsample_nearest(grid, out_h, out_w):
-    """Nearest-neighbor upsample; exact block replication for integer ratios."""
-    gh, gw = grid.shape
+    """Nearest-neighbor upsample of ``grid[..., gh, gw]``, each grid alone;
+    exact block replication for integer ratios."""
+    gh, gw = grid.shape[-2:]
     ys = np.minimum(((np.arange(out_h) + 0.5) * (gh / out_h)).astype(np.int64), gh - 1)
     xs = np.minimum(((np.arange(out_w) + 0.5) * (gw / out_w)).astype(np.int64), gw - 1)
-    return grid[np.ix_(ys, xs)]
+    return grid[..., ys[:, None], xs]

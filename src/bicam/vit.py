@@ -23,8 +23,10 @@ so its backward's gelu step is one product.
 The forward body is written once, on plain ndarrays, as one loop over
 L + 2 stages: the embedding, each block (x -> next x) and the head. A
 block's q, k and v projections are one product on its fused [Wq|Wk|Wv]
-weight, built once at load, so a forward runs 6L + 2 products. When a tape
-is asked for, each stage returns its hand-chained VJP (vector-Jacobian
+weight, built once at load, so a forward runs 6L + 2 products. Each is a
+stacked product on a [B, rows, k] input, the head's on ln_f's [B, 1, d]
+output, so a batch row's outputs are the bits of that image alone. When a
+tape is asked for, each stage returns its hand-chained VJP (vector-Jacobian
 product) on the same kernels, one output gradient to one input gradient,
 and the tape records the chain of L + 2 nodes: the embedding, one per
 block (which walks back its MLP, then its attention, and adds the
@@ -78,6 +80,12 @@ LAYERNORM_EPS = 1e-6
 INIT_STD = 0.02
 
 
+def check_temperature(temperature: float) -> None:
+    """ParameterError unless an attribution temperature is finite and > 0."""
+    if not 0 < temperature < math.inf:
+        raise ParameterError(f"temperature must be finite and > 0, got {temperature}")
+
+
 def default_layer_window(num_layers: int) -> int:
     """Default aggregation window: the last round(2L/3) blocks."""
     return max(1, min(num_layers, round(2.0 * num_layers / 3.0)))
@@ -123,8 +131,7 @@ class ViTConfig:
         if not 1 <= self.layer_window <= self.num_layers:
             raise ParameterError(
                 f"layer_window must be in [1, {self.num_layers}], got {self.layer_window}")
-        if not 0 < self.temperature < math.inf:
-            raise ParameterError(f"temperature must be finite and > 0, got {self.temperature}")
+        check_temperature(self.temperature)
 
     @property
     def grid_height(self) -> int:
@@ -338,10 +345,9 @@ def _linear(x, weight, bias, check):
 
 
 def _linear_grads(x, grad):
-    """Gradients of the weight and bias of ``x @ weight + bias`` from the
-    output gradient, summed over a leading batch axis."""
-    gw, gb = np.matmul(np.swapaxes(x, -1, -2), grad), grad.sum(axis=0)
-    return (gw.sum(axis=0), gb.sum(axis=0)) if grad.ndim == 3 else (gw, gb)
+    """Gradients of the weight and bias of ``x[B, rows, k] @ weight + bias``
+    from the output gradient, summed over the batch and the rows."""
+    return (np.swapaxes(x, -1, -2) @ grad).sum(0), grad.sum(0).sum(0)
 
 
 def _layernorm(x, gain, bias, check, taped):
@@ -518,22 +524,21 @@ class _Stages:
         return x2, backward
 
     def head(self, x):
-        """ln_f and the classifier on the final CLS state ``x`` [B, 1, d]:
-        (logits, backward)."""
+        """ln_f and the classifier, a stacked product as every linear is, on
+        the final CLS state ``x`` [B, 1, d]: (logits [B, C], backward)."""
         w, check = self.weights.tensors, self.check
         taped = self.first_taped <= self.weights.config.num_layers + 1
         xf, xhat, inv_std = _layernorm(x, w["ln_f.gain"], w["ln_f.bias"], check, taped)
-        cls_state = _check_stage(xf)[:, 0]
-        logits = _linear(cls_state, w["head.weight"], w["head.bias"], check)
+        logits = _linear(_check_stage(xf), w["head.weight"], w["head.bias"], check)[:, 0]
         if not taped:
             return logits, None
         grads, gain, head_weight = self.grads, w["ln_f.gain"], w["head.weight"]
-        cls_state = cls_state if grads is not None else None
+        xf = xf if grads is not None else None
 
         def backward(g):
-            dxf = np.matmul(g, head_weight.T)[:, None]
+            dxf = np.matmul(g[:, None], head_weight.T)
             if grads is not None:
-                grads["head.weight"], grads["head.bias"] = _linear_grads(cls_state, g)
+                grads["head.weight"], grads["head.bias"] = _linear_grads(xf, g[:, None])
             return _layernorm_grads(dxf, xhat, inv_std, gain, grads, "ln_f")
 
         return logits, backward

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,21 @@ def test_bicam_single_forward_backward(tiny_model, rnd_image):
     bicam(tiny_model, rnd_image, 0)
     snap = counters.snapshot()
     assert snap == {"forward": 1, "backward": 1}
+
+
+@pytest.mark.parametrize("run, option, message", [
+    (bicam, dict(temperature=0), "temperature must be finite and > 0, got 0.0"),
+    (bicam, dict(temperature=math.nan), "temperature must be finite and > 0, got nan"),
+    (bicam, dict(interpolation="cubic"), "interpolation must be one of"),
+    (attention_rollout, dict(interpolation="cubic"), "interpolation must be one of")],
+    ids=["bicam-zero-temperature", "bicam-nan-temperature", "bicam-interpolation",
+         "rollout-interpolation"])
+def test_a_bad_option_costs_no_pass(tiny_model, rnd_image, run, option, message):
+    args = (0,) if run is bicam else ()
+    counters.reset()
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        run(tiny_model, rnd_image, *args, **option)
+    assert counters.snapshot() == {"forward": 0, "backward": 0}
 
 
 def test_bicam_heatmap_is_upsampled_patch_grid(tiny_model, tiny_config, rnd_image):

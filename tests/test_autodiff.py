@@ -173,10 +173,11 @@ def test_layernorm_gain_bias_gradients():
 
 def test_matmul_gradient_matches_finite_differences():
     # the weight and bias gradients of every linear of the model's stages,
-    # on a [rows, d] input (the head) and a [B, N, d] one (the rest)
+    # each a stacked product: on a [B, 1, d] input (the head) and a
+    # [B, N, d] one (the rest)
     rng = np.random.default_rng(0)
     w0, b0 = rng.standard_normal((5, 4)), rng.standard_normal(4)
-    for shape in ((3, 5), (2, 3, 5)):
+    for shape in ((3, 1, 5), (2, 3, 5)):
         x0, c = rng.standard_normal(shape), rng.standard_normal(shape[:-1] + (4,))
 
         def f(w, b):

@@ -287,6 +287,29 @@ def test_eval_loc_command(tmp_path, model_file, image_dir):
     assert "positive" in channels and "negative" in channels and "unified" in channels
 
 
+@pytest.mark.parametrize("skip", [False, True], ids=["fails", "skip_errors"])
+def test_eval_loc_without_a_target_mask(tmp_path, model_file, image_dir, skip, capsys):
+    data = tmp_path / "locdata"
+    data.mkdir()
+    first, second = sorted(image_dir.glob("*.ppm"))[:2]
+    for path in (first, second):
+        (data / path.name).write_bytes(path.read_bytes())
+    netpbm.write_pgm(str(data / f"{first.stem}_target.pgm"), np.ones((16, 16), np.uint8))
+    code = run(["eval-loc", "--model", model_file, "--data", data,
+                "--out-prefix", tmp_path / "loc"] + ["--skip-errors"] * skip)
+    err = capsys.readouterr().err
+    missing = f"missing target mask {second.stem}_target.pgm"
+    if skip:
+        assert code == 0
+        assert err == f"skipped {data / second.name}: {missing}\n"
+        with open(tmp_path / "loc.csv", newline="") as fh:
+            assert {row[0] for row in csv.reader(fh)} == {"id", first.stem}
+    else:
+        assert code == 3
+        assert err == f"error: {missing}\n"
+        assert not (tmp_path / "loc.csv").exists()
+
+
 def test_eval_faith_command(tmp_path, model_file, image_dir):
     prefix = str(tmp_path / "faith")
     assert run(["eval-faith", "--model", model_file, "--images", image_dir,
@@ -327,6 +350,16 @@ def test_exit_codes(tmp_path, model_file, image_dir):
     # missing model file -> 3
     assert run(["attribute", "--model", tmp_path / "nope.bw",
                 "--image", tmp_path / "nope.ppm", "--out-prefix", tmp_path / "y"]) == 3
+    # --images that is a file, not a directory -> 3
+    img_path = sorted(image_dir.glob("*.ppm"))[0]
+    assert run(["eval-faith", "--model", model_file, "--images", img_path,
+                "--out-prefix", tmp_path / "z"]) == 3
+    # a PPM with a zero dimension -> 3
+    flat = tmp_path / "flat.ppm"
+    flat.write_bytes(b"P6\n16 0\n255\n")
+    assert run(["attribute", "--model", model_file, "--image", flat,
+                "--out-prefix", tmp_path / "w"]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "flat.ppm"]
     # usage error -> 2 (argparse exits via SystemExit)
     with pytest.raises(SystemExit) as e:
         run(["attribute"])
@@ -351,6 +384,15 @@ def test_config_file_defaults_and_rejection(tmp_path, model_file, image_dir, cap
     malformed.write_text("just a line\n")
     assert run(["attribute", "--config", malformed, "--model", model_file,
                 "--image", img_path, "--out-prefix", prefix]) == 3
+
+    no_key = tmp_path / "no_key.cfg"
+    no_key.write_text("=3\n")
+    assert run(["attribute", "--config", no_key, "--model", model_file,
+                "--image", img_path, "--out-prefix", prefix]) == 3
+    capsys.readouterr()
+    assert run(["attribute", "--config", tmp_path, "--model", model_file,
+                "--image", img_path, "--out-prefix", prefix]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot read config file: ")
 
 
 def test_a_config_call_leaves_the_next_call_the_built_in_defaults(tmp_path, monkeypatch):
@@ -417,6 +459,16 @@ def test_config_forms(tmp_path, model_file, image_dir, line, head, code, capsys)
     else:
         assert err == f"error: unknown config keys for eval-faith: {line.partition('=')[0]}\n"
     assert (tmp_path / "file.csv").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command", [[], ["bogus"]], ids=["no_command", "unknown_command"])
+def test_a_config_without_a_known_command_is_a_usage_error(tmp_path, command, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("seeds=0\n")
+    with pytest.raises(SystemExit) as e:
+        run(["--config", cfgfile, *command])
+    assert e.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", [["--config", ""], ["--config="]], ids=["spaced", "equals"])
@@ -565,8 +617,15 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, model_file, image_dir, comman
 
 
 @pytest.mark.parametrize("line, code", [
-    ("seeds=1.5", 2), ("window=2.5", 2), ("skip_errors=no", 3), ("skip_errors=1", 3)])
-def test_config_values_get_the_flag_checks(tmp_path, model_file, image_dir, line, code):
+    ("seeds=1.5", 2), ("window=2.5", 2), ("skip_errors=no", 3), ("skip_errors=1", 3),
+    ("skip_errors=yes", 3), ("skip_errors=true", 0), ("skip_errors=TRUE", 0),
+    ("skip_errors=False", 0)])
+def test_config_values_get_the_flag_checks(tmp_path, model_file, image_dir, line, code,
+                                           monkeypatch):
+    skips = []
+    map_items = cli._map_items
+    monkeypatch.setattr(cli, "_map_items", lambda names, fn, jobs, skip_errors: (
+        skips.append(skip_errors) or map_items(names, fn, jobs, skip_errors)))
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(line + "\n")
     argv = ["eval-faith", "--config", cfgfile, "--model", model_file, "--images", image_dir,
@@ -576,8 +635,10 @@ def test_config_values_get_the_flag_checks(tmp_path, model_file, image_dir, line
             run(argv)
         assert e.value.code == 2
     else:
-        assert run(argv) == 3
-    assert not (tmp_path / "f.csv").exists()
+        assert run(argv) == code
+    assert (tmp_path / "f.csv").exists() == (code == 0)
+    # true, in any case, is the bare flag; false leaves it out
+    assert skips == ([line.endswith(("true", "TRUE"))] if code == 0 else [])
 
 
 def test_config_before_and_after_the_command_agree(tmp_path, model_file, image_dir, capsys):
@@ -685,7 +746,7 @@ def _first_record(raw: bytes):
     return name_at, name_at + nlen
 
 
-@pytest.mark.parametrize("damage", ["name_byte", "negative_dim", "huge_dims"])
+@pytest.mark.parametrize("damage", ["name_byte", "negative_dim", "huge_dims", "short_magic"])
 def test_malformed_tensor_record_exits_3(tmp_path, model_file, image_dir, damage, capsys):
     raw = bytearray(Path(model_file).read_bytes())
     name_at, rank_at = _first_record(raw)
@@ -693,14 +754,19 @@ def test_malformed_tensor_record_exits_3(tmp_path, model_file, image_dir, damage
         raw[name_at] = 0xFF
     elif damage == "negative_dim":
         struct.pack_into("<i", raw, rank_at + 4, -3)
-    else:
+    elif damage == "huge_dims":
         struct.pack_into("<4i", raw, rank_at, 3, *[2**31 - 1] * 3)
+    else:   # shorter than the 7-byte magic
+        raw = raw[:5]
     bad = tmp_path / "bad.bw"
     bad.write_bytes(bytes(raw))
     img_path = sorted(image_dir.glob("*.ppm"))[0]
     assert run(["attribute", "--model", bad, "--image", img_path,
                 "--out-prefix", tmp_path / "n"]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if damage == "short_magic":
+        assert err == "error: weight file truncated\n"
 
 
 @pytest.mark.parametrize("command", ["attack", "pnr-detect", "eval-loc", "eval-faith"])

@@ -96,6 +96,16 @@ def test_pnr_accepts_attribution_map(tiny_model):
     assert pnr(amap) == pnr(amap.patch_scores)
 
 
+def test_pnr_refuses_a_multi_image_map(tiny_model):
+    # PNR is per image: the rows' masses are not pooled; a plain array is one grid
+    from bicam.attribution import bicam
+    batch = np.random.default_rng(2).random((2, 3, 16, 16))
+    amap = bicam(tiny_model, batch, 0)
+    with pytest.raises(ContractError, match="single-image map"):
+        pnr(amap)
+    assert pnr(amap.patch_scores) == pnr(amap.patch_scores.ravel())
+
+
 # -- roc oracles ----------------------------------------------------------------------
 
 
@@ -222,6 +232,13 @@ def test_records_csv_round_trip(tmp_path):
     write_records(str(path), recs)
     back = read_records(str(path))
     assert back == recs
+
+
+def test_records_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("id,label,pnr\n\na,clean,0.5\n   \n\nb,adversarial,2\n\n")
+    assert read_records(str(path)) == [PNRRecord("a", 0.5, "clean"),
+                                       PNRRecord("b", 2.0, "adversarial")]
 
 
 def test_records_csv_quotes_only_what_it_must(tmp_path):

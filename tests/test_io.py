@@ -55,6 +55,12 @@ def test_ppm_rejects_wrong_maxval(tmp_path):
         read_ppm(str(p))
 
 
+def test_write_ppm_rejects_a_grey_image(tmp_path):
+    with pytest.raises(DataFormatError, match=r"expects \[3, H, W\]"):
+        write_ppm(str(tmp_path / "grey.ppm"), np.zeros((4, 4)))
+    assert not (tmp_path / "grey.ppm").exists()
+
+
 def test_ppm_header_comments(tmp_path):
     p = tmp_path / "c.ppm"
     p.write_bytes(b"P6\n# a comment\n2 # inline\n1\n255\n" + bytes([0, 0, 0, 255, 255, 255]))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from bicam import autodiff, counters, kernels, vit
-from bicam.attribution import bicam
+from bicam.attribution import attention_rollout, bicam
 from bicam.autodiff import INPUT
 from bicam.errors import (ContractError, DimensionError, NumericError, ParameterError,
                           StateError)
@@ -170,6 +170,16 @@ def test_backward_class_refuses_tape_free_result(tiny_model):
         class_score(res.logits, 0)
     with pytest.raises(ContractError, match="requires logits recorded on a tape"):
         cross_entropy(res.logits, [0])
+
+
+def test_cross_entropy_checks_its_labels():
+    logits = autodiff.Tensor(np.zeros((2, 3)), autodiff.Graph())
+    with pytest.raises(DimensionError, match="does not match batch 2"):
+        cross_entropy(logits, [0, 1, 2])
+    with pytest.raises(ParameterError, match="label out of range"):
+        cross_entropy(logits, [0, 3])
+    with pytest.raises(ParameterError, match="label out of range"):
+        cross_entropy(logits, [-1, 0])
 
 
 def test_roots_carry_the_gradient_of_their_value():
@@ -892,6 +902,35 @@ def test_forward_matches_a_full_rows_reference(tiny_config, shape):
             assert _rel_error(cap.attn_logits, scores) < 1e-12
             assert _rel_error(cap.values, values) < 1e-12
             assert _rel_error(cap.cls_out, cls_out) < 1e-12
+
+
+ROW_OUTPUTS = ("predict_logits", "predict_proba", "bicam patch scores", "bicam heatmap",
+               "rollout patch scores", "rollout heatmap", "backward_class image gradient")
+
+
+@pytest.mark.parametrize("shape", ["tiny", "distillation", "56x56"])
+def test_a_batch_row_gets_the_bits_of_a_single_image_call(tiny_config, shape):
+    # every linear, the head's included, is a stacked product and the
+    # heatmap upsamples each grid alone, so no output of a row depends on
+    # the batch it is in; weights x5 keep the logits well away from 0
+    cfg = {"tiny": tiny_config, "56x56": ViTConfig(**SHAPE_56),
+           "distillation": dataclasses.replace(tiny_config, distillation_token=True)}[shape]
+    tensors = init_weights(cfg, seed=3).tensors
+    model = VisionTransformer(ViTWeights(cfg, {k: 5 * v for k, v in tensors.items()}))
+    c = cfg.num_classes - 1
+
+    def outputs(img):
+        res = model.backward_class(model.forward(img, capture=True), c)
+        amap, roll = bicam(model, img, c), attention_rollout(model, img)
+        return (model.predict_logits(img), model.predict_proba(img), amap.patch_scores,
+                amap.heatmap, roll.patch_scores, roll.heatmap, res.graph.gradients[INPUT])
+
+    images = np.random.default_rng(23).random((17, 3, cfg.image_height, cfg.image_width))
+    singles = [outputs(images[i:i + 1]) for i in range(len(images))]
+    for b in (2, 8, 17):
+        for name, batched, *rows in zip(ROW_OUTPUTS, outputs(images[:b]), *singles[:b]):
+            for i, row in enumerate(rows):
+                assert bit_equal(batched[i:i + 1], row), f"{name}, row {i} of a batch of {b}"
 
 
 @pytest.mark.parametrize("shape", ["tiny", "distillation", "56x56"])

@@ -14,6 +14,14 @@ distillation token; ``56``: the 56x56 model), at batch sizes 1 and 2:
 and once, 30 steps of toy training on the 16x16 model: the losses and the
 trained weights' checksum.
 
+The CLI is hashed too, per model (``16``: a 16x16 ``init-model --seed 5``
+model; ``56``: the 56x56 one), on two seeded stripe PPMs: ``attribute``,
+``rollout``, ``attack --jobs 2``, ``pnr-detect`` (the attack's images as
+the adversarial set), ``eval-loc`` (each image with a ``_target.pgm`` mask,
+the first with a ``_nontarget.pgm`` one too) and ``eval-faith``. Every
+file a command writes and its stdout are hashed, under
+``cli/<model>/<command>/<file>`` and ``cli/<model>/<command>/stdout``.
+
 Each tree is hashed in its own interpreter, this file run with ``--emit``
 and the tree's ``src`` as PYTHONPATH, with one BLAS thread unless the
 environment sets another count. The parent tree is the committed files of
@@ -26,7 +34,9 @@ and the exit code is 1 if any does, else 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -40,6 +50,10 @@ from bench_pairs import ROOT, archive
 
 MODELS = ("16", "56")
 TRAIN_STEPS = 30
+# init-model options of each model the CLI runs use
+CLI_MODELS = {"16": [],
+              "56": ["--image-size", 56, "--layers", 6, "--heads", 4, "--embed-dim", 32,
+                     "--ffn-dim", 64, "--classes", 10]}
 
 
 def _digest(*arrays) -> str:
@@ -87,6 +101,60 @@ def emit(models) -> dict[str, str]:
                                         steps=TRAIN_STEPS)
         out["16-train/losses"] = _digest(losses)
         out["16-train/weights"] = model.weights.checksum()
+    with tempfile.TemporaryDirectory(prefix="output_hashes_cli_") as tmp:
+        for name in models:
+            out.update(emit_cli(name, Path(tmp) / name))
+    return out
+
+
+def _run_cli(argv) -> str:
+    """The stdout of one in-process ``bicam`` command, which must exit 0."""
+    from bicam import cli
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([str(a) for a in argv])
+    if code:
+        raise RuntimeError(f"bicam {argv[0]} exited {code}")
+    return stdout.getvalue()
+
+
+def emit_cli(name: str, work: Path) -> dict[str, str]:
+    """{cli/<model>/<command>/<file>: sha256} of the CLI runs above on
+    model ``name``, made in ``work``."""
+    from bicam import netpbm
+    from bicam.toytrain import make_pattern_dataset
+    from bicam.weightfile import load_model
+
+    model, images, loc = work / "model.bw", work / "images", work / "loc"
+    for d in (images, loc):
+        d.mkdir(parents=True)
+    _run_cli(["init-model", "--out", model, "--seed", 5, *CLI_MODELS[name]])
+    cfg = load_model(str(model)).config
+    target = np.zeros((cfg.image_height, cfg.image_width), np.uint8)
+    target[:, :cfg.image_width // 2] = 1
+    for i, img in enumerate(make_pattern_dataset(cfg, per_class=1, seed=11)[0]):
+        for d in (images, loc):
+            netpbm.write_ppm(str(d / f"img{i}.ppm"), img)
+        netpbm.write_pgm(str(loc / f"img{i}_target.pgm"), target)
+    netpbm.write_pgm(str(loc / "img0_nontarget.pgm"), 1 - target)
+
+    runs = {"attribute": ["--image", images / "img0.ppm", "--out-prefix"],
+            "rollout": ["--image", images / "img0.ppm", "--out-prefix"],
+            "attack": ["--images", images, "--jobs", 2, "--out"],
+            "pnr-detect": ["--clean", images, "--adv", work / "attack" / "out",
+                           "--out-prefix"],
+            "eval-loc": ["--data", loc, "--out-prefix"],
+            "eval-faith": ["--images", images, "--seeds", 2, "--out-prefix"]}
+    out = {}
+    for command, args in runs.items():
+        d = work / command
+        d.mkdir()
+        key = f"cli/{name}/{command}"
+        out[f"{key}/stdout"] = hashlib.sha256(
+            _run_cli([command, "--model", model, *args, d / "out"]).encode()).hexdigest()
+        for path in sorted(p for p in d.rglob("*") if p.is_file()):
+            out[f"{key}/{path.relative_to(d).as_posix()}"] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
     return out
 
 
