@@ -25,11 +25,12 @@ PIXEL_MAX = 1.0
 DEFAULT_EPSILON = 8.0 / 255.0
 DEFAULT_STEP_SIZE = 2.0 / 255.0
 DEFAULT_NUM_STEPS = 10
+METHODS = ("pgd", "mifgsm")
 
 
 @dataclass(frozen=True)
 class AttackConfig:
-    method: str = "pgd"                    # "pgd" | "mifgsm"
+    method: str = "pgd"                    # one of METHODS
     epsilon: float = DEFAULT_EPSILON       # L-inf budget, normalized pixels
     step_size: float = DEFAULT_STEP_SIZE
     num_steps: int = DEFAULT_NUM_STEPS
@@ -37,7 +38,7 @@ class AttackConfig:
     seed: int = 0                          # PGD random start
 
     def __post_init__(self):
-        if self.method not in ("pgd", "mifgsm"):
+        if self.method not in METHODS:
             raise ParameterError(f"unknown attack method {self.method!r}")
         # epsilon == 0 is allowed as the degenerate no-op attack
         if not 0 <= self.epsilon < math.inf:

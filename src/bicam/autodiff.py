@@ -156,8 +156,8 @@ def attention_arrays(qkv, heads: int, keep_scores: bool = False, cls_only: bool 
     Returns (out, kept, e, saved): out the merged heads, kept a copy of the
     CLS row of the scaled scores [B, H, 1, N] when ``keep_scores`` is set
     (else None), e the exps below [B, H, M, N], for a caller that keeps them
-    (a tape-free capture; a tape does not), and saved the AttentionSaved
-    that ``attention_grad`` reads.
+    (a tape-free capture, as its probabilities; a tape does not), and saved
+    the AttentionSaved that ``attention_grad`` reads.
 
     The scale goes into k^T, so the scores come scaled out of their product.
     The softmax is not normalized on the scores: e = exp(scores - row max)

@@ -42,9 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, netpbm
-from .attacks import (DEFAULT_EPSILON, DEFAULT_NUM_STEPS, DEFAULT_STEP_SIZE,
+from .attacks import (DEFAULT_EPSILON, DEFAULT_NUM_STEPS, DEFAULT_STEP_SIZE, METHODS,
                       AttackConfig, run_attack)
-from .attribution import attention_rollout, bicam, split_channels
+from .attribution import INTERPOLATIONS, attention_rollout, bicam, split_channels
 from .detection import (DEFAULT_PNR_EPSILON, FLOAT_FORMAT, PNRRecord, check_pnr_epsilon,
                         format_float as _fmt, pnr, read_records, roc_analysis, write_records,
                         write_table)
@@ -124,21 +124,26 @@ def _map_items(names, fn, jobs: int, skip_errors: bool):
 
     An item fails with a BicamError or an OSError (an entry it cannot
     open, say). A ParameterError is never skipped: it comes from a bad
-    option, which fails every item alike. With jobs 1 every item runs on
-    the calling thread, so its thread-local pass counters see every pass.
+    option, which fails every item alike. An error that is not skipped
+    stops the run: it is raised in item order, and an item that has not
+    started by then never runs (the pool's map cancels it). With jobs 1
+    every item runs on the calling thread, so its thread-local pass
+    counters see every pass.
     """
-    results, failures = [], []
+    def attempt(name):
+        try:
+            return True, fn(name)
+        except (BicamError, OSError) as e:
+            if not skip_errors or isinstance(e, ParameterError):
+                raise
+            return False, f"skipped {name}: {e}"
+
     with (ThreadPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext()) as pool:
-        pending = [pool.submit(fn, n) for n in names] if pool else names
-        for n, item in zip(names, pending):
-            try:
-                results.append(item.result() if pool else fn(n))
-            except (BicamError, OSError) as e:
-                if not skip_errors or isinstance(e, ParameterError):
-                    raise
-                failures.append((n, str(e)))
-    for n, msg in failures:
-        print(f"skipped {n}: {msg}", file=sys.stderr)
+        outcomes = list((pool.map if pool else map)(attempt, names))
+    for ok, value in outcomes:
+        if not ok:
+            print(value, file=sys.stderr)
+    results = [value for ok, value in outcomes if ok]
     if not results:
         raise ContractError(f"all {len(names)} items failed")
     return results
@@ -173,8 +178,8 @@ def _table(headers, rows) -> str:
     return "\n".join(lines)
 
 
-# (DetectionReport field, display format): the pnr-detect table and report
-# CSV columns; detect-from-records prints the first three
+# (DetectionReport field, display format): the pnr-detect table rows;
+# detect-from-records prints the first three
 REPORT_ROWS = [("auroc", ".4f"), ("aupr", ".4f"), ("threshold", ".6g"),
                ("sensitivity", ".4f"), ("specificity", ".4f"),
                ("delta_pnr_mean", ".6g"), ("delta_pnr_std", ".6g")]
@@ -282,9 +287,7 @@ def cmd_pnr_detect(args) -> int:
     write_records(args.out_prefix + ".records.csv", records)
     report = roc_analysis(records)
     write_table(args.out_prefix + ".report.csv",
-                [name for name, _ in REPORT_ROWS] + ["num_clean", "num_adversarial"],
-                [[getattr(report, name) for name, _ in REPORT_ROWS]
-                 + [report.num_clean, report.num_adversarial]])
+                [f.name for f in dataclasses.fields(report)], [dataclasses.astuple(report)])
     print(_report_table(report))
     return 0
 
@@ -422,32 +425,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--classes", type=int, default=2)
     sp.add_argument("--distillation", action="store_true")
     sp.add_argument("--window", type=int, default=None)
-    sp.add_argument("--temperature", type=float, default=2.0)
+    sp.add_argument("--temperature", type=float, default=ViTConfig.temperature)
 
     sp = command("attribute", cmd_attribute, "signed attribution map for one image")
     _add_common_model_args(sp)
     sp.add_argument("--image", required=True)
-    sp.add_argument("--interpolation", choices=["bilinear", "nearest"],
-                    default="bilinear")
+    sp.add_argument("--interpolation", choices=INTERPOLATIONS, default="bilinear")
     sp.add_argument("--pnr-epsilon", type=float, default=DEFAULT_PNR_EPSILON)
     sp.add_argument("--out-prefix", required=True)
 
     sp = command("rollout", cmd_rollout, "attention-rollout baseline map")
     _add_common_model_args(sp, attribution=False)
     sp.add_argument("--image", required=True)
-    sp.add_argument("--interpolation", choices=["bilinear", "nearest"],
-                    default="bilinear")
+    sp.add_argument("--interpolation", choices=INTERPOLATIONS, default="bilinear")
     sp.add_argument("--out-prefix", required=True)
 
     sp = command("attack", cmd_attack, "attack a directory of images")
     _add_common_model_args(sp, attribution=False)
     sp.add_argument("--images", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--method", choices=["pgd", "mifgsm"], default="pgd")
+    sp.add_argument("--method", choices=METHODS, default="pgd")
     sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     sp.add_argument("--step-size", type=float, default=DEFAULT_STEP_SIZE)
     sp.add_argument("--steps", type=int, default=DEFAULT_NUM_STEPS)
-    sp.add_argument("--momentum", type=float, default=1.0)
+    sp.add_argument("--momentum", type=float, default=AttackConfig.momentum_decay)
     sp.add_argument("--class-index", type=int, default=None,
                     help="true class (default: model argmax per image)")
     _add_driver_args(sp)

@@ -21,9 +21,11 @@ most of the CLI's start-up (its package init loads scipy's array-API layer,
 module that holds the ufunc, ``scipy/special/_special_ufuncs``, by file
 path under its dotted name, and registers it in ``sys.modules``: a later
 ``import scipy.special`` reuses that module, so ``scipy.special.erf`` is the
-very ufunc GELU calls. Where that file is missing or has no ``erf`` (scipy
-releases before the module existed), it falls back to
-``from scipy.special import erf``.
+very ufunc GELU calls. Where scipy is not found, or that file is missing
+or has no ``erf`` (scipy releases before the module existed), it falls
+back to ``from scipy.special import erf``; with no scipy directory it looks
+for no file at all, as a bare file name would be one in the working
+directory.
 """
 
 import importlib.machinery
@@ -40,9 +42,10 @@ _ERF_MODULE = "scipy.special._special_ufuncs"
 def _load_erf(special_dir):
     """scipy's erf ufunc, from the ``_special_ufuncs`` extension file in
     ``special_dir`` if it is there and not loaded yet, else from
-    ``scipy.special``."""
+    ``scipy.special``; an empty ``special_dir`` (no scipy found) names no
+    directory."""
     module = sys.modules.get(_ERF_MODULE)
-    if module is None:
+    if module is None and special_dir:
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
             path = os.path.join(special_dir, "_special_ufuncs" + suffix)
             if os.path.isfile(path):

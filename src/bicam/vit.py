@@ -11,12 +11,12 @@ the concatenated per-head CLS attention output *before* the block's output
 projection, together with its gradient after a class-score backward pass,
 which the layer's block backward stores in its LayerCapture.
 Attention keeps its softmax unnormalized (see ``autodiff.attention_arrays``),
-so a capture of a tape-free forward (``wrt=None``, rollout's) also holds
-the exps of its scores and their row sums, and its ``attn_probs`` divides
-one by the other when read. A taped capture holds neither, and neither
-does the tape: only rollout reads them, and attention's backward rebuilds
-the exps from the rows' score maxima, so every block frees its exps as it
-returns. A taped block makes gelu and its derivative from one erf
+so a capture of a tape-free forward (``wrt=None``, rollout's) divides the
+exps of its scores by their row sums in place and holds the result as its
+``attn_probs``. A taped capture holds None there, and the tape holds no
+exps: only rollout reads the probabilities, and attention's backward
+rebuilds the exps from the rows' score maxima, so every block frees its
+exps as it returns. A taped block makes gelu and its derivative from one erf
 (``kernels.gelu_grad``) and keeps the derivative in place of gelu's input,
 so its backward's gelu step is one product.
 
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -108,19 +108,10 @@ class ViTConfig:
     def __post_init__(self):
         if self.layer_window is None:
             object.__setattr__(self, "layer_window", default_layer_window(self.num_layers))
-        ints = {
-            "image_height": self.image_height,
-            "image_width": self.image_width,
-            "patch_size": self.patch_size,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "embed_dim": self.embed_dim,
-            "ffn_dim": self.ffn_dim,
-            "num_classes": self.num_classes,
-        }
-        for name, v in ints.items():
-            if int(v) != v or v <= 0:
-                raise ParameterError(f"{name} must be a positive integer, got {v}")
+        for f in fields(self):   # f.type is the annotation's text (see the __future__ import)
+            v = getattr(self, f.name)
+            if f.type == "int" and (int(v) != v or v <= 0):
+                raise ParameterError(f"{f.name} must be a positive integer, got {v}")
         if self.image_height % self.patch_size or self.image_width % self.patch_size:
             raise ParameterError(
                 f"image {self.image_height}x{self.image_width} not divisible by "
@@ -300,22 +291,10 @@ class LayerCapture:
     # [B, d], the gradient of cls_out that the layer's attention backward
     # stores on each walk (so after several, the last walk's); None before one
     cls_out_grad: np.ndarray | None = None
-    # on a tape-free forward (wrt=None) alone, else None: the forward's own
-    # softmax numerators exp(logits - row max) (not a copy): [B, H, N, N],
-    # or for the last layer its CLS row alone, [B, H, 1, N]; and their row
-    # sums, [B, H, N, 1] or [B, H, 1, 1]
-    attn_exp: np.ndarray | None = field(default=None, repr=False)
-    attn_rowsums: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def attn_probs(self) -> np.ndarray:
-        """The attention probabilities attn_exp / attn_rowsums, made on each
-        read: a forward keeps its scores unnormalized. StateError on a
-        taped capture, which holds no exps."""
-        if self.attn_exp is None:
-            raise StateError(f"layer {self.layer} capture holds no attention exps: "
-                             "only a tape-free forward (wrt=None) keeps them")
-        return self.attn_exp / self.attn_rowsums
+    # on a tape-free forward (wrt=None) alone, else None: the attention
+    # probabilities, the forward's own exps divided in place by their row
+    # sums: [B, H, N, N], or for the last layer its CLS row alone, [B, H, 1, N]
+    attn_probs: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -427,8 +406,8 @@ class _Stages:
         """Block ``layer`` (1-based): ln1, the fused q|k|v product,
         attention, the output projection and its residual add, ln2, the MLP
         and its residual add: (next x, backward). A captured layer appends
-        its LayerCapture to ``captures`` (with the exps and row sums off the
-        tape alone), and its backward stores the CLS row of the merged
+        its LayerCapture to ``captures`` (with its attention probabilities
+        off the tape alone), and its backward stores the CLS row of the merged
         heads' gradient there as ``cls_out_grad``; the lowest block on the
         tape returns there, before attention's backward. ``offset`` is a
         [B, d] term added to the merged CLS row, or None. ln1 and the
@@ -452,14 +431,14 @@ class _Stages:
         if captured:
             cap = LayerCapture(layer=layer, attn_logits=kept, values=saved.vx[..., :-1],
                                cls_out=merged[:, 0, :].copy())
-            if not taped:   # rollout's exps; a backward rebuilds its own
-                cap.attn_exp, cap.attn_rowsums = e, saved.l
+            if not taped:   # rollout's probabilities; a backward rebuilds its exps
+                cap.attn_probs = np.divide(e, saved.l, out=e)
             self.captures.append(cap)
         # ln1's output is read again by a weight gradient alone, and ln1's
         # statistics and attention's saved arrays by a backward that hands on
         # its input gradient alone: they are freed before the MLP half
-        # allocates, as are the exps unless a tape-free capture holds them,
-        # and the merged heads after their product
+        # allocates, as are the exps unless a tape-free capture holds them as
+        # its probabilities, and the merged heads after their product
         e = None
         h = h if grads is not None else None
         if not hand_on:

@@ -3,9 +3,8 @@
 Layout, all little-endian:
 
     bytes 0-6   magic b"BICAMW1"
-    10 * int32  image_height, image_width, patch_size, num_layers,
-                num_heads, embed_dim, ffn_dim, num_classes,
-                distillation_token (0/1), layer_window
+    10 * int32  the config fields HEADER_FIELDS names, in its order
+                (distillation_token as 0/1)
     1 * float64 temperature
     int32       tensor count
     per tensor: int32 name length, name (utf-8), int32 rank,
@@ -31,6 +30,10 @@ from .errors import BicamError, DataFormatError
 from .vit import ViTConfig, ViTWeights, VisionTransformer, tensor_count
 
 MAGIC = b"BICAMW1"
+# the ViTConfig fields of the header's int32s, in file order
+HEADER_FIELDS = ("image_height", "image_width", "patch_size", "num_layers", "num_heads",
+                 "embed_dim", "ffn_dim", "num_classes", "distillation_token", "layer_window")
+_HEADER = struct.Struct(f"<{len(HEADER_FIELDS)}i")
 # name length, a 1-byte name, rank, one dim and one float64 value
 MIN_RECORD_BYTES = 4 + 1 + 4 + 4 + 8
 
@@ -39,11 +42,7 @@ def save_weights(weights: ViTWeights, path: str) -> None:
     cfg = weights.config
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack(
-            "<10i",
-            cfg.image_height, cfg.image_width, cfg.patch_size, cfg.num_layers,
-            cfg.num_heads, cfg.embed_dim, cfg.ffn_dim, cfg.num_classes,
-            1 if cfg.distillation_token else 0, cfg.layer_window))
+        fh.write(_HEADER.pack(*(int(getattr(cfg, n)) for n in HEADER_FIELDS)))
         fh.write(struct.pack("<d", cfg.temperature))
         fh.write(struct.pack("<i", len(weights.tensors)))
         for name, arr in weights.tensors.items():
@@ -66,15 +65,11 @@ def load_weights(path: str) -> ViTWeights:
     with open(path, "rb") as fh:
         if _read_exact(fh, len(MAGIC)) != MAGIC:
             raise DataFormatError(f"bad magic; not a {MAGIC.decode()} weight file")
-        ints = struct.unpack("<10i", _read_exact(fh, 40))
+        header = dict(zip(HEADER_FIELDS, _HEADER.unpack(_read_exact(fh, _HEADER.size))))
+        header["distillation_token"] = bool(header["distillation_token"])
         (temperature,) = struct.unpack("<d", _read_exact(fh, 8))
         try:
-            cfg = ViTConfig(
-                image_height=ints[0], image_width=ints[1], patch_size=ints[2],
-                num_layers=ints[3], num_heads=ints[4], embed_dim=ints[5],
-                ffn_dim=ints[6], num_classes=ints[7],
-                distillation_token=bool(ints[8]), layer_window=ints[9],
-                temperature=temperature)
+            cfg = ViTConfig(**header, temperature=temperature)
         except BicamError as e:
             raise DataFormatError(f"invalid config block: {e}") from None
         (count,) = struct.unpack("<i", _read_exact(fh, 4))

@@ -374,17 +374,17 @@ def test_attention_rollout_end_to_end(tiny_model, rnd_image):
 
 
 def test_rollout_tape_free_matches_tape_captures(tiny_model, rnd_image):
-    # rollout reads the exps of a tape-free forward's captures; a taped
-    # forward's hold none (the tape keeps its own for the backward, and
-    # test_fused_qkv_forward_is_bit_equal_to_tape pins those against the
-    # tape-free exps), and every other field is the same bits
+    # rollout reads the probabilities of a tape-free forward's captures; a
+    # taped forward's hold none (its backward rebuilds its exps, and
+    # test_fused_qkv_forward_is_bit_equal_to_tape pins the taped forward's
+    # e / l against the tape-free probabilities), and every other field is
+    # the same bits
     window = tiny_model.config.num_layers
     free = tiny_model.forward(rnd_image, capture=True, layer_window=window, wrt=None)
     taped = tiny_model.forward(rnd_image, capture=True, layer_window=window, wrt="input")
     assert not free.graph.nodes and taped.graph.nodes
     for cap, ref in zip(taped.captures, free.captures, strict=True):
-        assert cap.attn_exp is None and cap.attn_rowsums is None
-        assert ref.attn_exp is not None and ref.attn_rowsums is not None
+        assert cap.attn_probs is None and ref.attn_probs is not None
         for name in ("attn_logits", "values", "cls_out"):
             assert bit_equal(getattr(cap, name), getattr(ref, name)), name
 

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from bicam import cli, counters, netpbm, weightfile
 from bicam.attribution import bicam
 from bicam.cli import _sub_seed, load_config_file, main, read_grid_csv
 from bicam.detection import read_records, roc_analysis
-from bicam.errors import DataFormatError
+from bicam.errors import DataFormatError, ParameterError
 from bicam.toytrain import make_pattern_dataset
 
 
@@ -705,6 +706,28 @@ def test_every_item_failing_under_skip_errors_exits_3(tmp_path, model_file, imag
     assert "skipped" in err and "truncated" in err
     assert "items failed" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("error, skip_errors", [
+    (DataFormatError("bad item"), False), (ParameterError("bad option"), True),
+    (RuntimeError("a fault"), True)], ids=["data", "parameter", "other"])
+def test_a_failing_item_stops_a_directory_run(error, skip_errors, jobs, capsys):
+    # an error that is not skipped surfaces as soon as its item fails: the
+    # items that have not started by then never run, whatever the error
+    ran = []
+
+    def item(i):
+        ran.append(i)
+        if i == 0:
+            raise error
+        time.sleep(0.05)
+        return i
+
+    with pytest.raises(type(error)):
+        cli._map_items(list(range(40)), item, jobs, skip_errors)
+    assert 0 in ran and len(ran) <= 4 * jobs, ran
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

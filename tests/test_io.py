@@ -174,6 +174,19 @@ def test_weightfile_round_trip_bitwise(small_weights, tmp_path):
         assert np.array_equal(back[name], arr)
 
 
+def test_weightfile_header_is_the_config_in_file_order(tmp_path):
+    # ten distinct values, so a reordered field list shows in the bytes
+    cfg = ViTConfig(image_height=12, image_width=8, patch_size=4, num_layers=3,
+                    num_heads=5, embed_dim=10, ffn_dim=7, num_classes=6,
+                    distillation_token=True, layer_window=2, temperature=1.5)
+    p = tmp_path / "w.bw"
+    weightfile.save_weights(init_weights(cfg, seed=1), str(p))
+    raw = p.read_bytes()
+    assert raw[7:47] == struct.pack("<10i", 12, 8, 4, 3, 5, 10, 7, 6, 1, 2)
+    assert raw[47:55] == struct.pack("<d", 1.5)
+    assert weightfile.load_weights(str(p)).config == cfg
+
+
 def test_weightfile_rejects_corrupt_magic(small_weights, tmp_path):
     p = tmp_path / "w.bw"
     weightfile.save_weights(small_weights, str(p))

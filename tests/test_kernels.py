@@ -1,4 +1,8 @@
+import importlib.machinery
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,24 @@ def test_erf_falls_back_to_the_scipy_special_import(tmp_path, monkeypatch):
     from scipy.special import erf
     monkeypatch.delitem(sys.modules, kernels._ERF_MODULE)
     assert kernels._load_erf(str(tmp_path)) is erf
+
+
+def test_erf_without_scipy_found_loads_no_file_from_the_working_directory(tmp_path):
+    # with no scipy directory a bare ``_special_ufuncs`` file name would be
+    # one in the working directory: a decoy there must not be executed
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        (tmp_path / ("_special_ufuncs" + suffix)).write_bytes(b"not an extension module")
+    script = ("import importlib.util\n"
+              "find_spec = importlib.util.find_spec\n"
+              "importlib.util.find_spec = lambda name, *args: (\n"
+              "    None if name == 'scipy' else find_spec(name, *args))\n"
+              "from bicam import kernels\n"
+              "import scipy.special\n"
+              "assert kernels._erf is scipy.special.erf\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _layernorm_rows_by_mean(x, eps):

@@ -24,10 +24,10 @@ def test_a_tree_hashes_the_same_as_itself(output_hashes, monkeypatch, capsys):
     assert "DIFFERS" not in out
     # plain and distillation at B = 1 and 2: each 4 windows x 3 classes of
     # bicam maps, rollout, logits and the input gradient; the training's
-    # losses and weights: (12 + 3) x 2 x 2 + 2; and the CLI's: 15 files
-    # (attribute 5, rollout 3, attack 2, pnr-detect 2, eval-loc 1,
-    # eval-faith 2) and 6 stdouts
-    assert out.strip() == "83 outputs hashed, 0 differ from HEAD"
+    # losses and weights: (12 + 3) x 2 x 2 + 2; the CLI's: the model file,
+    # 15 files (attribute 5, rollout 3, attack 2, pnr-detect 2, eval-loc 1,
+    # eval-faith 2) and 6 stdouts; and 9 help texts (bicam and 8 commands)
+    assert out.strip() == "93 outputs hashed, 0 differ from HEAD"
 
 
 def test_each_output_that_differs_is_named_and_exits_1(output_hashes, monkeypatch, capsys):

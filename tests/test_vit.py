@@ -38,6 +38,17 @@ def test_config_validation():
         ViTConfig(num_classes=0, **TINY)
 
 
+@pytest.mark.parametrize("name", ["image_height", "image_width", "patch_size", "num_layers",
+                                  "num_heads", "embed_dim", "ffn_dim", "num_classes"])
+def test_config_rejects_a_non_positive_or_fractional_int_field(name):
+    # every field annotated int is checked, in field order, before the
+    # checks that divide by one
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ParameterError,
+                           match=rf"^{name} must be a positive integer, got {bad}$"):
+            ViTConfig(**{**TINY, "num_classes": 3, name: bad})
+
+
 @pytest.mark.parametrize("num_layers", [4, 6, 12])
 @pytest.mark.parametrize("num_heads", [2, 4])
 @pytest.mark.parametrize("grid", [4, 14])
@@ -792,17 +803,17 @@ def test_tensor_count_matches_expected_shapes(tiny_config, distillation):
         assert tensor_count(cfg) == len(expected_shapes(cfg))
 
 
-def _no_exps(captures):
-    """Whether every capture holds neither exps nor row sums, as a taped one."""
-    return all(cap.attn_exp is None and cap.attn_rowsums is None for cap in captures)
+def _no_probs(captures):
+    """Whether no capture holds attention probabilities, as a taped one."""
+    return all(cap.attn_probs is None for cap in captures)
 
 
 @pytest.mark.parametrize("shape", ["tiny", "56x56"])
 def test_fused_qkv_forward_is_bit_equal_to_tape(tiny_config, shape, monkeypatch):
     # both paths run one [Wq|Wk|Wv] product per block, and attention splits
     # and merges the heads the same way on each; a taped capture holds no
-    # exps, so the taped forward's own, recorded from attention, are
-    # compared with the tape-free captures'
+    # probabilities, so the taped forward's own exps and row sums, recorded
+    # from attention, give e / l to compare with the tape-free captures'
     cfg = tiny_config if shape == "tiny" else ViTConfig(**SHAPE_56)
     model = new_model(cfg, seed=5)
     batch = 2 if shape == "tiny" else 1
@@ -822,23 +833,19 @@ def test_fused_qkv_forward_is_bit_equal_to_tape(tiny_config, shape, monkeypatch)
     assert plain.captures[0].attn_logits.shape[-1] == cfg.num_tokens
     assert bit_equal(plain.logits.data, taped.logits.data)
     assert len(plain.captures) == len(taped.captures) == len(saved) == cfg.num_layers
-    assert _no_exps(taped.captures)
+    assert _no_probs(taped.captures)
     for a, b, (e, tape) in zip(plain.captures, taped.captures, saved):
         for name in ("attn_logits", "values", "cls_out"):
             assert bit_equal(getattr(a, name), getattr(b, name)), (a.layer, name)
-        assert bit_equal(a.attn_exp, e), a.layer
-        assert bit_equal(a.attn_rowsums, tape.l), a.layer
+        assert bit_equal(a.attn_probs, e / tape.l), a.layer
 
 
 @pytest.mark.parametrize("wrt", ["input", "captures", "weights"])
-def test_attn_probs_of_a_taped_capture_is_a_state_error(tiny_model, wrt):
-    # only a tape-free forward keeps the exps that attn_probs divides
+def test_attn_probs_of_a_taped_capture_is_none(tiny_model, wrt):
+    # only a tape-free forward keeps its exps, as its probabilities
     img = np.random.default_rng(26).random((1, 3, 16, 16))
     res = tiny_model.forward(img, capture=True, wrt=wrt)
-    assert res.captures and _no_exps(res.captures)
-    for cap in res.captures:
-        with pytest.raises(StateError, match=rf"layer {cap.layer} .*wrt=None"):
-            cap.attn_probs
+    assert res.captures and _no_probs(res.captures)
 
 
 def _full_rows_forward(weights, img):
@@ -935,16 +942,17 @@ def test_a_batch_row_gets_the_bits_of_a_single_image_call(tiny_config, shape):
 
 @pytest.mark.parametrize("shape", ["tiny", "distillation", "56x56"])
 def test_attn_probs_are_the_reference_probabilities(tiny_config, shape):
-    # the forward keeps its scores unnormalized; attn_probs divides them by
-    # their row sums on each read, the last layer's CLS row included
+    # the forward keeps its scores unnormalized; a tape-free capture's
+    # attn_probs are its exps divided by their row sums, the last layer's
+    # CLS row included
     cfg = {"tiny": tiny_config, "56x56": ViTConfig(**SHAPE_56),
            "distillation": dataclasses.replace(tiny_config, distillation_token=True)}[shape]
     model = new_model(cfg, seed=8)
     img = np.random.default_rng(21).random((2, 3, cfg.image_height, cfg.image_width))
     _, ref_layers = _full_rows_forward(model.weights, img)
-    # a taped capture holds no exps: they are read from a tape-free one
+    # a taped capture holds no probabilities: they are read from a tape-free one
     taped = model.forward(img, capture=True, layer_window=cfg.num_layers)
-    assert len(taped.captures) == cfg.num_layers and _no_exps(taped.captures)
+    assert len(taped.captures) == cfg.num_layers and _no_probs(taped.captures)
     res = model.forward(img, capture=True, layer_window=cfg.num_layers, wrt=None)
     for cap, (*_, probs) in zip(res.captures, ref_layers, strict=True):
         rows = cap.attn_probs.shape[2]
@@ -991,7 +999,7 @@ def test_softmax_elements_per_forward_and_backward(tiny_config, shape, monkeypat
         assert counted == {"forward": want, "backward": 0, "softmax_rows": 0,
                            "softmax_rows_grad": 0}
         if wrt:
-            assert _no_exps(res.captures)   # only the tape holds them
+            assert _no_probs(res.captures)
             model.backward_class(res, 1)
             assert counted == {"forward": want, "backward": want, "softmax_rows": 0,
                                "softmax_rows_grad": 0}

@@ -20,7 +20,10 @@ model; ``56``: the 56x56 one), on two seeded stripe PPMs: ``attribute``,
 the adversarial set), ``eval-loc`` (each image with a ``_target.pgm`` mask,
 the first with a ``_nontarget.pgm`` one too) and ``eval-faith``. Every
 file a command writes and its stdout are hashed, under
-``cli/<model>/<command>/<file>`` and ``cli/<model>/<command>/stdout``.
+``cli/<model>/<command>/<file>`` and ``cli/<model>/<command>/stdout``, and
+the model file ``init-model`` wrote under ``cli/<model>/init-model/model.bw``.
+The ``--help`` text of ``bicam`` and of each of its commands is hashed
+under ``cli/help`` and ``cli/help/<command>``.
 
 Each tree is hashed in its own interpreter, this file run with ``--emit``
 and the tree's ``src`` as PYTHONPATH, with one BLAS thread unless the
@@ -104,6 +107,21 @@ def emit(models) -> dict[str, str]:
     with tempfile.TemporaryDirectory(prefix="output_hashes_cli_") as tmp:
         for name in models:
             out.update(emit_cli(name, Path(tmp) / name))
+    out.update(emit_help())
+    return out
+
+
+def emit_help() -> dict[str, str]:
+    """{cli/help[/<command>]: sha256} of the ``--help`` text of ``bicam``
+    and of each of its commands."""
+    from bicam import cli
+    out = {}
+    for command in [None, *cli.build_parser()[1]]:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.suppress(SystemExit):
+            cli.main([*([command] if command else []), "--help"])
+        key = "cli/help" + (f"/{command}" if command else "")
+        out[key] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
     return out
 
 
@@ -129,6 +147,7 @@ def emit_cli(name: str, work: Path) -> dict[str, str]:
     for d in (images, loc):
         d.mkdir(parents=True)
     _run_cli(["init-model", "--out", model, "--seed", 5, *CLI_MODELS[name]])
+    out = {f"cli/{name}/init-model/model.bw": hashlib.sha256(model.read_bytes()).hexdigest()}
     cfg = load_model(str(model)).config
     target = np.zeros((cfg.image_height, cfg.image_width), np.uint8)
     target[:, :cfg.image_width // 2] = 1
@@ -145,7 +164,6 @@ def emit_cli(name: str, work: Path) -> dict[str, str]:
                            "--out-prefix"],
             "eval-loc": ["--data", loc, "--out-prefix"],
             "eval-faith": ["--images", images, "--seeds", 2, "--out-prefix"]}
-    out = {}
     for command, args in runs.items():
         d = work / command
         d.mkdir()
